@@ -1,0 +1,7 @@
+"""Test set-up for the benchmark's own code: run with ``pytest bench``."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
