@@ -8,7 +8,6 @@ from .corpus import (
     build_vocabulary,
     load_corpus,
     load_tagged_corpus,
-    save_corpus,
     save_tagged_corpus,
 )
 from .embedding import (
@@ -25,7 +24,6 @@ from .evaluate import (
     Span,
     decode_spans,
     eval_similarity,
-    five_fold_split,
     format_prf,
     load_judgements,
     span_prf,

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 data or processing error, 2 usage error.
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .corpus import (
     ParseError,
@@ -18,6 +19,7 @@ from .corpus import (
     save_tagged_corpus,
 )
 from .embedding import (
+    ARCHITECTURES,
     TrainConfig,
     corpus_to_characters,
     load_space,
@@ -51,19 +53,6 @@ from .tagger import (
     train_logreg,
 )
 
-_TRAIN_FIELDS = (
-    ("dim", int),
-    ("window", int),
-    ("negative", int),
-    ("epochs", int),
-    ("learning_rate", float),
-    ("min_count", int),
-    ("subsample", float),
-    ("seed", int),
-    ("architecture", str),
-)
-
-
 def _note(command, message):
     print(f"[{command}] {message}", file=sys.stderr)
 
@@ -83,12 +72,12 @@ def _read_config_file(path):
 
 def _train_config(args):
     file_values = _read_config_file(args.config) if args.config else {}
-    known = {name for name, _ in _TRAIN_FIELDS}
+    casts = {f.name: f.type for f in fields(TrainConfig)}
     for key in file_values:
-        if key not in known:
+        if key not in casts:
             raise ParseError(f"{args.config}: unknown config key {key!r}")
     kwargs = {}
-    for name, cast in _TRAIN_FIELDS:
+    for name, cast in casts.items():
         flag = getattr(args, name)
         if flag is not None:
             kwargs[name] = flag
@@ -106,15 +95,11 @@ def _train_config(args):
 
 def _add_train_flags(sub):
     sub.add_argument("--config", help="key=value per line; flags override")
-    sub.add_argument("--dim", type=int)
-    sub.add_argument("--window", type=int)
-    sub.add_argument("--negative", type=int)
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--learning-rate", type=float, dest="learning_rate")
-    sub.add_argument("--min-count", type=int, dest="min_count")
-    sub.add_argument("--subsample", type=float)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--architecture", choices=["skipgram", "cbow"])
+    for f in fields(TrainConfig):
+        sub.add_argument(
+            "--" + f.name.replace("_", "-"), dest=f.name, type=f.type,
+            choices=ARCHITECTURES if f.name == "architecture" else None,
+        )
 
 
 def _cmd_train_embeddings(args):

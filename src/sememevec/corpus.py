@@ -17,16 +17,18 @@ def iter_utf8_lines(path):
     """Yield (line_number, text) pairs from a strictly UTF-8 file.
 
     Lines are read as bytes first so that a decoding failure can name the
-    offending line. Trailing newline characters are stripped.
+    offending line. Trailing newline characters and a byte order mark at the
+    start of the file are stripped.
     """
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                yield lineno, raw.decode("utf-8").rstrip("\r\n")
+                text = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(
                     f"{path}: line {lineno}: invalid UTF-8 ({exc.reason})"
                 ) from exc
+            yield lineno, text.rstrip("\r\n")
 
 
 @dataclass
@@ -62,13 +64,6 @@ def load_corpus(path):
         if tokens:
             sentences.append(tokens)
     return Corpus(sentences)
-
-
-def save_corpus(corpus, path):
-    """Write one sentence per line with single-space separators."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sent in corpus:
-            fh.write(" ".join(sent) + "\n")
 
 
 @dataclass

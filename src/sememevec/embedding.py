@@ -1,11 +1,16 @@
 """Distributional word and character embeddings trained with negative sampling.
 
-The trainer is a from-scratch skip-gram / CBOW implementation. For each
-(center, context) pair it contrasts the observed context word against
-``negative`` noise words drawn from the unigram distribution raised to the
-0.75 power, and takes one stochastic gradient step on
+The trainer is a from-scratch skip-gram / CBOW implementation. Each sentence
+becomes a list of (input ids, target) steps: skip-gram makes one per
+(center, context) pair with the center as input, CBOW one per position with
+the mean of its context words as input. Both architectures then share one
+update step: it contrasts the target word against ``negative`` noise words
+drawn from the unigram distribution raised to the 0.75 power, and takes one
+stochastic gradient step on
 
-    L = -log s(x_pos) - sum_neg log s(-x_neg),    x = w_out . w_in
+    L = -log s(x_pos) - sum_neg log s(-x_neg),    x = w_out . h
+
+where h is the input vector (the center row, or the context mean).
 
 Training is single-threaded and fully deterministic for a fixed seed: all
 randomness flows from one seeded generator, and updates are applied in
@@ -20,6 +25,7 @@ import numpy as np
 from .corpus import Corpus, ParseError, build_vocabulary, iter_utf8_lines
 
 LR_FLOOR_FRACTION = 1e-4
+ARCHITECTURES = ("skipgram", "cbow")
 
 
 @dataclass
@@ -44,7 +50,7 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.subsample < 0:
             raise ValueError("subsample threshold cannot be negative")
-        if self.architecture not in ("skipgram", "cbow"):
+        if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
 
 
@@ -199,66 +205,53 @@ def train_embeddings(corpus, config, name="original"):
             if keep_prob is not None:
                 sent = sent[rng.random(len(sent)) < keep_prob[sent]]
             m = len(sent)
-            if m == 0:
-                continue
+            # one (input ids, target) step per window pair for skip-gram, per
+            # position for CBOW; a one-token sentence gives CBOW one step with
+            # an empty context, which still draws its noise row
             if skipgram:
-                spans = [
-                    (i, j)
+                steps = [
+                    (sent[i], sent[j])
                     for i in range(m)
                     for j in range(max(0, i - window), min(m, i + window + 1))
                     if j != i
                 ]
-                if not spans:
-                    continue
-                draws = np.searchsorted(
-                    noise_cum, rng.random((len(spans), neg)), side="left"
-                )
-                for (i, j), neg_row in zip(spans, draws):
-                    target = sent[j]
-                    keep = neg_row != target
-                    n_rows = 1 + int(keep.sum())
-                    rows = rows_buf[:n_rows]
-                    rows[0] = target
-                    rows[1:] = neg_row[keep]
-                    center = sent[i]
-                    vec = w_in[center]
-                    outs = w_out[rows]
-                    g_center, g_out = negative_sampling_grads(
-                        vec, outs, labels_buf[:n_rows]
-                    )
-                    np.subtract.at(w_out, rows, alpha * g_out)
-                    w_in[center] = vec - alpha * g_center
             else:
-                draws = np.searchsorted(noise_cum, rng.random((m, neg)), side="left")
-                for i in range(m):
-                    lo = max(0, i - window)
-                    hi = min(m, i + window + 1)
-                    ctx = np.concatenate((sent[lo:i], sent[i + 1:hi]))
-                    if len(ctx) == 0:
-                        continue
-                    target = sent[i]
-                    neg_row = draws[i]
-                    keep = neg_row != target
-                    n_rows = 1 + int(keep.sum())
-                    rows = rows_buf[:n_rows]
-                    rows[0] = target
-                    rows[1:] = neg_row[keep]
-                    hidden = w_in[ctx].mean(axis=0)
-                    outs = w_out[rows]
-                    g_hidden, g_out = negative_sampling_grads(
-                        hidden, outs, labels_buf[:n_rows]
-                    )
-                    np.subtract.at(w_out, rows, alpha * g_out)
-                    np.subtract.at(w_in, ctx, alpha * g_hidden / len(ctx))
+                steps = [
+                    (np.concatenate((sent[max(0, i - window):i],
+                                     sent[i + 1:i + window + 1])), sent[i])
+                    for i in range(m)
+                ]
+            if not steps:
+                continue
+            draws = np.searchsorted(
+                noise_cum, rng.random((len(steps), neg)), side="left"
+            )
+            for (inputs, target), neg_row in zip(steps, draws):
+                if skipgram:
+                    hidden = w_in[inputs]
+                elif len(inputs):
+                    hidden = w_in[inputs].mean(axis=0)
+                else:
+                    continue
+                keep = neg_row != target
+                n_rows = 1 + int(keep.sum())
+                rows = rows_buf[:n_rows]
+                rows[0] = target
+                rows[1:] = neg_row[keep]
+                g_hidden, g_out = negative_sampling_grads(
+                    hidden, w_out[rows], labels_buf[:n_rows]
+                )
+                np.subtract.at(w_out, rows, alpha * g_out)
+                if skipgram:
+                    w_in[inputs] = hidden - alpha * g_hidden
+                else:
+                    np.subtract.at(w_in, inputs, alpha * g_hidden / len(inputs))
         if not (np.all(np.isfinite(w_in)) and np.all(np.isfinite(w_out))):
             raise FloatingPointError(
                 f"non-finite parameters after epoch {epoch + 1}"
             )
 
-    space = EmbeddingSpace(dim, name=name)
-    for idx, token in enumerate(vocab.tokens):
-        space.add(token, w_in[idx])
-    return space
+    return EmbeddingSpace(dim, name=name, vectors=dict(zip(vocab.tokens, w_in)))
 
 
 def save_space(space, path):
@@ -266,7 +259,7 @@ def save_space(space, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(space)} {space.dim}\n")
         for token, vec in space.items():
-            if any(ch in " \t\n\r" for ch in token):
+            if any(ch.isspace() for ch in token):
                 raise ValueError(
                     f"token {token!r} contains whitespace and cannot be serialized"
                 )

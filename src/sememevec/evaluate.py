@@ -1,6 +1,5 @@
 """Rank-correlation scoring for word similarity and span P/R/F for tagging."""
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,26 +177,3 @@ def per_type_prf(gold, pred):
         p = {s for s in pred if s.entity_type == t}
         out[t] = span_prf(g, p)
     return out
-
-
-def five_fold_split(items, seed=0):
-    """Shuffled contiguous 5-fold partition; fold sizes differ by at most one."""
-    items = list(items)
-    if len(items) < 5:
-        raise EvaluationError("need at least five items for five folds")
-    rnd = random.Random(seed)
-    rnd.shuffle(items)
-    n = len(items)
-    base, extra = divmod(n, 5)
-    folds = []
-    at = 0
-    for k in range(5):
-        size = base + (1 if k < extra else 0)
-        folds.append(items[at:at + size])
-        at += size
-    splits = []
-    for k in range(5):
-        test = folds[k]
-        train = [it for j, fold in enumerate(folds) if j != k for it in fold]
-        splits.append((train, test))
-    return splits

@@ -10,7 +10,7 @@ retrieve in-vocabulary neighbours for rare and unseen words.
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -258,30 +258,27 @@ def top_k_similar(model, word, candidates, k=5):
 def save_similarity_model(model, path):
     """Four labelled decimal values, one per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for label, value in (
-            ("w_lcs", model.w_lcs),
-            ("w_edit", model.w_edit),
-            ("w_cos", model.w_cos),
-            ("bias", model.bias),
-        ):
-            fh.write(f"{label} {value:.17g}\n")
+        for f in fields(model):
+            fh.write(f"{f.name} {getattr(model, f.name):.17g}\n")
 
 
 def load_similarity_model(path):
+    names = [f.name for f in fields(SimilarityModel)]
     values = {}
     for lineno, line in iter_utf8_lines(path):
         if not line.strip():
             continue
         parts = line.split()
-        if len(parts) != 2 or parts[0] not in ("w_lcs", "w_edit", "w_cos", "bias"):
+        if len(parts) != 2 or parts[0] not in names:
             raise ParseError(f"{path}: line {lineno}: expected 'name value'")
         try:
-            values[parts[0]] = float(parts[1])
+            value = float(parts[1])
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: non-numeric value")
-    missing = {"w_lcs", "w_edit", "w_cos", "bias"} - values.keys()
+        if not math.isfinite(value):
+            raise ParseError(f"{path}: line {lineno}: non-finite value {parts[1]!r}")
+        values[parts[0]] = value
+    missing = set(names) - values.keys()
     if missing:
         raise ParseError(f"{path}: missing fields {sorted(missing)}")
-    return SimilarityModel(
-        values["w_lcs"], values["w_edit"], values["w_cos"], values["bias"]
-    )
+    return SimilarityModel(**values)

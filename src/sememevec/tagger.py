@@ -8,6 +8,7 @@ changes. Predicted label sequences are repaired afterwards so that no
 I-label appears without a same-type predecessor.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -295,6 +296,16 @@ def save_tagger(model, path):
         fh.write(" ".join(f"{x:.17g}" for x in model.bias) + "\n")
 
 
+def _finite_floats(values, lineno, path):
+    try:
+        floats = [float(v) for v in values]
+    except ValueError:
+        raise ParseError(f"{path}: line {lineno}: non-numeric value") from None
+    if not all(math.isfinite(x) for x in floats):
+        raise ParseError(f"{path}: line {lineno}: non-finite value")
+    return floats
+
+
 def _parse_kv(line, key, lineno, path):
     if not line.startswith(key + " ") and line != key:
         raise ParseError(f"{path}: line {lineno}: expected '{key} ...', got {line!r}")
@@ -319,11 +330,11 @@ def load_tagger(path):
         use_hownet = bool(int(take(4, "use-hownet")))
         use_char = bool(int(take(5, "use-char")))
         dim = int(take(6, "dim"))
-        lam = float(take(7, "lambda"))
         n_classes = int(take(8, "classes"))
         n_features = int(take(9, "features"))
     except ValueError:
         raise ParseError(f"{path}: malformed numeric header field")
+    lam = _finite_floats([take(7, "lambda")], lines[7][0], path)[0]
     if take(10, "weights") != "":
         raise ParseError(f"{path}: malformed weights section header")
     if len(lines) < 11 + n_classes + 2:
@@ -337,7 +348,7 @@ def load_tagger(path):
                 f"{path}: line {lineno}: expected {n_features} weights, "
                 f"got {len(values)}"
             )
-        rows.append([float(v) for v in values])
+        rows.append(_finite_floats(values, lineno, path))
     bias_at = 11 + n_classes
     if take(bias_at, "bias") != "":
         raise ParseError(f"{path}: malformed bias section header")
@@ -363,7 +374,7 @@ def load_tagger(path):
     )
     model = TaggerModel(
         np.array(rows, dtype=np.float64),
-        np.array([float(v) for v in bias_values]),
+        np.array(_finite_floats(bias_values, lineno, path)),
         lam,
         spec=spec,
         scheme=scheme,

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from sememevec.cli import main
-from sememevec.corpus import Corpus, load_tagged_corpus, save_corpus
+from sememevec.corpus import load_tagged_corpus
 from sememevec.embedding import load_space
 from sememevec.morphsim import load_similarity_model
 from sememevec.tagger import load_tagger
@@ -215,7 +215,9 @@ class TestEvaluationCommands:
     def test_tagger_refits_training_sentences(self, artifacts, tmp_path, capsys):
         gold = load_tagged_corpus(data("tagged_train.txt"))
         tokens_file = tmp_path / "train_tokens.txt"
-        save_corpus(Corpus([s.tokens for s in gold]), str(tokens_file))
+        tokens_file.write_text(
+            "".join(" ".join(s.tokens) + "\n" for s in gold), encoding="utf-8"
+        )
         pred_file = tmp_path / "pred.txt"
         assert main(["tag", "--model", artifacts["tagger"],
                      "--word-space", artifacts["combined"],

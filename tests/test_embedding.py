@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,57 @@ class TestTraining:
                 TrainConfig(**bad).validate()
 
 
+def ragged_corpus(seed=13, n=50, vocab=15):
+    # lengths 1..8 against window 3: one-token sentences and sentences
+    # shorter than the window occur alongside longer ones
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(vocab)]
+    sents = [
+        [words[rng.integers(vocab)] for _ in range(rng.integers(1, 9))]
+        for _ in range(n)
+    ]
+    return Corpus(sents + [["w0"], ["w1"], ["w2", "w3"]])
+
+
+def space_digest(space):
+    h = hashlib.sha256()
+    for token in space.tokens:
+        h.update(token.encode("utf-8") + b"\0")
+        h.update(space.get(token).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of token order plus row bytes, recorded from the earlier trainer
+# with separate skip-gram and CBOW loops; the shared step reproduces them
+TRAINING_DIGESTS = {
+    ("skipgram", 0.0):
+        "4af97fb0c75093026b81da5f6a6b80e385694c6f4f88131586d6a38c8ee3b676",
+    ("skipgram", 1e-3):
+        "ce2ab93aff3fc5b2723d07d92c3b6453c241731968ebcb7a086b6b70f6da8280",
+    ("cbow", 0.0):
+        "c43a7e979b1028b6519f64ec46981182b09bd41fce13e39e68352e4dc57a2656",
+    ("cbow", 1e-3):
+        "1ee44b8052ea9d032180de0f54b4c69140d5715247c8b4a585fa9503018e18b6",
+}
+
+
+class TestTrainingDigest:
+    """Pins the trainer's output bit for bit.
+
+    A change to the trainer that keeps its numerics must keep these digests;
+    one that changes the numerics on purpose updates them and says so.
+    """
+
+    @pytest.mark.parametrize("architecture, subsample", list(TRAINING_DIGESTS))
+    def test_output_pinned(self, architecture, subsample):
+        cfg = TrainConfig(
+            dim=8, window=3, negative=3, epochs=2, seed=4,
+            subsample=subsample, architecture=architecture,
+        )
+        digest = space_digest(train_embeddings(ragged_corpus(), cfg))
+        assert digest == TRAINING_DIGESTS[architecture, subsample]
+
+
 class TestCharacterCorpus:
     def test_split(self):
         c = Corpus([["早上", "好"], ["晚安"]])
@@ -225,6 +278,18 @@ class TestSerialization:
         s.add("a b", [1.0, 2.0])
         with pytest.raises(ValueError):
             save_space(s, str(tmp_path / "v.vec"))
+
+    def test_unicode_whitespace_token_rejected(self, tmp_path):
+        s = EmbeddingSpace(2)
+        s.add("房\u3000租", [1.0, 2.0])
+        with pytest.raises(ValueError):
+            save_space(s, str(tmp_path / "v.vec"))
+
+    def test_byte_order_mark_stripped(self, tmp_path):
+        p = tmp_path / "v.vec"
+        p.write_bytes("\ufeff1 2\n房租 1.0 2.0\n".encode("utf-8"))
+        back = load_space(str(p))
+        assert back.tokens == ["房租"] and np.array_equal(back.get("房租"), [1.0, 2.0])
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "v.vec"

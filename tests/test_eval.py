@@ -10,7 +10,6 @@ from sememevec.evaluate import (
     average_ranks,
     decode_spans,
     eval_similarity,
-    five_fold_split,
     format_prf,
     load_judgements,
     per_type_prf,
@@ -220,31 +219,3 @@ class TestSpanPRF:
     def test_format(self):
         assert format_prf(1.0, 1.0, 1.0) == "100.0 100.0 100.0"
         assert format_prf(0.0, 0.0, 0.0) == "0.0 0.0 0.0"
-
-
-class TestFiveFold:
-    def test_partition_properties(self):
-        items = list(range(23))
-        folds = five_fold_split(items, seed=3)
-        assert len(folds) == 5
-        tests = [t for _, t in folds]
-        sizes = sorted(len(t) for t in tests)
-        assert max(sizes) - min(sizes) <= 1
-        combined = sorted(x for t in tests for x in t)
-        assert combined == items
-        for train, test in folds:
-            assert sorted(train + test) == items
-            assert not set(train) & set(test)
-
-    def test_ten_items_two_each(self):
-        folds = five_fold_split(list(range(10)), seed=0)
-        assert all(len(t) == 2 for _, t in folds)
-
-    def test_seed_reproducible(self):
-        a = five_fold_split(list(range(17)), seed=9)
-        b = five_fold_split(list(range(17)), seed=9)
-        assert a == b
-
-    def test_too_few_items(self):
-        with pytest.raises(EvaluationError):
-            five_fold_split([1, 2, 3, 4], seed=0)

@@ -235,3 +235,10 @@ class TestModelSerialization:
         p.write_text("lcs 1.0\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_similarity_model(str(p))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        p = tmp_path / "m.model"
+        p.write_text(f"w_lcs 0.5\nw_edit 1\nw_cos {bad}\nbias 0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 3:"):
+            load_similarity_model(str(p))

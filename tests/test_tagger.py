@@ -313,3 +313,21 @@ class TestSerialization:
         p.write_text("\n".join(text) + "\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_tagger(str(p))
+
+    @pytest.mark.parametrize("where", ["lambda", "weight", "bias"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, where, bad):
+        X, y = random_problem()
+        scheme = LabelScheme(["Date"])
+        spec = FeatureSpec(dim=2, window_radius=1, use_hownet=False, use_char=False)
+        m = train_logreg(X[:, :6], y, lam=0.2, max_iter=5, scheme=scheme, spec=spec)
+        p = tmp_path / "t.model"
+        save_tagger(m, str(p))
+        lines = p.read_text(encoding="utf-8").splitlines()
+        at = {"lambda": 7, "weight": 12, "bias": len(lines) - 1}[where]
+        fields = lines[at].split()
+        fields[-1] = bad
+        lines[at] = " ".join(fields)
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line {at + 1}:"):
+            load_tagger(str(p))
