@@ -1,7 +1,9 @@
 """Corpus ingestion: pre-segmented text, tagged text, vocabularies and term frequencies."""
 
+import os
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 
@@ -9,8 +11,7 @@ class ParseError(ValueError):
     """An input file does not follow its expected line format."""
 
 
-_SEP = re.compile(r"[ \t]+")
-_ITEM = re.compile(r"[^ \t]+")
+_ITEM = re.compile(r"\S+")
 
 
 def iter_utf8_lines(path):
@@ -29,6 +30,25 @@ def iter_utf8_lines(path):
                     f"{path}: line {lineno}: invalid UTF-8 ({exc.reason})"
                 ) from exc
             yield lineno, text.rstrip("\r\n")
+
+
+@contextmanager
+def atomic_text_writer(path):
+    """Open a UTF-8 text file that appears at path only once fully written.
+
+    Writes go to a new temporary file in path's directory, which replaces
+    path when the block ends; if the block raises, the temporary file is
+    removed and whatever was at path is left untouched.
+    """
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -54,13 +74,15 @@ class Corpus:
 
 
 def load_corpus(path):
-    """Read one sentence per line, tokens separated by runs of spaces or tabs.
+    """Read one sentence per line, tokens separated by runs of whitespace.
 
-    Blank lines are skipped. Raises ParseError on invalid UTF-8.
+    Whitespace is every str.isspace() character (U+3000 and NBSP among them),
+    the set load_space splits on and save_space rejects in a token. Blank
+    lines are skipped. Raises ParseError on invalid UTF-8.
     """
     sentences = []
     for _, line in iter_utf8_lines(path):
-        tokens = [t for t in _SEP.split(line) if t]
+        tokens = line.split()
         if tokens:
             sentences.append(tokens)
     return Corpus(sentences)
@@ -83,6 +105,7 @@ class TaggedSentence:
 def load_tagged_corpus(path):
     """Parse "token/LABEL" items, one sentence per line.
 
+    Items are separated by runs of whitespace, the same set as load_corpus's.
     The label separator is the last "/" of an item, so tokens containing "/"
     survive. Items without a separator, with an empty token or with an empty
     label raise ParseError naming line and column.
@@ -107,7 +130,7 @@ def load_tagged_corpus(path):
 
 def save_tagged_corpus(sentences, path):
     """Write tagged sentences in the "token/LABEL" format."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_writer(path) as fh:
         for sent in sentences:
             fh.write(" ".join(f"{t}/{l}" for t, l in zip(sent.tokens, sent.labels)))
             fh.write("\n")

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, ParseError, build_vocabulary, iter_utf8_lines
+from .corpus import (
+    Corpus,
+    ParseError,
+    atomic_text_writer,
+    build_vocabulary,
+    iter_utf8_lines,
+)
 
 LR_FLOOR_FRACTION = 1e-4
 ARCHITECTURES = ("skipgram", "cbow")
@@ -256,13 +262,14 @@ def train_embeddings(corpus, config, name="original"):
 
 def save_space(space, path):
     """Write the word2vec text format: "vocab dim" header, then one token row."""
-    with open(path, "w", encoding="utf-8") as fh:
+    for token in space.tokens:
+        if any(ch.isspace() for ch in token):
+            raise ValueError(
+                f"token {token!r} contains whitespace and cannot be serialized"
+            )
+    with atomic_text_writer(path) as fh:
         fh.write(f"{len(space)} {space.dim}\n")
         for token, vec in space.items():
-            if any(ch.isspace() for ch in token):
-                raise ValueError(
-                    f"token {token!r} contains whitespace and cannot be serialized"
-                )
             fh.write(token + " " + " ".join(f"{x:.9g}" for x in vec) + "\n")
 
 

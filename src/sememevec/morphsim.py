@@ -7,6 +7,7 @@ weigh them; the squashed weighted sum then serves as the similarity used to
 retrieve in-vocabulary neighbours for rare and unseen words.
 """
 
+import heapq
 import math
 import random
 from collections import Counter
@@ -14,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corpus import iter_utf8_lines, ParseError
+from .corpus import ParseError, atomic_text_writer, iter_utf8_lines
 
 
 class SamplingError(ValueError):
@@ -241,23 +242,34 @@ def top_k_similar(model, word, candidates, k=5):
 
     Descending score, ties broken by lexicographic word order; fewer than k
     results only when candidates run out.
+
+    Only candidates that share a character with the query are scored by the
+    three measures. One that shares none has LCS 0, Levenshtein equal to the
+    longer length (no aligned pair can match) and a zero count dot product,
+    so its features are exactly (0, 0, 0) and its score is the floor
+    sigmoid(bias), computed once by the same arithmetic as every pair. The
+    result is therefore identical to scoring every candidate; weights may be
+    negative, so a sharing candidate can rank below the floor.
     """
     if not word:
         raise ValueError("query word must be non-empty")
     if k < 1:
         raise ValueError("k must be at least 1")
+    chars = set(word)
+    floor = similarity_from_features(model, (0.0, 0.0, 0.0))
+    # an empty candidate still reaches word_similarity, which rejects it
     scored = [
-        (tok, word_similarity(model, word, tok))
+        (tok, floor if tok and chars.isdisjoint(tok)
+         else word_similarity(model, word, tok))
         for tok in candidates
         if tok != word
     ]
-    scored.sort(key=lambda ts: (-ts[1], ts[0]))
-    return scored[:k]
+    return heapq.nsmallest(k, scored, key=lambda ts: (-ts[1], ts[0]))
 
 
 def save_similarity_model(model, path):
     """Four labelled decimal values, one per line."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_writer(path) as fh:
         for f in fields(model):
             fh.write(f"{f.name} {getattr(model, f.name):.17g}\n")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import ParseError, iter_utf8_lines
+from .corpus import ParseError, atomic_text_writer, iter_utf8_lines
 
 
 class LabelScheme:
@@ -278,7 +278,7 @@ def save_tagger(model, path):
     if model.spec is None or model.scheme is None:
         raise ValueError("cannot serialize a model without spec and scheme")
     types = model.scheme.entity_types
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_writer(path) as fh:
         fh.write("tagger-model v1\n")
         fh.write("entity-types" + ("".join(" " + t for t in types)) + "\n")
         fh.write(f"window-radius {model.spec.window_radius}\n")

@@ -141,6 +141,16 @@ class TestArtifacts:
         err = capsys.readouterr().err
         assert "[train-embeddings]" in err
 
+    def test_ideographic_space_separates_tokens(self, tmp_path):
+        # U+3000 splits tokens like any whitespace, so every trained token
+        # can be saved and the space loads back
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("房\u3000租 上涨\n房\u3000租 下降\n", encoding="utf-8")
+        out = tmp_path / "w.vec"
+        assert main(["train-embeddings", "--corpus", str(corpus),
+                     "--out", str(out), "--dim", "4", "--epochs", "1"]) == 0
+        assert sorted(load_space(str(out)).tokens) == sorted(["房", "租", "上涨", "下降"])
+
 
 class TestConfigFile:
     def test_file_sets_defaults_flags_override(self, tmp_path):

@@ -1,3 +1,6 @@
+import os
+
+import numpy as np
 import pytest
 
 from sememevec.corpus import (
@@ -5,11 +8,15 @@ from sememevec.corpus import (
     ParseError,
     TaggedSentence,
     Vocabulary,
+    atomic_text_writer,
     build_vocabulary,
     load_corpus,
     load_tagged_corpus,
     save_tagged_corpus,
 )
+from sememevec.embedding import EmbeddingSpace, save_space
+from sememevec.morphsim import SimilarityModel, save_similarity_model
+from sememevec.tagger import FeatureSpec, LabelScheme, TaggerModel, save_tagger
 
 
 def write(path, text):
@@ -32,6 +39,11 @@ class TestCorpus:
     def test_separators_collapse(self, tmp_path):
         p = write(tmp_path / "c.txt", "a\t\tb   c\t d\n")
         assert load_corpus(p).sentences == [["a", "b", "c", "d"]]
+
+    def test_unicode_whitespace_separates(self, tmp_path):
+        # the str.isspace() set, as load_space splits on
+        p = write(tmp_path / "c.txt", "房\u3000租 a\u00a0b\u2003c\n")
+        assert load_corpus(p).sentences == [["房", "租", "a", "b", "c"]]
 
     def test_crlf(self, tmp_path):
         p = write(tmp_path / "c.txt", "a b\r\nc d\r\n")
@@ -68,6 +80,17 @@ class TestTaggedCorpus:
         assert sents[0].tokens == ["3/4"]
         assert sents[0].labels == ["O"]
 
+    def test_unicode_whitespace_separates(self, tmp_path):
+        p = write(tmp_path / "t.txt", "今天/B-Date\u3000开会/O\n")
+        sents = load_tagged_corpus(p)
+        assert sents[0].tokens == ["今天", "开会"]
+        assert sents[0].labels == ["B-Date", "O"]
+
+    def test_column_counts_unicode_whitespace(self, tmp_path):
+        p = write(tmp_path / "t.txt", "今天/B-Date\u3000开会\n")
+        with pytest.raises(ParseError, match="column 11"):
+            load_tagged_corpus(p)
+
     def test_missing_label_rejected(self, tmp_path):
         p = write(tmp_path / "t.txt", "今天/B-Date 开会\n")
         with pytest.raises(ParseError, match="line 1"):
@@ -94,6 +117,62 @@ class TestTaggedCorpus:
         back = load_tagged_corpus(str(p))
         assert back[0].tokens == sents[0].tokens
         assert back[0].labels == sents[0].labels
+
+
+def failing_sentences():
+    yield TaggedSentence(["今天"], ["B-Date"])
+    raise RuntimeError("source failed mid-write")
+
+
+def tagger_with_bad_row():
+    spec = FeatureSpec(dim=1, window_radius=0, use_hownet=False, use_char=False)
+    weights = np.array([[0.5], [None], [1.0]], dtype=object)
+    return TaggerModel(weights, np.zeros(3), 1.0, spec=spec, scheme=LabelScheme(["D"]))
+
+
+def space_with_bad_token():
+    space = EmbeddingSpace(2)
+    space.add("好", [1.0, 2.0])
+    space.add("房\u3000租", [3.0, 4.0])
+    return space
+
+
+# each writer gets an input that fails after part of the file could be written
+FAILING_SAVES = {
+    "space": lambda path: save_space(space_with_bad_token(), path),
+    "similarity": lambda path: save_similarity_model(
+        SimilarityModel(w_lcs=1.0, w_edit="x"), path
+    ),
+    "tagger": lambda path: save_tagger(tagger_with_bad_row(), path),
+    "tagged": lambda path: save_tagged_corpus(failing_sentences(), path),
+}
+
+
+class TestAtomicWrite:
+    def test_complete_file_replaces_target(self, tmp_path):
+        p = tmp_path / "out.txt"
+        p.write_text("old\n", encoding="utf-8")
+        with atomic_text_writer(str(p)) as fh:
+            fh.write("new\n")
+            assert p.read_text(encoding="utf-8") == "old\n"
+        assert p.read_text(encoding="utf-8") == "new\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize("writer", list(FAILING_SAVES))
+    def test_failed_save_leaves_no_file(self, writer, tmp_path):
+        p = tmp_path / "out"
+        with pytest.raises((ValueError, TypeError, RuntimeError)):
+            FAILING_SAVES[writer](str(p))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("writer", list(FAILING_SAVES))
+    def test_failed_save_keeps_existing_file(self, writer, tmp_path):
+        p = tmp_path / "out"
+        p.write_bytes(b"earlier artifact\n")
+        with pytest.raises((ValueError, TypeError, RuntimeError)):
+            FAILING_SAVES[writer](str(p))
+        assert p.read_bytes() == b"earlier artifact\n"
+        assert os.listdir(tmp_path) == ["out"]
 
 
 class TestVocabulary:

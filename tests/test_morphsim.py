@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import all_strings, char_cos_oracle, edit_distance_oracle, lcs_len_oracle
 from sememevec.corpus import ParseError
@@ -220,6 +221,43 @@ class TestScoring:
         m = self.model()
         top = top_k_similar(m, "甲日", ["乙日"], k=5)
         assert len(top) == 1
+
+    def test_top_k_negative_weights_rank_sharer_below_floor(self):
+        m = SimilarityModel(w_lcs=-1.0, w_edit=-1.0, w_cos=-1.0, bias=0.5)
+        top = top_k_similar(m, "甲日", ["甲乙", "戊己", "子", "丙丁"], k=4)
+        # non-sharers tie at sigmoid(bias), in code point order (丙 < 子 < 戊)
+        assert [w for w, _ in top] == ["丙丁", "子", "戊己", "甲乙"]
+        assert top[0][1] == top[1][1] == top[2][1] == similarity_from_features(m, np.zeros(3))
+        assert top[3][1] < top[2][1]
+
+    def test_top_k_empty_candidate_rejected(self):
+        with pytest.raises(ValueError):
+            top_k_similar(self.model(), "甲日", ["乙日", ""], k=1)
+
+
+def brute_force_top_k(model, word, candidates, k):
+    # score every candidate by the three measures, then sort
+    scored = [
+        (tok, word_similarity(model, word, tok)) for tok in candidates if tok != word
+    ]
+    scored.sort(key=lambda ts: (-ts[1], ts[0]))
+    return scored[:k]
+
+
+short_words = st.text(alphabet="甲乙日月ab", min_size=1, max_size=4)
+weight = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_top_k_equals_brute_force(data):
+    candidates = data.draw(st.lists(short_words, min_size=1, max_size=12, unique=True))
+    word = data.draw(st.one_of(st.sampled_from(candidates), short_words))
+    model = SimilarityModel(*(data.draw(weight) for _ in range(4)))
+    k = data.draw(st.integers(min_value=1, max_value=len(candidates) + 2))
+    assert top_k_similar(model, word, candidates, k) == brute_force_top_k(
+        model, word, candidates, k
+    )
 
 
 class TestModelSerialization:

@@ -1,9 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from sememevec.corpus import Corpus, build_vocabulary
-from sememevec.embedding import EmbeddingSpace
-from sememevec.morphsim import SimilarityModel
+from sememevec.embedding import EmbeddingSpace, save_space
+from sememevec.morphsim import (
+    SimilarityModel,
+    SynonymThesaurus,
+    build_pairs,
+    train_perceptron,
+)
 from sememevec.revise import (
     CombinedSpaceConfig,
     build_combined_space,
@@ -181,3 +188,63 @@ class TestBuildCombinedSpace:
             CombinedSpaceConfig(rare_tf_threshold=-1).validate()
         with pytest.raises(ValueError):
             CombinedSpaceConfig(k=0).validate()
+
+
+def revision_inputs(seed=7):
+    # words of 1-3 characters over an 8-character alphabet: a rare query
+    # shares characters with some vocabulary words and none with others, so
+    # with k = 12 its top-k mixes scored neighbours with words at the
+    # no-overlap score under both models below
+    rng = np.random.default_rng(seed)
+    alphabet = list("甲乙丙丁日月山水")
+    words = sorted({
+        "".join(rng.choice(alphabet, size=rng.integers(1, 4)))
+        for _ in range(20)
+    })
+    counts = {w: int(rng.choice([1, 1, 2, 3, 6, 25, 120])) for w in words}
+    tokens = [w for w in words for _ in range(counts[w])]
+    rng.shuffle(tokens)
+    corpus = Corpus([tokens[i:i + 9] for i in range(0, len(tokens), 9)])
+    space = EmbeddingSpace(4, name="original")
+    for w in words:
+        if rng.random() < 0.85:
+            space.add(w, rng.normal(0, 1, 4))
+    unseen = ["甲戊", "戊己", "xyz", "水b", "丁丁丁"]
+    return words + unseen, space, build_vocabulary(corpus), words
+
+
+def trained_model(words):
+    categories = {}
+    for w in words:
+        categories.setdefault(w[0], []).append(w)
+    pairs = build_pairs(SynonymThesaurus(categories), 40, 40, seed=3)
+    return train_perceptron(pairs, 5)
+
+
+# sha256 of save_space output, recorded before neighbour search skipped
+# candidates that share no character with the query
+COMBINED_DIGESTS = {
+    "perceptron":
+        "378c4a98a5bfbfd120b49c7ea8a8e6d4b33da7a05e0552b7611a01d4ac7bf88d",
+    "negative":
+        "23553dfb5c645a55d409a8cfc1a3125da27d17140eee5ad12da1011ced15a025",
+}
+
+
+class TestCombinedSpaceDigest:
+    """Pins build_combined_space's saved output byte for byte."""
+
+    @pytest.mark.parametrize("kind", list(COMBINED_DIGESTS))
+    def test_output_pinned(self, kind, tmp_path):
+        targets, space, vocab, words = revision_inputs()
+        if kind == "perceptron":
+            model = trained_model(words)
+        else:
+            model = SimilarityModel(w_lcs=-1.5, w_edit=-0.5, w_cos=-2.0, bias=0.3)
+        out = build_combined_space(
+            targets, space, model, vocab, CombinedSpaceConfig(k=12)
+        )
+        path = tmp_path / "combined.vec"
+        save_space(out, str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == COMBINED_DIGESTS[kind]
