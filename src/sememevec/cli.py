@@ -175,17 +175,21 @@ def _cmd_revise(args):
     return 0
 
 
+def _hownet_source(args):
+    """The HowNet vector function of --lexicon and --sememe-space, or None."""
+    if (args.lexicon is None) != (args.sememe_space is None):
+        raise ValueError("--lexicon and --sememe-space must be given together")
+    if not args.lexicon:
+        return None
+    return make_hownet_fn(
+        parse_lexicon(args.lexicon), load_space(args.sememe_space, name="sememe")
+    )
+
+
 def _load_tagger_sources(args):
     word_space = load_space(args.word_space, name="word")
     char_space = load_space(args.char_space, name="character") if args.char_space else None
-    if (args.lexicon is None) != (args.sememe_space is None):
-        raise ValueError("--lexicon and --sememe-space must be given together")
-    hownet_fn = None
-    if args.lexicon:
-        hownet_fn = make_hownet_fn(
-            parse_lexicon(args.lexicon), load_space(args.sememe_space, name="sememe")
-        )
-    return word_space, hownet_fn, char_space
+    return word_space, _hownet_source(args), char_space
 
 
 def _cmd_train_tagger(args):
@@ -236,18 +240,13 @@ def _cmd_tag(args):
 
 
 def _cmd_eval_sim(args):
-    if (args.lexicon is None) != (args.sememe_space is None):
-        raise ValueError("--lexicon and --sememe-space must be given together")
-    if args.lexicon and args.space:
+    if args.lexicon and args.sememe_space is not None and args.space:
         raise ValueError("give either --space or --lexicon/--sememe-space, not both")
-    if args.lexicon:
-        source = make_hownet_fn(
-            parse_lexicon(args.lexicon), load_space(args.sememe_space, name="sememe")
-        )
-    elif args.space:
+    source = _hownet_source(args)
+    if source is None:
+        if not args.space:
+            raise ValueError("need --space or --lexicon/--sememe-space")
         source = load_space(args.space)
-    else:
-        raise ValueError("need --space or --lexicon/--sememe-space")
     judgements = load_judgements(args.judgements)
     rho, coverage = eval_similarity(source, judgements)
     print(f"spearman {100.0 * rho:.1f}")

@@ -1,5 +1,6 @@
 """Corpus ingestion: pre-segmented text, tagged text, vocabularies and term frequencies."""
 
+import math
 import os
 import re
 from collections import Counter
@@ -9,6 +10,18 @@ from dataclasses import dataclass
 
 class ParseError(ValueError):
     """An input file does not follow its expected line format."""
+
+
+def finite_floats(values, lineno, path):
+    """Parse values as floats; ParseError names the line if one is not a
+    finite number."""
+    try:
+        floats = [float(v) for v in values]
+    except ValueError:
+        raise ParseError(f"{path}: line {lineno}: non-numeric value") from None
+    if not all(math.isfinite(x) for x in floats):
+        raise ParseError(f"{path}: line {lineno}: non-finite value")
+    return floats
 
 
 _ITEM = re.compile(r"\S+")

@@ -304,7 +304,12 @@ def load_space(path, name=""):
             vec = [float(x) for x in fields[1:]]
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: non-numeric vector component")
-        space.add(fields[0], vec)
+        if fields[0] in space:
+            raise ParseError(f"{path}: line {lineno}: duplicate token {fields[0]!r}")
+        try:
+            space.add(fields[0], vec)
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
     if len(space) != size:
         raise ParseError(
             f"{path}: header declares {size} rows but {len(space)} were read"

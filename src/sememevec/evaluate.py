@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ParseError, iter_utf8_lines
+from .corpus import ParseError, finite_floats, iter_utf8_lines
 from .embedding import EmbeddingSpace, cosine
 
 
@@ -61,13 +61,7 @@ def load_judgements(path):
         a, b, raw = (p.strip() for p in parts)
         if not a or not b:
             raise ParseError(f"{path}: line {lineno}: empty word")
-        try:
-            score = float(raw)
-        except ValueError:
-            raise ParseError(
-                f"{path}: line {lineno}: score {raw!r} is not a number"
-            ) from None
-        pairs.append((a, b, score))
+        pairs.append((a, b, finite_floats([raw], lineno, path)[0]))
     return pairs
 
 

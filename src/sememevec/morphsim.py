@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corpus import ParseError, atomic_text_writer, iter_utf8_lines
+from .corpus import ParseError, atomic_text_writer, finite_floats, iter_utf8_lines
 
 
 class SamplingError(ValueError):
@@ -283,13 +283,7 @@ def load_similarity_model(path):
         parts = line.split()
         if len(parts) != 2 or parts[0] not in names:
             raise ParseError(f"{path}: line {lineno}: expected 'name value'")
-        try:
-            value = float(parts[1])
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: non-numeric value")
-        if not math.isfinite(value):
-            raise ParseError(f"{path}: line {lineno}: non-finite value {parts[1]!r}")
-        values[parts[0]] = value
+        values[parts[0]] = finite_floats(parts[1:], lineno, path)[0]
     missing = set(names) - values.keys()
     if missing:
         raise ParseError(f"{path}: missing fields {sorted(missing)}")

@@ -8,12 +8,11 @@ changes. Predicted label sequences are repaired afterwards so that no
 I-label appears without a same-type predecessor.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import ParseError, atomic_text_writer, iter_utf8_lines
+from .corpus import ParseError, atomic_text_writer, finite_floats, iter_utf8_lines
 
 
 class LabelScheme:
@@ -66,9 +65,13 @@ class LabelScheme:
         return isinstance(other, LabelScheme) and self.entity_types == other.entity_types
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureSpec:
-    """Window radius, component toggles and the shared vector dimension."""
+    """Window radius, component toggles and the shared vector dimension.
+
+    Checked once at construction and immutable after, so every spec in use
+    is valid.
+    """
 
     dim: int
     window_radius: int = 2
@@ -76,7 +79,7 @@ class FeatureSpec:
     use_hownet: bool = True
     use_char: bool = True
 
-    def validate(self):
+    def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be positive")
         if self.window_radius < 0:
@@ -103,7 +106,6 @@ def assemble_features(sentence, i, word_space, hownet_fn, char_space, spec):
     """
     if not 0 <= i < len(sentence):
         raise IndexError(f"position {i} out of range for sentence of length {len(sentence)}")
-    spec.validate()
     d = spec.dim
     zero = np.zeros(d)
     parts = []
@@ -151,24 +153,12 @@ class TaggerModel:
     history: list = field(default_factory=list, repr=False)
 
 
-def _log_softmax_terms(weights, bias, features):
+def softmax_loss_and_grads(weights, bias, features, labels, lam):
+    """Mean cross entropy plus (lam/2)*||W||^2, with analytic gradients wrt
+    weights and biases; biases are unregularized."""
     logits = features @ weights.T + bias
     peak = logits.max(axis=1, keepdims=True)
     lse = peak[:, 0] + np.log(np.exp(logits - peak).sum(axis=1))
-    return logits, lse
-
-
-def softmax_loss(weights, bias, features, labels, lam):
-    """Mean cross entropy plus (lam/2)*||W||^2; biases are unregularized."""
-    logits, lse = _log_softmax_terms(weights, bias, features)
-    n = len(labels)
-    ce = float((lse - logits[np.arange(n), labels]).mean())
-    return ce + 0.5 * lam * float(np.sum(weights * weights))
-
-
-def softmax_loss_and_grads(weights, bias, features, labels, lam):
-    """Loss with analytic gradients wrt weights and biases."""
-    logits, lse = _log_softmax_terms(weights, bias, features)
     n = len(labels)
     idx = np.arange(n)
     loss = float((lse - logits[idx, labels]).mean()) + 0.5 * lam * float(
@@ -189,6 +179,8 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500,
     Zero initialization; stops when the gradient infinity-norm drops to tol,
     when max_iter is reached, or when no descent step remains at float
     precision. The loss history on the returned model is non-increasing.
+    Each trial point is evaluated once, for loss and gradients together, and
+    the accepted trial's gradients start the next iteration.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.intp)
@@ -215,19 +207,17 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500,
             break
         gsq = float(np.sum(grad_w * grad_w) + np.sum(grad_b * grad_b))
         alpha = step
-        accepted = False
         for _ in range(60):
             W_new = W - alpha * grad_w
             b_new = b - alpha * grad_b
-            trial = softmax_loss(W_new, b_new, X, y, lam)
-            if trial <= loss - 1e-4 * alpha * gsq:
-                accepted = True
+            trial = softmax_loss_and_grads(W_new, b_new, X, y, lam)
+            if trial[0] <= loss - 1e-4 * alpha * gsq:
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             break
         W, b = W_new, b_new
-        loss, grad_w, grad_b = softmax_loss_and_grads(W, b, X, y, lam)
+        loss, grad_w, grad_b = trial
         history.append(loss)
         step = min(alpha * 2.0, 1e6)
     return TaggerModel(W, b, lam, spec=spec, scheme=scheme, history=history)
@@ -296,16 +286,6 @@ def save_tagger(model, path):
         fh.write(" ".join(f"{x:.17g}" for x in model.bias) + "\n")
 
 
-def _finite_floats(values, lineno, path):
-    try:
-        floats = [float(v) for v in values]
-    except ValueError:
-        raise ParseError(f"{path}: line {lineno}: non-numeric value") from None
-    if not all(math.isfinite(x) for x in floats):
-        raise ParseError(f"{path}: line {lineno}: non-finite value")
-    return floats
-
-
 def _parse_kv(line, key, lineno, path):
     if not line.startswith(key + " ") and line != key:
         raise ParseError(f"{path}: line {lineno}: expected '{key} ...', got {line!r}")
@@ -334,7 +314,18 @@ def load_tagger(path):
         n_features = int(take(9, "features"))
     except ValueError:
         raise ParseError(f"{path}: malformed numeric header field")
-    lam = _finite_floats([take(7, "lambda")], lines[7][0], path)[0]
+    try:
+        spec = FeatureSpec(
+            dim=dim,
+            window_radius=radius,
+            use_context=use_context,
+            use_hownet=use_hownet,
+            use_char=use_char,
+        )
+        scheme = LabelScheme(types)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    lam = finite_floats([take(7, "lambda")], lines[7][0], path)[0]
     if take(10, "weights") != "":
         raise ParseError(f"{path}: malformed weights section header")
     if len(lines) < 11 + n_classes + 2:
@@ -348,7 +339,7 @@ def load_tagger(path):
                 f"{path}: line {lineno}: expected {n_features} weights, "
                 f"got {len(values)}"
             )
-        rows.append(_finite_floats(values, lineno, path))
+        rows.append(finite_floats(values, lineno, path))
     bias_at = 11 + n_classes
     if take(bias_at, "bias") != "":
         raise ParseError(f"{path}: malformed bias section header")
@@ -359,22 +350,14 @@ def load_tagger(path):
             f"{path}: line {lineno}: expected {n_classes} biases, "
             f"got {len(bias_values)}"
         )
-    scheme = LabelScheme(types)
     if len(scheme) != n_classes:
         raise ParseError(
             f"{path}: scheme with {len(scheme)} labels does not match "
             f"{n_classes} classes"
         )
-    spec = FeatureSpec(
-        dim=dim,
-        window_radius=radius,
-        use_context=use_context,
-        use_hownet=use_hownet,
-        use_char=use_char,
-    )
     model = TaggerModel(
         np.array(rows, dtype=np.float64),
-        np.array(_finite_floats(bias_values, lineno, path)),
+        np.array(finite_floats(bias_values, lineno, path)),
         lam,
         spec=spec,
         scheme=scheme,

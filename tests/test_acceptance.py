@@ -54,7 +54,6 @@ from sememevec.tagger import (
     LabelScheme,
     assemble_features,
     save_tagger,
-    softmax_loss,
     softmax_loss_and_grads,
     tag_sentence,
     train_logreg,
@@ -160,13 +159,13 @@ def test_c04_gradient_checks():
             for j in range(5):
                 Wp = W.copy(); Wp[i, j] += h
                 Wm = W.copy(); Wm[i, j] -= h
-                num = (softmax_loss(Wp, b, X, y, 0.2)
-                       - softmax_loss(Wm, b, X, y, 0.2)) / (2 * h)
+                num = (softmax_loss_and_grads(Wp, b, X, y, 0.2)[0]
+                       - softmax_loss_and_grads(Wm, b, X, y, 0.2)[0]) / (2 * h)
                 assert abs(num - gw[i, j]) <= 1e-5 * max(1.0, abs(num))
             bp = b.copy(); bp[i] += h
             bm = b.copy(); bm[i] -= h
-            num = (softmax_loss(W, bp, X, y, 0.2)
-                   - softmax_loss(W, bm, X, y, 0.2)) / (2 * h)
+            num = (softmax_loss_and_grads(W, bp, X, y, 0.2)[0]
+                   - softmax_loss_and_grads(W, bm, X, y, 0.2)[0]) / (2 * h)
             assert abs(num - gb[i]) <= 1e-5 * max(1.0, abs(num))
 
 

@@ -213,6 +213,27 @@ class TestEvaluationCommands:
         assert rc == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags, message", [
+        ([], "need --space or --lexicon/--sememe-space"),
+        (["--lexicon", "L"], "--lexicon and --sememe-space must be given together"),
+        (["--sememe-space", "S", "--space", "V"],
+         "--lexicon and --sememe-space must be given together"),
+        (["--lexicon", "L", "--sememe-space", "S", "--space", "V"],
+         "give either --space or --lexicon/--sememe-space, not both"),
+    ])
+    def test_eval_sim_source_errors(self, flags, message, capsys):
+        rc = main(["eval-sim", "--judgements", data("judgements.tsv"), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_tag_lexicon_without_sememe_space(self, artifacts, capsys):
+        rc = main(["tag", "--model", artifacts["tagger"], "--corpus", data("corpus.txt"),
+                   "--word-space", artifacts["words"], "--lexicon", data("lexicon.tsv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --lexicon and --sememe-space must be given together\n"
+        )
+
     def test_eval_ner_self_is_perfect(self, capsys):
         rc = main(["eval-ner", "--gold", data("tagged_train.txt"),
                    "--pred", data("tagged_train.txt")])

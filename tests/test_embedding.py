@@ -309,6 +309,19 @@ class TestSerialization:
         with pytest.raises(ParseError, match="line 2"):
             load_space(str(p))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, bad):
+        p = tmp_path / "v.vec"
+        p.write_text(f"2 2\na 1.0 2.0\nb 1.0 {bad}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{p}: line 3: .*non-finite"):
+            load_space(str(p))
+
+    def test_duplicate_token(self, tmp_path):
+        p = tmp_path / "v.vec"
+        p.write_text("2 2\na 1.0 2.0\na 3.0 4.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{p}: line 3: duplicate token 'a'"):
+            load_space(str(p))
+
     def test_row_count_mismatch(self, tmp_path):
         p = tmp_path / "v.vec"
         p.write_text("2 2\na 1.0 2.0\n", encoding="utf-8")

@@ -92,6 +92,13 @@ class TestJudgements:
         with pytest.raises(ParseError, match="line 1"):
             load_judgements(str(p))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_score(self, tmp_path, bad):
+        p = tmp_path / "j.tsv"
+        p.write_text(f"甲\t乙\t7.5\n丙\t丁\t{bad}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2:"):
+            load_judgements(str(p))
+
 
 class TestEvalSimilarity:
     def space(self):

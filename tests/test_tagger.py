@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from sememevec.tagger import (
     predict,
     repair_bi,
     save_tagger,
-    softmax_loss,
     softmax_loss_and_grads,
     tag_sentence,
     train_logreg,
@@ -96,6 +97,11 @@ class TestFeatureAssembly:
         assert np.array_equal(f[4:8], words.get("乙山"))
         assert np.array_equal(f[8:12], np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [{"dim": 0}, {"dim": 4, "window_radius": -1}])
+    def test_invalid_spec_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            FeatureSpec(**bad)
+
     def test_position_out_of_range(self):
         words, chars, hownet_fn = toy_spaces()
         spec = FeatureSpec(dim=4)
@@ -136,13 +142,13 @@ class TestLogreg:
                 for j in range(6):
                     Wp = W.copy(); Wp[i, j] += h
                     Wm = W.copy(); Wm[i, j] -= h
-                    num = (softmax_loss(Wp, b, X, y, 0.3)
-                           - softmax_loss(Wm, b, X, y, 0.3)) / (2 * h)
+                    num = (softmax_loss_and_grads(Wp, b, X, y, 0.3)[0]
+                           - softmax_loss_and_grads(Wm, b, X, y, 0.3)[0]) / (2 * h)
                     assert abs(num - gw[i, j]) <= 1e-5 * max(1.0, abs(num))
                 bp = b.copy(); bp[i] += h
                 bm = b.copy(); bm[i] -= h
-                num = (softmax_loss(W, bp, X, y, 0.3)
-                       - softmax_loss(W, bm, X, y, 0.3)) / (2 * h)
+                num = (softmax_loss_and_grads(W, bp, X, y, 0.3)[0]
+                       - softmax_loss_and_grads(W, bm, X, y, 0.3)[0]) / (2 * h)
                 assert abs(num - gb[i]) <= 1e-5 * max(1.0, abs(num))
 
     def test_loss_history_non_increasing(self):
@@ -190,6 +196,43 @@ class TestLogreg:
         b = train_logreg(X, y, lam=0.1, max_iter=50)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
+
+
+class TestLogregDigest:
+    """Pins the optimizer's output bit for bit.
+
+    Both problems take backtracking steps (rejected line-search trials) as
+    well as step doubling. A change that alters the optimizer's numerics on
+    purpose must update these digests and say so.
+    """
+
+    @staticmethod
+    def digest(model):
+        h = hashlib.sha256()
+        h.update(model.weights.tobytes())
+        h.update(model.bias.tobytes())
+        h.update(np.array(model.history).tobytes())
+        return h.hexdigest()
+
+    def test_stops_at_max_iter(self):
+        X, y = random_problem(seed=29, n=60, d=8, classes=4)
+        m = train_logreg(X, y, lam=1e-3, tol=1e-6, max_iter=40)
+        assert len(m.history) == 41
+        _, gw, gb = softmax_loss_and_grads(m.weights, m.bias, X, y, 1e-3)
+        assert max(np.abs(gw).max(), np.abs(gb).max()) > 1e-6
+        assert self.digest(m) == (
+            "49931ef7bd805479d2a073f1f20a9beb8cdb292598690317b93ac9c6f5b44a34"
+        )
+
+    def test_stops_at_tol(self):
+        X, y = random_problem(seed=23)
+        m = train_logreg(X, y, lam=1.0, tol=1e-6, max_iter=500)
+        assert len(m.history) == 34
+        _, gw, gb = softmax_loss_and_grads(m.weights, m.bias, X, y, 1.0)
+        assert max(np.abs(gw).max(), np.abs(gb).max()) <= 1e-6
+        assert self.digest(m) == (
+            "b145f2e2f8ff0b8f3436ef4153fcf2fdacbb9a15470d5124d2002b138776a85c"
+        )
 
 
 class TestPredict:
@@ -312,6 +355,28 @@ class TestSerialization:
         text = p.read_text(encoding="utf-8").splitlines()[:8]
         p.write_text("\n".join(text) + "\n", encoding="utf-8")
         with pytest.raises(ParseError):
+            load_tagger(str(p))
+
+    @pytest.mark.parametrize("line, text, message", [
+        (2, "entity-types Date Date", "duplicate entity types"),
+        (3, "window-radius -1", "window_radius cannot be negative"),
+        (7, "dim 0", "dim must be positive"),
+    ])
+    def test_header_no_writer_produces_rejected(self, tmp_path, line, text, message):
+        X, y = random_problem()
+        scheme = LabelScheme(["Date"])
+        spec = FeatureSpec(dim=2, window_radius=1, use_hownet=False, use_char=False)
+        m = train_logreg(X[:, :6], y, lam=0.2, max_iter=5, scheme=scheme, spec=spec)
+        p = tmp_path / "t.model"
+        save_tagger(m, str(p))
+        lines = p.read_text(encoding="utf-8").splitlines()
+        lines[line - 1] = text
+        if text.startswith("dim"):
+            # weight rows consistent with the declared spec length of 0
+            lines[11:14] = ["", "", ""]
+            lines[9] = "features 0"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
             load_tagger(str(p))
 
     @pytest.mark.parametrize("where", ["lambda", "weight", "bias"])
