@@ -216,7 +216,11 @@ def _cmd_train_tagger(args):
         features, labels, lam=args.lam, tol=args.tol, max_iter=args.max_iter,
         scheme=scheme, spec=spec,
     )
-    _note(args.command, f"{len(model.history)} loss evaluations, final {model.history[-1]:.6g}")
+    _note(
+        args.command,
+        f"{len(model.history) - 1} iterations, stopped on {model.stop_reason}, "
+        f"final loss {model.history[-1]:.6g}, gradient inf-norm {model.final_gnorm:.3g}",
+    )
     save_tagger(model, args.out)
     _note(args.command, f"wrote {args.out}")
     return 0

@@ -8,6 +8,7 @@ changes. Predicted label sequences are repaired afterwards so that no
 I-label appears without a same-type predecessor.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,7 +144,11 @@ def assemble_features(sentence, i, word_space, hownet_fn, char_space, spec):
 
 @dataclass
 class TaggerModel:
-    """Per-class weight rows and biases with the spec they were trained for."""
+    """Per-class weight rows and biases with the spec they were trained for.
+
+    `history`, `stop_reason` and `final_gnorm` describe the fit that made the
+    model; they are not serialized.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
@@ -151,6 +156,8 @@ class TaggerModel:
     spec: FeatureSpec = None
     scheme: LabelScheme = None
     history: list = field(default_factory=list, repr=False)
+    stop_reason: str = None
+    final_gnorm: float = None
 
 
 def softmax_loss_and_grads(weights, bias, features, labels, lam):
@@ -172,15 +179,39 @@ def softmax_loss_and_grads(weights, bias, features, labels, lam):
     return loss, grad_w, grad_b
 
 
+LBFGS_MEMORY = 10  # curvature pairs kept by train_logreg
+
+
+def _lbfgs_direction(grad, pairs):
+    """-H grad by the two-loop recursion (Liu & Nocedal 1989), the initial
+    inverse Hessian scaled by the newest pair's s.y / y.y."""
+    q = grad.copy()
+    coeffs = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * y
+        coeffs.append(a)
+    _, y, rho = pairs[-1]
+    q /= rho * float(y @ y)
+    for (s, y, rho), a in zip(pairs, reversed(coeffs)):
+        q += (a - rho * float(y @ q)) * s
+    return -q
+
+
 def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500,
                  scheme=None, spec=None):
-    """Full-batch gradient descent with backtracking line search.
+    """Full-batch L-BFGS with backtracking (Armijo) line search.
 
-    Zero initialization; stops when the gradient infinity-norm drops to tol,
-    when max_iter is reached, or when no descent step remains at float
-    precision. The loss history on the returned model is non-increasing.
-    Each trial point is evaluated once, for loss and gradients together, and
-    the accepted trial's gradients start the next iteration.
+    Zero initialization. The direction comes from the last LBFGS_MEMORY
+    curvature pairs; the first step, and any step whose direction is not a
+    descent direction, uses the unit-length steepest descent direction
+    instead. Each trial point is evaluated once, for loss and gradients
+    together, and the accepted trial's gradients start the next iteration
+    and close its curvature pair. Stops when the gradient infinity-norm
+    drops to tol ("tol"), after max_iter accepted steps ("max_iter"), or
+    when no trial of the line search descends at float precision
+    ("no-descent"); the reason and the final gradient infinity-norm are
+    kept on the model. The loss history is non-increasing.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.intp)
@@ -196,31 +227,57 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500,
     if int(y.max()) >= n_classes or int(y.min()) < 0:
         raise ValueError("label index out of range for the scheme")
 
-    W = np.zeros((n_classes, X.shape[1]))
-    b = np.zeros(n_classes)
-    loss, grad_w, grad_b = softmax_loss_and_grads(W, b, X, y, lam)
+    # weights and biases as one flat vector: W row-major, then b
+    split = n_classes * X.shape[1]
+
+    def unpack(theta):
+        return theta[:split].reshape(n_classes, X.shape[1]), theta[split:]
+
+    def evaluate(theta):
+        loss, grad_w, grad_b = softmax_loss_and_grads(*unpack(theta), X, y, lam)
+        return loss, np.concatenate((grad_w.ravel(), grad_b))
+
+    theta = np.zeros(split + n_classes)
+    loss, grad = evaluate(theta)
     history = [loss]
-    step = 1.0
-    for _ in range(max_iter):
-        gnorm = max(float(np.abs(grad_w).max()), float(np.abs(grad_b).max()))
+    pairs = deque(maxlen=LBFGS_MEMORY)
+    while True:
+        gnorm = float(np.abs(grad).max())
         if gnorm <= tol:
+            stop_reason = "tol"
             break
-        gsq = float(np.sum(grad_w * grad_w) + np.sum(grad_b * grad_b))
-        alpha = step
+        if len(history) > max_iter:
+            stop_reason = "max_iter"
+            break
+        direction = _lbfgs_direction(grad, pairs) if pairs else None
+        if direction is None or not float(grad @ direction) < 0.0:
+            pairs.clear()
+            direction = grad / -np.linalg.norm(grad)
+        slope = float(grad @ direction)
+        alpha = 1.0
         for _ in range(60):
-            W_new = W - alpha * grad_w
-            b_new = b - alpha * grad_b
-            trial = softmax_loss_and_grads(W_new, b_new, X, y, lam)
-            if trial[0] <= loss - 1e-4 * alpha * gsq:
+            trial = theta + alpha * direction
+            trial_loss, trial_grad = evaluate(trial)
+            # strict: a trial whose loss does not move at float precision
+            # is no descent
+            if trial_loss < loss + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
         else:
+            stop_reason = "no-descent"
             break
-        W, b = W_new, b_new
-        loss, grad_w, grad_b = trial
+        s = trial - theta
+        dg = trial_grad - grad
+        sy = float(s @ dg)
+        # a pair with too little curvature would spoil the positive
+        # definiteness of the inverse Hessian approximation
+        if sy > 1e-10 * np.sqrt(float(s @ s) * float(dg @ dg)):
+            pairs.append((s, dg, 1.0 / sy))
+        theta, loss, grad = trial, trial_loss, trial_grad
         history.append(loss)
-        step = min(alpha * 2.0, 1e6)
-    return TaggerModel(W, b, lam, spec=spec, scheme=scheme, history=history)
+    W, b = unpack(theta)
+    return TaggerModel(W, b, lam, spec=spec, scheme=scheme, history=history,
+                       stop_reason=stop_reason, final_gnorm=gnorm)
 
 
 def predict(model, features):
@@ -304,23 +361,21 @@ def load_tagger(path):
         return _parse_kv(line, key, lineno, path)
 
     types = take(1, "entity-types").split()
+    header = [take(idx, key) for idx, key in (
+        (2, "window-radius"), (3, "use-context"), (4, "use-hownet"),
+        (5, "use-char"), (6, "dim"), (8, "classes"), (9, "features"))]
     try:
-        radius = int(take(2, "window-radius"))
-        use_context = bool(int(take(3, "use-context")))
-        use_hownet = bool(int(take(4, "use-hownet")))
-        use_char = bool(int(take(5, "use-char")))
-        dim = int(take(6, "dim"))
-        n_classes = int(take(8, "classes"))
-        n_features = int(take(9, "features"))
+        radius, use_context, use_hownet, use_char, dim, n_classes, n_features = map(
+            int, header)
     except ValueError:
-        raise ParseError(f"{path}: malformed numeric header field")
+        raise ParseError(f"{path}: malformed numeric header field") from None
     try:
         spec = FeatureSpec(
             dim=dim,
             window_radius=radius,
-            use_context=use_context,
-            use_hownet=use_hownet,
-            use_char=use_char,
+            use_context=bool(use_context),
+            use_hownet=bool(use_hownet),
+            use_char=bool(use_char),
         )
         scheme = LabelScheme(types)
     except ValueError as exc:

@@ -334,7 +334,9 @@ def _train_and_score(train_tagged, test_tagged, word_space, hownet_fn, char_spac
     return f, model
 
 
-def run_pipeline(workdir, seed=PIPELINE_SEED):
+def run_pipeline(workdir, seed=PIPELINE_SEED, models=None):
+    """Run all six stages, write their artifacts to workdir and return the
+    three F scores; the three tagger models go into `models` if given."""
     train_tagged, test_tagged = _synthetic_split(seed)
     train_corpus = Corpus([s.tokens for s in train_tagged])
     lex = _pipeline_lexicon()
@@ -373,6 +375,8 @@ def run_pipeline(workdir, seed=PIPELINE_SEED):
     f_final, m_final = _train_and_score(train_tagged, test_tagged, combined,
                                         hownet_fn, char_space, spec_final, scheme)
 
+    if models is not None:
+        models.update(w2v=m_w2v, char=m_char, final=m_final)
     save_space(word_space, os.path.join(workdir, "words.vec"))
     save_space(char_space, os.path.join(workdir, "chars.vec"))
     save_space(sememe_space, os.path.join(workdir, "sememe.vec"))
@@ -389,9 +393,15 @@ def run_pipeline(workdir, seed=PIPELINE_SEED):
 
 
 @pytest.fixture(scope="session")
-def pipeline_first_run(tmp_path_factory):
+def pipeline_models_run(tmp_path_factory):
     d = tmp_path_factory.mktemp("pipeline-a")
-    return str(d), run_pipeline(str(d))
+    models = {}
+    return str(d), run_pipeline(str(d), models=models), models
+
+
+@pytest.fixture(scope="session")
+def pipeline_first_run(pipeline_models_run):
+    return pipeline_models_run[:2]
 
 
 def test_c11_end_to_end_tagging_and_ablation_order(pipeline_first_run):
@@ -410,3 +420,11 @@ def test_c12_pipeline_rerun_byte_identical(pipeline_first_run, tmp_path_factory)
                  "tagger_final.model", "metrics.txt"):
         assert filecmp.cmp(os.path.join(dir_a, name), os.path.join(dir_b, name),
                            shallow=False), f"{name} differs between runs"
+
+
+def test_c11_tagger_fits_converge(pipeline_models_run):
+    _, _, models = pipeline_models_run
+    assert sorted(models) == ["char", "final", "w2v"]
+    for name, model in models.items():
+        assert model.stop_reason == "tol", name
+        assert model.final_gnorm <= 1e-6, name

@@ -1,5 +1,6 @@
 import filecmp
 import os
+import re
 
 import pytest
 
@@ -260,6 +261,19 @@ class TestEvaluationCommands:
                      "--pred", str(pred_file)]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "overall 100.0 100.0 100.0"
+
+    @pytest.mark.parametrize("max_iter, stop", [("2", "2 iterations, stopped on max_iter"),
+                                                 ("500", "stopped on tol")])
+    def test_train_tagger_reports_stop(self, artifacts, tmp_path, capsys, max_iter, stop):
+        assert main(["train-tagger", "--tagged", data("tagged_train.txt"),
+                     "--word-space", artifacts["combined"], "--char-space", artifacts["chars"],
+                     "--out", str(tmp_path / "t.model"), "--lam", "1e-2",
+                     "--max-iter", max_iter]) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if "stopped on" in line]
+        assert len(notes) == 1
+        assert stop in notes[0]
+        assert re.search(r", final loss \S+, gradient inf-norm \S+$", notes[0])
 
     def test_eval_ner_mismatched_inputs(self, tmp_path, capsys):
         short = tmp_path / "short.txt"

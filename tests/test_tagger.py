@@ -198,12 +198,74 @@ class TestLogreg:
         assert np.array_equal(a.bias, b.bias)
 
 
+def count_evaluations(monkeypatch):
+    """Count the loss-and-gradient evaluations train_logreg makes."""
+    import sememevec.tagger as tagger_module
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return softmax_loss_and_grads(*args)
+
+    monkeypatch.setattr(tagger_module, "softmax_loss_and_grads", counted)
+    return calls
+
+
+class TestStopReason:
+    def test_tol(self):
+        X, y = random_problem()
+        m = train_logreg(X, y, lam=0.1, tol=1e-6, max_iter=500)
+        assert m.stop_reason == "tol"
+        assert m.final_gnorm <= 1e-6
+        assert len(m.history) < 501
+
+    def test_max_iter(self):
+        X, y = random_problem()
+        m = train_logreg(X, y, lam=0.1, tol=1e-6, max_iter=3)
+        assert m.stop_reason == "max_iter"
+        assert len(m.history) == 4
+        assert m.final_gnorm > 1e-6
+
+    def test_no_descent(self):
+        X, y = random_problem()
+        m = train_logreg(X, y, lam=0.1, tol=1e-300, max_iter=500)
+        assert m.stop_reason == "no-descent"
+        assert len(m.history) < 501
+
+    def test_final_gnorm_is_that_of_the_returned_model(self):
+        X, y = random_problem(seed=29, n=30, d=12, classes=4)
+        m = train_logreg(X, y, lam=1e-3, tol=1e-6, max_iter=20)
+        _, gw, gb = softmax_loss_and_grads(m.weights, m.bias, X, y, 1e-3)
+        assert m.final_gnorm == max(np.abs(gw).max(), np.abs(gb).max())
+
+    def test_not_serialized(self, tmp_path):
+        X, y = random_problem()
+        scheme = LabelScheme(["Date"])
+        spec = FeatureSpec(dim=2, window_radius=1, use_hownet=False, use_char=False)
+        m = train_logreg(X[:, :6], y, lam=0.2, scheme=scheme, spec=spec)
+        p = tmp_path / "t.model"
+        save_tagger(m, str(p))
+        back = load_tagger(str(p))
+        assert back.stop_reason is None and back.final_gnorm is None
+
+
+class TestConvergence:
+    def test_lbfgs_reaches_gradient_descent_loss(self):
+        # nearly separable: gradient descent with backtracking, step doubling
+        # and the same max_iter stopped unconverged at this loss
+        gradient_descent_loss = 0.05525622566844822
+        X, y = random_problem(seed=23, n=20, d=12)
+        m = train_logreg(X, y, lam=1e-4, tol=1e-6, max_iter=300)
+        assert m.stop_reason == "tol"
+        assert m.history[-1] <= gradient_descent_loss
+
+
 class TestLogregDigest:
     """Pins the optimizer's output bit for bit.
 
-    Both problems take backtracking steps (rejected line-search trials) as
-    well as step doubling. A change that alters the optimizer's numerics on
-    purpose must update these digests and say so.
+    Both problems take at least one rejected line-search trial. A change
+    that alters the optimizer's numerics on purpose must update these
+    digests and say so.
     """
 
     @staticmethod
@@ -214,24 +276,28 @@ class TestLogregDigest:
         h.update(np.array(model.history).tobytes())
         return h.hexdigest()
 
-    def test_stops_at_max_iter(self):
-        X, y = random_problem(seed=29, n=60, d=8, classes=4)
-        m = train_logreg(X, y, lam=1e-3, tol=1e-6, max_iter=40)
-        assert len(m.history) == 41
+    def test_stops_at_max_iter(self, monkeypatch):
+        X, y = random_problem(seed=29, n=30, d=12, classes=4)
+        calls = count_evaluations(monkeypatch)
+        m = train_logreg(X, y, lam=1e-3, tol=1e-6, max_iter=20)
+        assert len(m.history) == 21
+        assert len(calls) > len(m.history)
         _, gw, gb = softmax_loss_and_grads(m.weights, m.bias, X, y, 1e-3)
         assert max(np.abs(gw).max(), np.abs(gb).max()) > 1e-6
         assert self.digest(m) == (
-            "49931ef7bd805479d2a073f1f20a9beb8cdb292598690317b93ac9c6f5b44a34"
+            "f1bf7edd70cea839b9583982c333812751a1775b09e7ce9fefcff9f81ff1a9dd"
         )
 
-    def test_stops_at_tol(self):
+    def test_stops_at_tol(self, monkeypatch):
         X, y = random_problem(seed=23)
+        calls = count_evaluations(monkeypatch)
         m = train_logreg(X, y, lam=1.0, tol=1e-6, max_iter=500)
-        assert len(m.history) == 34
+        assert len(m.history) == 12
+        assert len(calls) > len(m.history)
         _, gw, gb = softmax_loss_and_grads(m.weights, m.bias, X, y, 1.0)
         assert max(np.abs(gw).max(), np.abs(gb).max()) <= 1e-6
         assert self.digest(m) == (
-            "b145f2e2f8ff0b8f3436ef4153fcf2fdacbb9a15470d5124d2002b138776a85c"
+            "f6798405d73423d924aa5ce4148e9f357e94663b56d56a59958eec1c246d08e9"
         )
 
 
@@ -355,6 +421,19 @@ class TestSerialization:
         text = p.read_text(encoding="utf-8").splitlines()[:8]
         p.write_text("\n".join(text) + "\n", encoding="utf-8")
         with pytest.raises(ParseError):
+            load_tagger(str(p))
+
+    def test_cut_after_lambda_names_missing_line(self, tmp_path):
+        X, y = random_problem()
+        scheme = LabelScheme(["Date"])
+        spec = FeatureSpec(dim=2, window_radius=1, use_hownet=False, use_char=False)
+        m = train_logreg(X[:, :6], y, lam=0.2, max_iter=5, scheme=scheme, spec=spec)
+        p = tmp_path / "t.model"
+        save_tagger(m, str(p))
+        lines = p.read_text(encoding="utf-8").splitlines()[:8]
+        assert lines[-1].startswith("lambda ")
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="unexpected end of file, expected 'classes'"):
             load_tagger(str(p))
 
     @pytest.mark.parametrize("line, text, message", [
