@@ -53,7 +53,6 @@ from .revise import (
     tf_bucket,
 )
 from .sememe import (
-    SememeLexicon,
     build_sememe_space,
     generate_replacement_corpora,
     hownet_vector,

@@ -88,9 +88,7 @@ def _train_config(args):
                 raise ParseError(
                     f"{args.config}: bad value for {name}: {file_values[name]!r}"
                 ) from None
-    config = TrainConfig(**kwargs)
-    config.validate()
-    return config
+    return TrainConfig(**kwargs)
 
 
 def _add_train_flags(sub):
@@ -266,8 +264,8 @@ def _cmd_eval_ner(args):
             f"gold has {len(gold)} sentences but prediction has {len(pred)}"
         )
     for k, (g, p) in enumerate(zip(gold, pred)):
-        if len(g.tokens) != len(p.tokens):
-            raise ValueError(f"sentence {k + 1}: token counts differ")
+        if g.tokens != p.tokens:
+            raise ValueError(f"sentence {k + 1}: tokens differ")
     gold_spans = spans_of_corpus([s.labels for s in gold])
     pred_spans = spans_of_corpus([s.labels for s in pred])
     print("overall " + format_prf(*span_prf(gold_spans, pred_spans)))

@@ -16,10 +16,10 @@ def finite_floats(values, lineno, path):
     """Parse values as floats; ParseError names the line if one is not a
     finite number."""
     try:
-        floats = [float(v) for v in values]
+        floats = list(map(float, values))
     except ValueError:
         raise ParseError(f"{path}: line {lineno}: non-numeric value") from None
-    if not all(math.isfinite(x) for x in floats):
+    if not all(map(math.isfinite, floats)):
         raise ParseError(f"{path}: line {lineno}: non-finite value")
     return floats
 
@@ -142,7 +142,15 @@ def load_tagged_corpus(path):
 
 
 def save_tagged_corpus(sentences, path):
-    """Write tagged sentences in the "token/LABEL" format."""
+    """Write tagged sentences in the "token/LABEL" format.
+
+    An empty sentence would be a blank line, which load_tagged_corpus skips,
+    so it raises ValueError before the file is opened.
+    """
+    sentences = list(sentences)
+    for k, sent in enumerate(sentences, start=1):
+        if not sent.tokens:
+            raise ValueError(f"sentence {k} is empty and cannot be saved")
     with atomic_text_writer(path) as fh:
         for sent in sentences:
             fh.write(" ".join(f"{t}/{l}" for t, l in zip(sent.tokens, sent.labels)))
@@ -174,9 +182,6 @@ class Vocabulary:
 
     def id_of(self, token):
         return self._ids[token]
-
-    def token_of(self, idx):
-        return self._tokens[idx]
 
     def tf(self, token):
         """Stored term frequency, or 0 for out-of-vocabulary tokens."""

@@ -27,6 +27,7 @@ from .corpus import (
     ParseError,
     atomic_text_writer,
     build_vocabulary,
+    finite_floats,
     iter_utf8_lines,
 )
 
@@ -34,9 +35,9 @@ LR_FLOOR_FRACTION = 1e-4
 ARCHITECTURES = ("skipgram", "cbow")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for embedding training."""
+    """Hyperparameters for embedding training, checked once at construction."""
 
     dim: int = 100
     window: int = 5
@@ -48,7 +49,7 @@ class TrainConfig:
     seed: int = 1
     architecture: str = "skipgram"
 
-    def validate(self):
+    def __post_init__(self):
         for field in ("dim", "window", "negative", "epochs", "min_count"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be a positive integer")
@@ -162,7 +163,6 @@ def train_embeddings(corpus, config, name="original"):
     value. Deterministic for a fixed (corpus, config) in this single-threaded
     implementation.
     """
-    config.validate()
     if corpus.total_tokens() == 0:
         raise ValueError("cannot train on an empty corpus")
     vocab = build_vocabulary(corpus, config.min_count)
@@ -300,16 +300,10 @@ def load_space(path, name=""):
                 f"{path}: line {lineno}: expected 1 token and {dim} values, "
                 f"got {len(fields)} fields"
             )
-        try:
-            vec = [float(x) for x in fields[1:]]
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: non-numeric vector component")
+        vec = finite_floats(fields[1:], lineno, path)
         if fields[0] in space:
             raise ParseError(f"{path}: line {lineno}: duplicate token {fields[0]!r}")
-        try:
-            space.add(fields[0], vec)
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        space.add(fields[0], vec)
     if len(space) != size:
         raise ParseError(
             f"{path}: header declares {size} rows but {len(space)} were read"

@@ -15,14 +15,17 @@ from .embedding import EmbeddingSpace
 from .morphsim import top_k_similar
 
 
-@dataclass
+@dataclass(frozen=True)
 class CombinedSpaceConfig:
-    """Revision parameters: which words count as rare, how many neighbours."""
+    """Revision parameters: which words count as rare, how many neighbours.
+
+    Checked once at construction.
+    """
 
     rare_tf_threshold: int = 2
     k: int = 5
 
-    def validate(self):
+    def __post_init__(self):
         if self.rare_tf_threshold < 0:
             raise ValueError("rare_tf_threshold cannot be negative")
         if self.k < 1:
@@ -111,7 +114,6 @@ def build_combined_space(target_words, original, model, vocab, config=None):
     if not target_words:
         raise ValueError("no target words")
     cfg = config if config is not None else CombinedSpaceConfig()
-    cfg.validate()
     space = EmbeddingSpace(original.dim, name="combined")
     for word in sorted(set(target_words)):
         tf = vocab.tf(word)

@@ -1,15 +1,15 @@
 """Sememe lexicon parsing, replacement corpora and sememe-sum word vectors.
 
 A lexicon line describes one word sense as an ordered list of sememes, the
-first being the basic one. To give sememes distributional vectors, whole
-corpus copies are generated in which words are replaced by their rank-r
-sememe; training over the concatenation puts sememes and surviving words in
-one shared space. A word's dictionary-derived vector is then the sum of its
-sememe vectors.
+first being the basic one. A word's first sense stands for the word, so a
+parsed lexicon is a plain dict from word to that sense's sememe list. To give
+sememes distributional vectors, whole corpus copies are generated in which
+words are replaced by their rank-r sememe; training over the concatenation
+puts sememes and surviving words in one shared space. A word's
+dictionary-derived vector is then the sum of its sememe vectors.
 """
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,48 +20,6 @@ from .embedding import train_embeddings
 _MARKERS = frozenset("*#$%@?!~")
 # a latin gloss before the sememe identifier, e.g. "house 房屋"
 _GLOSS = re.compile(r"[A-Za-z]+(?:[ \t]+[A-Za-z]+)*[ \t]+")
-
-
-@dataclass
-class SememeEntry:
-    """One sense of a word: an ordered, non-empty sememe list."""
-
-    word: str
-    pos: str
-    sememes: list
-
-    def __post_init__(self):
-        if not self.sememes:
-            raise ValueError(f"entry for {self.word!r} has no sememes")
-        if any(not s for s in self.sememes):
-            raise ValueError(f"entry for {self.word!r} has an empty sememe")
-
-
-class SememeLexicon:
-    """Word to entry-list mapping; multi-sense words keep file order."""
-
-    def __init__(self):
-        self._entries = {}
-
-    def add(self, entry):
-        self._entries.setdefault(entry.word, []).append(entry)
-
-    def entries_for(self, word):
-        return self._entries.get(word, [])
-
-    def first(self, word):
-        """The first (file-order) entry of a word, or None."""
-        entries = self._entries.get(word)
-        return entries[0] if entries else None
-
-    def words(self):
-        return self._entries.keys()
-
-    def __contains__(self, word):
-        return word in self._entries
-
-    def __len__(self):
-        return len(self._entries)
 
 
 def _clean_descriptor(raw):
@@ -78,8 +36,13 @@ def _clean_descriptor(raw):
 
 
 def parse_lexicon(path):
-    """Parse a TSV lexicon: word TAB pos TAB comma-separated sememe descriptors."""
-    lexicon = SememeLexicon()
+    """Parse a TSV lexicon: word TAB pos TAB comma-separated sememe descriptors.
+
+    Returns a dict from each word to the sememe list of its first line; later
+    lines for the same word are checked like any other, then dropped. The POS
+    column must be present but is not kept.
+    """
+    lexicon = {}
     for lineno, line in iter_utf8_lines(path):
         if not line.strip():
             continue
@@ -89,7 +52,7 @@ def parse_lexicon(path):
                 f"{path}: line {lineno}: expected word, POS and sememe list "
                 f"separated by tabs"
             )
-        word, pos = parts[0].strip(), parts[1].strip()
+        word = parts[0].strip()
         if not word:
             raise ParseError(f"{path}: line {lineno}: empty word field")
         sememes = []
@@ -105,16 +68,16 @@ def parse_lexicon(path):
             sememes.append(ident)
         if not sememes:
             raise ParseError(f"{path}: line {lineno}: empty sememe list for {word!r}")
-        lexicon.add(SememeEntry(word, pos, sememes))
+        lexicon.setdefault(word, sememes)
     return lexicon
 
 
 def generate_replacement_corpora(corpus, lexicon, max_rank=3):
     """The original corpus plus one full copy per sememe rank.
 
-    In the rank-r copy every token whose first lexicon entry has at least r
-    sememes is replaced by that entry's rank-r sememe; other tokens pass
-    through. Output sentence count is (max_rank + 1) times the input's.
+    In the rank-r copy every token with at least r sememes is replaced by its
+    rank-r sememe; other tokens pass through. Output sentence count is
+    (max_rank + 1) times the input's.
     """
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
@@ -123,11 +86,8 @@ def generate_replacement_corpora(corpus, lexicon, max_rank=3):
         for sent in corpus:
             replaced = []
             for tok in sent:
-                entry = lexicon.first(tok)
-                if entry is not None and len(entry.sememes) >= rank:
-                    replaced.append(entry.sememes[rank - 1])
-                else:
-                    replaced.append(tok)
+                sememes = lexicon.get(tok, ())
+                replaced.append(sememes[rank - 1] if len(sememes) >= rank else tok)
             sentences.append(replaced)
     return Corpus(sentences)
 
@@ -143,17 +103,14 @@ def build_sememe_space(corpus, lexicon, config, max_rank=3):
 
 
 def hownet_vector(word, lexicon, sememe_space):
-    """Componentwise sum of the word's sememe vectors (first entry).
+    """Componentwise sum of the word's sememe vectors.
 
     Sememes without a vector are skipped. Returns None when the word is not
     in the lexicon or no sememe has a vector. Summation runs in sorted sememe
     order, so equal sememe multisets produce bitwise-equal vectors.
     """
-    entry = lexicon.first(word)
-    if entry is None:
-        return None
     present = [
-        (s, v) for s, v in ((s, sememe_space.get(s)) for s in entry.sememes)
+        (s, v) for s, v in ((s, sememe_space.get(s)) for s in lexicon.get(word, ()))
         if v is not None
     ]
     if not present:

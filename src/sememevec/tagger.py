@@ -24,7 +24,8 @@ class LabelScheme:
         if len(set(types)) != len(types):
             raise ValueError("duplicate entity types")
         for t in types:
-            if not t or any(ch.isspace() for ch in t):
+            # "/" would split a saved token/LABEL item at the wrong place
+            if not t or "/" in t or any(ch.isspace() for ch in t):
                 raise ValueError(f"invalid entity type {t!r}")
         self.entity_types = types
         self.labels = ["O"]

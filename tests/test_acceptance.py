@@ -43,8 +43,6 @@ from sememevec.morphsim import (
 )
 from sememevec.revise import build_combined_space, combine, tf_bucket
 from sememevec.sememe import (
-    SememeEntry,
-    SememeLexicon,
     build_sememe_space,
     hownet_vector,
     make_hownet_fn,
@@ -83,13 +81,14 @@ def test_c01_tf_bucket_table_and_oracle():
 @pytest.fixture(scope="module")
 def toy_sememe_setup():
     """Tiny corpus and lexicon trained just enough for vector checks."""
-    lex = SememeLexicon()
-    lex.add(SememeEntry("房租", "N", ["费用", "借入", "房屋"]))
-    lex.add(SememeEntry("薪水", "N", ["费用", "报酬"]))
-    lex.add(SememeEntry("工资", "N", ["费用", "报酬"]))
-    lex.add(SememeEntry("次序", "N", ["顺序", "属性"]))
-    lex.add(SememeEntry("秩序", "N", ["顺序", "属性"]))
-    lex.add(SememeEntry("费用", "N", ["金钱"]))
+    lex = {
+        "房租": ["费用", "借入", "房屋"],
+        "薪水": ["费用", "报酬"],
+        "工资": ["费用", "报酬"],
+        "次序": ["顺序", "属性"],
+        "秩序": ["顺序", "属性"],
+        "费用": ["金钱"],
+    }
     base = [
         ["他", "付", "房租", "了"],
         ["公司", "发", "薪水", "了"],
@@ -308,11 +307,9 @@ def _synthetic_split(seed):
 
 
 def _pipeline_lexicon():
-    lex = SememeLexicon()
-    for tok in SEEN_ENTITIES + UNSEEN_ENTITIES:
-        lex.add(SememeEntry(tok, "N", ["时间", "日子"]))
+    lex = {tok: ["时间", "日子"] for tok in SEEN_ENTITIES + UNSEEN_ENTITIES}
     for w in OTHER_WORDS:
-        lex.add(SememeEntry(w, "N", [w[-1] + "类"]))
+        lex.setdefault(w, [w[-1] + "类"])
     return lex
 
 

@@ -89,6 +89,14 @@ class TestDataErrors:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_revise_bad_k_before_any_work(self, artifacts, tmp_path, capsys):
+        rc = main(["revise", "--space", artifacts["words"], "--model", artifacts["sim"],
+                   "--corpus", data("corpus.txt"), "--out", str(tmp_path / "c.vec"),
+                   "--k", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: k must be at least 1\n"
+        assert os.listdir(tmp_path) == []
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("banana=3\n", encoding="utf-8")
@@ -274,6 +282,17 @@ class TestEvaluationCommands:
         assert len(notes) == 1
         assert stop in notes[0]
         assert re.search(r", final loss \S+, gradient inf-norm \S+$", notes[0])
+
+    def test_eval_ner_mismatched_tokens(self, tmp_path, capsys):
+        gold = tmp_path / "gold.txt"
+        gold.write_text("今天/O\n甲/B-X 乙/O\n", encoding="utf-8")
+        pred = tmp_path / "pred.txt"
+        pred.write_text("今天/O\n丙/B-X 丁/O\n", encoding="utf-8")
+        rc = main(["eval-ner", "--gold", str(gold), "--pred", str(pred)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: sentence 2: tokens differ\n"
 
     def test_eval_ner_mismatched_inputs(self, tmp_path, capsys):
         short = tmp_path / "short.txt"

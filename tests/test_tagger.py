@@ -44,6 +44,11 @@ class TestLabelScheme:
         with pytest.raises(ValueError):
             LabelScheme(["Date", "Date"])
 
+    def test_slash_in_type_rejected(self):
+        # a saved item "x/B-A/B" would load back as token "x/B-A", label "B"
+        with pytest.raises(ValueError, match="invalid entity type 'A/B'"):
+            LabelScheme(["A/B"])
+
 
 def toy_spaces(d=4):
     rng = np.random.default_rng(17)
@@ -438,6 +443,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("line, text, message", [
         (2, "entity-types Date Date", "duplicate entity types"),
+        (2, "entity-types A/B", "invalid entity type 'A/B'"),
         (3, "window-radius -1", "window_radius cannot be negative"),
         (7, "dim 0", "dim must be positive"),
     ])
