@@ -100,26 +100,25 @@ def _add_train_flags(sub):
         )
 
 
-def _cmd_train_embeddings(args):
-    config = _train_config(args)
-    corpus = load_corpus(args.corpus)
-    _note(args.command, f"{len(corpus)} sentences, {corpus.total_tokens()} tokens")
-    space = train_embeddings(corpus, config)
+def _save_trained(args, space):
     _note(args.command, f"trained {len(space)} vectors of dimension {space.dim}")
     save_space(space, args.out)
     _note(args.command, f"wrote {args.out}")
     return 0
+
+
+def _cmd_train_embeddings(args):
+    config = _train_config(args)
+    corpus = load_corpus(args.corpus)
+    _note(args.command, f"{len(corpus)} sentences, {corpus.total_tokens()} tokens")
+    return _save_trained(args, train_embeddings(corpus, config))
 
 
 def _cmd_train_char_embeddings(args):
     config = _train_config(args)
     corpus = corpus_to_characters(load_corpus(args.corpus))
     _note(args.command, f"{corpus.total_tokens()} characters")
-    space = train_embeddings(corpus, config, name="character")
-    _note(args.command, f"trained {len(space)} vectors of dimension {space.dim}")
-    save_space(space, args.out)
-    _note(args.command, f"wrote {args.out}")
-    return 0
+    return _save_trained(args, train_embeddings(corpus, config, name="character"))
 
 
 def _cmd_build_sememe_space(args):
@@ -128,10 +127,7 @@ def _cmd_build_sememe_space(args):
     lexicon = parse_lexicon(args.lexicon)
     _note(args.command, f"{len(lexicon)} lexicon words, max rank {args.max_rank}")
     space = build_sememe_space(corpus, lexicon, config, max_rank=args.max_rank)
-    _note(args.command, f"trained {len(space)} vectors of dimension {space.dim}")
-    save_space(space, args.out)
-    _note(args.command, f"wrote {args.out}")
-    return 0
+    return _save_trained(args, space)
 
 
 def _cmd_hownet_vector(args):

@@ -25,6 +25,7 @@ def finite_floats(values, lineno, path):
 
 
 _ITEM = re.compile(r"\S+")
+_WHITESPACE = re.compile(r"\s")
 
 
 def iter_utf8_lines(path):
@@ -144,13 +145,17 @@ def load_tagged_corpus(path):
 def save_tagged_corpus(sentences, path):
     """Write tagged sentences in the "token/LABEL" format.
 
-    An empty sentence would be a blank line, which load_tagged_corpus skips,
-    so it raises ValueError before the file is opened.
+    Raises ValueError before the file is opened for what load_tagged_corpus
+    would read back differently: an empty sentence (a skipped blank line), an
+    empty token or label, whitespace in either, or "/" in a label.
     """
     sentences = list(sentences)
     for k, sent in enumerate(sentences, start=1):
         if not sent.tokens:
             raise ValueError(f"sentence {k} is empty and cannot be saved")
+        for tok, label in zip(sent.tokens, sent.labels):
+            if not (tok and label) or "/" in label or _WHITESPACE.search(tok + label):
+                raise ValueError(f"sentence {k}: {tok!r}/{label!r} would not load back")
     with atomic_text_writer(path) as fh:
         for sent in sentences:
             fh.write(" ".join(f"{t}/{l}" for t, l in zip(sent.tokens, sent.labels)))

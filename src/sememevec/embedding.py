@@ -1,19 +1,22 @@
 """Distributional word and character embeddings trained with negative sampling.
 
-The trainer is a from-scratch skip-gram / CBOW implementation. Each sentence
-becomes a list of (input ids, target) steps: skip-gram makes one per
-(center, context) pair with the center as input, CBOW one per position with
-the mean of its context words as input. Both architectures then share one
-update step: it contrasts the target word against ``negative`` noise words
-drawn from the unigram distribution raised to the 0.75 power, and takes one
-stochastic gradient step on
+The trainer is a from-scratch skip-gram / CBOW implementation. Each epoch
+flattens the corpus into one id array and builds its (input ids, target)
+steps with array operations, one column per window offset, masked to the
+same sentence: skip-gram makes one step per (center, context) pair with the
+center as input, CBOW one per position with the mean of its context words as
+input. A step contrasts the target word against ``negative`` noise words
+drawn from the unigram distribution raised to the 0.75 power, with loss
 
     L = -log s(x_pos) - sum_neg log s(-x_neg),    x = w_out . h
 
-where h is the input vector (the center row, or the context mean).
+where h is the input vector (the center row, or the context mean). Steps run
+in mini-batches that gather at most BATCH_VALUES parameter values: a batch's
+gradients are all taken from the parameters as they were before it, then
+applied at once with np.add.at, with a row's summed rate capped.
 
 Training is single-threaded and fully deterministic for a fixed seed: all
-randomness flows from one seeded generator, and updates are applied in
+randomness flows from one seeded generator, and batches are applied in
 corpus order.
 """
 
@@ -27,11 +30,16 @@ from .corpus import (
     ParseError,
     atomic_text_writer,
     build_vocabulary,
-    finite_floats,
     iter_utf8_lines,
 )
 
 LR_FLOOR_FRACTION = 1e-4
+# the most parameter values (rows times dim) one batch gathers
+BATCH_VALUES = 1 << 15
+# positions whose steps are built at once, bounding the step arrays
+SPAN_TOKENS = 1 << 10
+# the most summed learning rate one row takes from one batch
+ROW_RATE_CAP = 1.0
 ARCHITECTURES = ("skipgram", "cbow")
 
 
@@ -125,33 +133,62 @@ def corpus_to_characters(corpus):
     return Corpus([[ch for tok in sent for ch in tok] for sent in corpus])
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+def negative_sampling_loss_and_grads(hidden, outputs, valid):
+    """Loss and analytic gradients of a batch of negative-sampling steps.
 
-
-def negative_sampling_loss(center, outputs, labels):
-    """Loss of one training step.
-
-    ``outputs`` holds the output vectors of the context word and the noise
-    words as rows, ``labels`` is 1 for the context row and 0 for noise rows.
+    ``hidden`` (B, d) holds each step's input vector and ``outputs`` (B, K, d)
+    its output rows: the target first, then K - 1 noise rows. A noise row
+    whose ``valid`` entry is False (it equals the target) adds neither loss
+    nor gradient. Returns (loss, grad wrt hidden, grad wrt outputs).
     """
-    scores = outputs @ center
-    return float(
-        np.sum(
-            labels * np.logaddexp(0.0, -scores)
-            + (1.0 - labels) * np.logaddexp(0.0, scores)
-        )
-    )
+    # x = w_out . h; the target row scores softplus(-x), a noise row softplus(x)
+    signed = np.einsum("bkd,bd->bk", outputs, hidden)
+    signed[:, 0] *= -1.0
+    softplus = np.logaddexp(0.0, signed)
+    # d softplus(z) / dz = sigmoid(z) = exp(z - softplus(z)), without overflow
+    residual = np.exp(signed - softplus) * valid
+    residual[:, 0] *= -1.0
+    loss = float(np.sum(softplus, where=valid))
+    grad_out = residual[:, :, None] * hidden[:, None, :]
+    return loss, np.einsum("bk,bkd->bd", residual, outputs), grad_out
 
 
-def negative_sampling_grads(center, outputs, labels):
-    """Analytic gradients of negative_sampling_loss.
+def _descend(matrix, rows, grads, live, alpha):
+    """matrix[rows] -= rate * grads, summing the steps of repeated rows.
 
-    Returns (grad wrt center, grad wrt outputs); both match central finite
-    differences of the loss.
+    A batch's gradients all come from the parameters before it, so a row that
+    many steps hit would overshoot: its rate is alpha, lowered so that its
+    ``live`` hits times its rate stay within ROW_RATE_CAP.
     """
-    residual = _sigmoid(outputs @ center) - labels
-    return residual @ outputs, np.outer(residual, center)
+    dim = matrix.shape[1]
+    rows = rows.ravel()
+    _, inverse = np.unique(rows, return_inverse=True)
+    hits = np.maximum(np.bincount(inverse, weights=live.ravel()), 1.0)
+    rate = np.minimum(alpha, ROW_RATE_CAP / hits)[inverse]
+    steps = grads.reshape(-1, dim) * -rate[:, None]
+    # np.add.at on the flat buffer takes numpy's fast one-dimensional path
+    flat = (rows * dim)[:, None] + np.arange(dim)
+    np.add.at(matrix.reshape(-1), flat.ravel(), steps.ravel())
+
+
+def _steps(ids, sents, center, offsets, skipgram):
+    """The (inputs, live, targets, at) steps centered on positions ``center``.
+
+    ``ids`` and ``sents`` give each position's word and sentence. Skip-gram
+    makes one step per (center, context) pair, the center its one input;
+    CBOW one per center with a context, whose ids are its inputs and
+    ``live`` masks their padding. ``at`` indexes each step's center.
+    """
+    # one column per window offset, masked to positions in the same sentence
+    ctx = center[:, None] + offsets
+    mask = (ctx >= 0) & (ctx < len(ids))
+    ctx = np.clip(ctx, 0, len(ids) - 1)
+    mask &= sents[ctx] == sents[center, None]
+    if skipgram:
+        at, cols = np.nonzero(mask)
+        return ids[center[at], None], np.ones((len(at), 1), bool), ids[ctx[at, cols]], at
+    at = np.flatnonzero(mask.any(axis=1))
+    return ids[ctx[at]], mask[at], ids[center[at]], at
 
 
 def train_embeddings(corpus, config, name="original"):
@@ -159,9 +196,9 @@ def train_embeddings(corpus, config, name="original"):
 
     Input vectors start uniform in [-0.5/dim, 0.5/dim] from the seeded rng,
     output vectors start at zero. The learning rate decays linearly with the
-    number of processed tokens down to LR_FLOOR_FRACTION of its initial
-    value. Deterministic for a fixed (corpus, config) in this single-threaded
-    implementation.
+    number of processed tokens, set once per batch, down to LR_FLOOR_FRACTION
+    of its initial value. Deterministic for a fixed (corpus, config) in this
+    single-threaded implementation.
     """
     if corpus.total_tokens() == 0:
         raise ValueError("cannot train on an empty corpus")
@@ -177,85 +214,50 @@ def train_embeddings(corpus, config, name="original"):
     w_out = np.zeros((len(vocab), dim))
 
     counts = np.array([vocab.tf(t) for t in vocab.tokens], dtype=np.float64)
-    noise = counts ** 0.75
-    noise_cum = np.cumsum(noise)
+    noise_cum = np.cumsum(counts ** 0.75)
     noise_cum /= noise_cum[-1]
 
-    encoded = []
-    for sent in corpus:
-        ids = np.array([vocab.id_of(t) for t in sent if t in vocab], dtype=np.intp)
-        if len(ids):
-            encoded.append(ids)
-    total = sum(len(s) for s in encoded) * config.epochs
-    if total == 0:
-        raise ValueError("no trainable tokens survive the min_count filter")
+    # the corpus as one id array, with the sentence of every position
+    pairs = ((k, vocab.id_of(t)) for k, s in enumerate(corpus) for t in s if t in vocab)
+    sent_of, flat = np.fromiter(pairs, np.dtype((np.intp, 2))).T
+    n = len(flat)
+    total = n * config.epochs
 
-    keep_prob = None
-    if config.subsample > 0:
-        freq = counts / counts.sum()
-        keep_prob = np.minimum(1.0, np.sqrt(config.subsample / freq))
+    # with subsampling a token is kept with probability sqrt(threshold / freq)
+    keep_prob = np.sqrt(config.subsample * counts.sum() / counts)
 
     lr0 = config.learning_rate
     neg = config.negative
-    window = config.window
     skipgram = config.architecture == "skipgram"
-    labels_buf = np.zeros(neg + 1)
-    labels_buf[0] = 1.0
-    rows_buf = np.empty(neg + 1, dtype=np.intp)
-    processed = 0
+    offsets = np.array([o for o in range(-config.window, config.window + 1) if o])
+    rows_per_step = (1 if skipgram else len(offsets)) + 1 + neg
+    batch = max(1, BATCH_VALUES // (rows_per_step * dim))
 
     for epoch in range(config.epochs):
-        for sent in encoded:
-            alpha = max(lr0 * (1.0 - processed / total), lr0 * LR_FLOOR_FRACTION)
-            processed += len(sent)
-            if keep_prob is not None:
-                sent = sent[rng.random(len(sent)) < keep_prob[sent]]
-            m = len(sent)
-            # one (input ids, target) step per window pair for skip-gram, per
-            # position for CBOW; a one-token sentence gives CBOW one step with
-            # an empty context, which still draws its noise row
-            if skipgram:
-                steps = [
-                    (sent[i], sent[j])
-                    for i in range(m)
-                    for j in range(max(0, i - window), min(m, i + window + 1))
-                    if j != i
-                ]
-            else:
-                steps = [
-                    (np.concatenate((sent[max(0, i - window):i],
-                                     sent[i + 1:i + window + 1])), sent[i])
-                    for i in range(m)
-                ]
-            if not steps:
-                continue
-            draws = np.searchsorted(
-                noise_cum, rng.random((len(steps), neg)), side="left"
-            )
-            for (inputs, target), neg_row in zip(steps, draws):
-                if skipgram:
-                    hidden = w_in[inputs]
-                elif len(inputs):
-                    hidden = w_in[inputs].mean(axis=0)
-                else:
-                    continue
-                keep = neg_row != target
-                n_rows = 1 + int(keep.sum())
-                rows = rows_buf[:n_rows]
-                rows[0] = target
-                rows[1:] = neg_row[keep]
-                g_hidden, g_out = negative_sampling_grads(
-                    hidden, w_out[rows], labels_buf[:n_rows]
+        pos = np.arange(n)
+        if config.subsample > 0:
+            pos = pos[rng.random(n) < keep_prob[flat]]
+        ids, sents = flat[pos], sent_of[pos]
+        for a in range(0, len(pos), SPAN_TOKENS):
+            center = np.arange(a, min(len(pos), a + SPAN_TOKENS))
+            inputs, live, targets, at = _steps(ids, sents, center, offsets, skipgram)
+            step_pos = pos[center[at]]
+            for s in range(0, len(targets), batch):
+                processed = epoch * n + step_pos[s]
+                alpha = max(lr0 * (1.0 - processed / total), lr0 * LR_FLOOR_FRACTION)
+                inp, used = inputs[s:s + batch], live[s:s + batch]
+                wts = used / used.sum(axis=1, keepdims=True)
+                rows = np.column_stack((targets[s:s + batch], np.searchsorted(
+                    noise_cum, rng.random((len(inp), neg)), side="left")))
+                valid = (rows != rows[:, :1]) | (np.arange(neg + 1) == 0)
+                hidden = np.einsum("bw,bwd->bd", wts, w_in[inp])
+                _, g_hidden, g_out = negative_sampling_loss_and_grads(
+                    hidden, w_out[rows], valid
                 )
-                np.subtract.at(w_out, rows, alpha * g_out)
-                if skipgram:
-                    w_in[inputs] = hidden - alpha * g_hidden
-                else:
-                    np.subtract.at(w_in, inputs, alpha * g_hidden / len(inputs))
+                _descend(w_out, rows, g_out, valid, alpha)
+                _descend(w_in, inp, wts[:, :, None] * g_hidden[:, None, :], used, alpha)
         if not (np.all(np.isfinite(w_in)) and np.all(np.isfinite(w_out))):
-            raise FloatingPointError(
-                f"non-finite parameters after epoch {epoch + 1}"
-            )
+            raise FloatingPointError(f"non-finite parameters after epoch {epoch + 1}")
 
     return EmbeddingSpace(dim, name=name, vectors=dict(zip(vocab.tokens, w_in)))
 
@@ -280,13 +282,10 @@ def load_space(path, name=""):
         _, header = next(lines)
     except StopIteration:
         raise ParseError(f"{path}: empty file, expected a 'vocab dim' header")
-    parts = header.split()
-    if len(parts) != 2:
-        raise ParseError(f"{path}: line 1: malformed header {header!r}")
     try:
-        size, dim = int(parts[0]), int(parts[1])
+        size, dim = map(int, header.split())
     except ValueError:
-        raise ParseError(f"{path}: line 1: malformed header {header!r}")
+        raise ParseError(f"{path}: line 1: malformed header {header!r}") from None
     if size < 0 or dim < 1:
         raise ParseError(f"{path}: line 1: invalid sizes in header {header!r}")
 
@@ -300,10 +299,13 @@ def load_space(path, name=""):
                 f"{path}: line {lineno}: expected 1 token and {dim} values, "
                 f"got {len(fields)} fields"
             )
-        vec = finite_floats(fields[1:], lineno, path)
         if fields[0] in space:
             raise ParseError(f"{path}: line {lineno}: duplicate token {fields[0]!r}")
-        space.add(fields[0], vec)
+        try:
+            # add is the one finiteness check; the error gains the line here
+            space.add(fields[0], list(map(float, fields[1:])))
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
     if len(space) != size:
         raise ParseError(
             f"{path}: header declares {size} rows but {len(space)} were read"

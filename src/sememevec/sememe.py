@@ -109,15 +109,12 @@ def hownet_vector(word, lexicon, sememe_space):
     in the lexicon or no sememe has a vector. Summation runs in sorted sememe
     order, so equal sememe multisets produce bitwise-equal vectors.
     """
-    present = [
-        (s, v) for s, v in ((s, sememe_space.get(s)) for s in lexicon.get(word, ()))
-        if v is not None
-    ]
+    sememes = sorted(lexicon.get(word, ()))
+    present = [v for v in map(sememe_space.get, sememes) if v is not None]
     if not present:
         return None
-    present.sort(key=lambda sv: sv[0])
     total = np.zeros(sememe_space.dim)
-    for _, vec in present:
+    for vec in present:
         total += vec
     return total
 

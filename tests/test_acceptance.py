@@ -24,8 +24,7 @@ from sememevec.embedding import (
     TrainConfig,
     corpus_to_characters,
     cosine,
-    negative_sampling_grads,
-    negative_sampling_loss,
+    negative_sampling_loss_and_grads,
     save_space,
     train_embeddings,
 )
@@ -123,28 +122,30 @@ def test_c04_gradient_checks():
     rng = np.random.default_rng(61)
     h = 1e-6
 
-    # negative-sampling loss wrt center and output rows
+    # batched negative-sampling loss wrt input vectors and output rows; the
+    # last noise row of the first step is masked
     for _ in range(10):
+        b = int(rng.integers(1, 4))
         k = int(rng.integers(2, 7))
         d = int(rng.integers(3, 9))
-        center = rng.normal(0, 1, d)
-        outputs = rng.normal(0, 1, (k, d))
-        labels = np.zeros(k)
-        labels[0] = 1.0
-        g_center, g_out = negative_sampling_grads(center, outputs, labels)
+        hidden = rng.normal(0, 1, (b, d))
+        outputs = rng.normal(0, 1, (b, k, d))
+        valid = np.ones((b, k), dtype=bool)
+        valid[0, -1] = False
+        _, g_hidden, g_out = negative_sampling_loss_and_grads(hidden, outputs, valid)
         for j in range(d):
-            cp = center.copy(); cp[j] += h
-            cm = center.copy(); cm[j] -= h
-            num = (negative_sampling_loss(cp, outputs, labels)
-                   - negative_sampling_loss(cm, outputs, labels)) / (2 * h)
-            assert abs(num - g_center[j]) <= 1e-4 * max(1.0, abs(num))
-        r = int(rng.integers(k))
-        for j in range(d):
-            op = outputs.copy(); op[r, j] += h
-            om = outputs.copy(); om[r, j] -= h
-            num = (negative_sampling_loss(center, op, labels)
-                   - negative_sampling_loss(center, om, labels)) / (2 * h)
-            assert abs(num - g_out[r, j]) <= 1e-4 * max(1.0, abs(num))
+            hp = hidden.copy(); hp[0, j] += h
+            hm = hidden.copy(); hm[0, j] -= h
+            num = (negative_sampling_loss_and_grads(hp, outputs, valid)[0]
+                   - negative_sampling_loss_and_grads(hm, outputs, valid)[0]) / (2 * h)
+            assert abs(num - g_hidden[0, j]) <= 1e-4 * max(1.0, abs(num))
+        for r in (int(rng.integers(k)), k - 1):
+            for j in range(d):
+                op = outputs.copy(); op[0, r, j] += h
+                om = outputs.copy(); om[0, r, j] -= h
+                num = (negative_sampling_loss_and_grads(hidden, op, valid)[0]
+                       - negative_sampling_loss_and_grads(hidden, om, valid)[0]) / (2 * h)
+                assert abs(num - g_out[0, r, j]) <= 1e-4 * max(1.0, abs(num))
 
     # multiclass L2 logistic loss wrt weights and biases
     X = rng.normal(0, 1, (20, 5))

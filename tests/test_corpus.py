@@ -126,6 +126,28 @@ class TestTaggedCorpus:
             save_tagged_corpus(sents, str(p))
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("token, label", [
+        ("c", ""),             # written as "c/", which has no label
+        ("c", "B-X/Y"),        # loads back as token "c/B-X" with label "Y"
+        ("c", "B-X Y"),        # the space splits the item
+        ("c", "B-X\u3000Y"),   # so does any str.isspace() character
+        ("", "O"),             # written as "/O", which has no token
+        ("a b", "O"),          # loads back as item "a", which has no label
+        ("a\u3000b", "O"),     # so does U+3000 in a token
+    ])
+    def test_item_that_loads_back_differently_rejected(self, tmp_path, token, label):
+        sents = [TaggedSentence(["今天"], ["B-Date"]), TaggedSentence([token], [label])]
+        p = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match="sentence 2: .* would not load back"):
+            save_tagged_corpus(sents, str(p))
+        assert os.listdir(tmp_path) == []
+
+    def test_slash_in_token_round_trips(self, tmp_path):
+        sents = [TaggedSentence(["1/2", "a/"], ["O", "B-X"])]
+        p = tmp_path / "out.txt"
+        save_tagged_corpus(sents, str(p))
+        assert load_tagged_corpus(str(p)) == sents
+
 
 def failing_sentences():
     yield TaggedSentence(["今天"], ["B-Date"])

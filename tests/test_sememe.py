@@ -201,12 +201,12 @@ def digest_corpus(seed=17, n=60):
 
 
 # sha256 of the sememe space (token order plus row bytes) and of every
-# word's hownet_vector, recorded before the lexicon became a plain dict
+# word's hownet_vector, recorded from the mini-batch trainer
 SEMEME_SPACE_DIGEST = (
-    "28e8e7f7ed584529e31ee1a5ec337ef9d387097dd04e1053cac9a9b0a0562c54"
+    "8f5ba788dfd1ddc3ae8fb2cb3d251620f710367f6eda449740ba42ade1f6d95f"
 )
 HOWNET_DIGEST = (
-    "85ac427734bfc493d9f547d99b233c023e4aa8f4a4fa71f4b4c44287ef952217"
+    "271244219a10ac1fa21aef72142d0ee3d313ad47b9e1c7daa19b479e0f2147cf"
 )
 
 
