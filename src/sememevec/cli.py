@@ -13,6 +13,7 @@ from .corpus import (
     ParseError,
     TaggedSentence,
     build_vocabulary,
+    format_tagged_corpus,
     iter_utf8_lines,
     load_corpus,
     load_tagged_corpus,
@@ -22,6 +23,7 @@ from .embedding import (
     ARCHITECTURES,
     TrainConfig,
     corpus_to_characters,
+    format_vector,
     load_space,
     save_space,
     train_embeddings,
@@ -136,7 +138,7 @@ def _cmd_hownet_vector(args):
     vec = hownet_vector(args.word, lexicon, space)
     if vec is None:
         raise ValueError(f"no sememe vector obtainable for {args.word!r}")
-    print(" ".join(f"{x:.9g}" for x in vec))
+    print(format_vector(vec))
     return 0
 
 
@@ -197,14 +199,10 @@ def _cmd_train_tagger(args):
         use_hownet=hownet_fn is not None,
         use_char=char_space is not None,
     )
-    features = []
-    labels = []
-    for sent in tagged:
-        for i in range(len(sent.tokens)):
-            features.append(
-                assemble_features(sent.tokens, i, word_space, hownet_fn, char_space, spec)
-            )
-            labels.append(scheme.index(sent.labels[i]))
+    positions = [(sent, i) for sent in tagged for i in range(len(sent.tokens))]
+    features = [assemble_features(sent.tokens, i, word_space, hownet_fn, char_space, spec)
+                for sent, i in positions]
+    labels = [scheme.index(sent.labels[i]) for sent, i in positions]
     _note(args.command, f"{len(features)} examples, {len(scheme)} labels")
     model = train_logreg(
         features, labels, lam=args.lam, tol=args.tol, max_iter=args.max_iter,
@@ -224,16 +222,14 @@ def _cmd_tag(args):
     model = load_tagger(args.model)
     word_space, hownet_fn, char_space = _load_tagger_sources(args)
     corpus = load_corpus(args.corpus)
-    tagged = []
-    for sent in corpus:
-        labels = tag_sentence(model, sent, word_space, hownet_fn, char_space)
-        tagged.append(TaggedSentence(sent, labels))
+    tagged = [TaggedSentence(s, tag_sentence(model, s, word_space, hownet_fn, char_space))
+              for s in corpus]
     if args.out:
         save_tagged_corpus(tagged, args.out)
         _note(args.command, f"wrote {args.out}")
     else:
-        for sent in tagged:
-            print(" ".join(f"{t}/{l}" for t, l in zip(sent.tokens, sent.labels)))
+        for line in format_tagged_corpus(tagged):
+            print(line)
     return 0
 
 

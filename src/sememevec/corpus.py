@@ -142,12 +142,13 @@ def load_tagged_corpus(path):
     return sentences
 
 
-def save_tagged_corpus(sentences, path):
-    """Write tagged sentences in the "token/LABEL" format.
+def format_tagged_corpus(sentences):
+    """The "token/LABEL" lines of tagged sentences, without line ends.
 
-    Raises ValueError before the file is opened for what load_tagged_corpus
+    Raises ValueError, before any line is made, for what load_tagged_corpus
     would read back differently: an empty sentence (a skipped blank line), an
-    empty token or label, whitespace in either, or "/" in a label.
+    empty token or label, whitespace in either, "/" in a label, or a byte
+    order mark opening the first token.
     """
     sentences = list(sentences)
     for k, sent in enumerate(sentences, start=1):
@@ -156,10 +157,16 @@ def save_tagged_corpus(sentences, path):
         for tok, label in zip(sent.tokens, sent.labels):
             if not (tok and label) or "/" in label or _WHITESPACE.search(tok + label):
                 raise ValueError(f"sentence {k}: {tok!r}/{label!r} would not load back")
+    if sentences and sentences[0].tokens[0].startswith("\ufeff"):
+        raise ValueError("sentence 1 starts with a byte order mark, which loading drops")
+    return (" ".join(f"{t}/{l}" for t, l in zip(s.tokens, s.labels)) for s in sentences)
+
+
+def save_tagged_corpus(sentences, path):
+    """Write the lines of format_tagged_corpus; nothing is written if it raises."""
+    lines = format_tagged_corpus(sentences)
     with atomic_text_writer(path) as fh:
-        for sent in sentences:
-            fh.write(" ".join(f"{t}/{l}" for t, l in zip(sent.tokens, sent.labels)))
-            fh.write("\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 class Vocabulary:

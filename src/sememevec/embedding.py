@@ -262,6 +262,11 @@ def train_embeddings(corpus, config, name="original"):
     return EmbeddingSpace(dim, name=name, vectors=dict(zip(vocab.tokens, w_in)))
 
 
+def format_vector(vec):
+    """A vector's values as a save_space row holds them: 9 significant digits."""
+    return " ".join(f"{x:.9g}" for x in vec)
+
+
 def save_space(space, path):
     """Write the word2vec text format: "vocab dim" header, then one token row."""
     for token in space.tokens:
@@ -272,16 +277,13 @@ def save_space(space, path):
     with atomic_text_writer(path) as fh:
         fh.write(f"{len(space)} {space.dim}\n")
         for token, vec in space.items():
-            fh.write(token + " " + " ".join(f"{x:.9g}" for x in vec) + "\n")
+            fh.write(token + " " + format_vector(vec) + "\n")
 
 
 def load_space(path, name=""):
     """Read a space saved by save_space; ParseError names the offending line."""
     lines = iter_utf8_lines(path)
-    try:
-        _, header = next(lines)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file, expected a 'vocab dim' header")
+    _, header = next(lines, (1, ""))
     try:
         size, dim = map(int, header.split())
     except ValueError:

@@ -283,6 +283,8 @@ def load_similarity_model(path):
         parts = line.split()
         if len(parts) != 2 or parts[0] not in names:
             raise ParseError(f"{path}: line {lineno}: expected 'name value'")
+        if parts[0] in values:
+            raise ParseError(f"{path}: line {lineno}: repeated field {parts[0]!r}")
         values[parts[0]] = finite_floats(parts[1:], lineno, path)[0]
     missing = set(names) - values.keys()
     if missing:

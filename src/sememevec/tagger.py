@@ -8,6 +8,7 @@ changes. Predicted label sequences are repaired afterwards so that no
 I-label appears without a same-type predecessor.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -40,12 +41,10 @@ class LabelScheme:
         types = set()
         for labels in label_sequences:
             for lab in labels:
-                if lab == "O":
-                    continue
-                if len(lab) > 2 and lab[:2] in ("B-", "I-"):
+                if lab != "O":
+                    if len(lab) <= 2 or lab[:2] not in ("B-", "I-"):
+                        raise ValueError(f"unrecognised label {lab!r}")
                     types.add(lab[2:])
-                else:
-                    raise ValueError(f"unrecognised label {lab!r}")
         return cls(sorted(types))
 
     def index(self, label):
@@ -89,14 +88,8 @@ class FeatureSpec:
 
     @property
     def feature_length(self):
-        length = 0
-        if self.use_context:
-            length += (2 * self.window_radius + 1) * self.dim
-        if self.use_hownet:
-            length += self.dim
-        if self.use_char:
-            length += self.dim
-        return length
+        slots = self.use_context * (2 * self.window_radius + 1)
+        return (slots + self.use_hownet + self.use_char) * self.dim
 
 
 def assemble_features(sentence, i, word_space, hownet_fn, char_space, spec):
@@ -321,106 +314,103 @@ def tag_sentence(model, sentence, word_space, hownet_fn, char_space):
     return repair_bi(labels)
 
 
+def _flag(text):
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("non-finite value")
+    return value
+
+
+TAGGER_MAGIC = "tagger-model v1"
+
+# The header lines of a tagger file after TAGGER_MAGIC, in file order: the
+# key, the fields written after it, and the parser of the text after it.
+_HEADER = (
+    ("entity-types", lambda m: m.scheme.entity_types, lambda s: LabelScheme(s.split())),
+    ("window-radius", lambda m: [m.spec.window_radius], int),
+    ("use-context", lambda m: [int(m.spec.use_context)], _flag),
+    ("use-hownet", lambda m: [int(m.spec.use_hownet)], _flag),
+    ("use-char", lambda m: [int(m.spec.use_char)], _flag),
+    ("dim", lambda m: [m.spec.dim], int),
+    ("lambda", lambda m: [f"{m.lam:.17g}"], _finite),
+    ("classes", lambda m: [m.weights.shape[0]], int),
+    ("features", lambda m: [m.weights.shape[1]], int),
+)
+
+
 def save_tagger(model, path):
-    """Labelled text sections: scheme, spec, lambda, weight rows, biases."""
+    """TAGGER_MAGIC, the _HEADER lines, then "weights" over one row per class
+    and "bias" over one row, every value at 17 significant digits."""
     if model.spec is None or model.scheme is None:
         raise ValueError("cannot serialize a model without spec and scheme")
-    types = model.scheme.entity_types
     with atomic_text_writer(path) as fh:
-        fh.write("tagger-model v1\n")
-        fh.write("entity-types" + ("".join(" " + t for t in types)) + "\n")
-        fh.write(f"window-radius {model.spec.window_radius}\n")
-        fh.write(f"use-context {int(model.spec.use_context)}\n")
-        fh.write(f"use-hownet {int(model.spec.use_hownet)}\n")
-        fh.write(f"use-char {int(model.spec.use_char)}\n")
-        fh.write(f"dim {model.spec.dim}\n")
-        fh.write(f"lambda {model.lam:.17g}\n")
-        fh.write(f"classes {model.weights.shape[0]}\n")
-        fh.write(f"features {model.weights.shape[1]}\n")
-        fh.write("weights\n")
-        for row in model.weights:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-        fh.write("bias\n")
-        fh.write(" ".join(f"{x:.17g}" for x in model.bias) + "\n")
-
-
-def _parse_kv(line, key, lineno, path):
-    if not line.startswith(key + " ") and line != key:
-        raise ParseError(f"{path}: line {lineno}: expected '{key} ...', got {line!r}")
-    return line[len(key):].strip()
+        fh.write(TAGGER_MAGIC + "\n")
+        for key, fields, _ in _HEADER:
+            fh.write(" ".join([key, *map(str, fields(model))]) + "\n")
+        for section, rows in (("weights", model.weights), ("bias", [model.bias])):
+            fh.write(section + "\n")
+            for row in rows:
+                fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def load_tagger(path):
-    lines = list(iter_utf8_lines(path))
-    if not lines or lines[0][1] != "tagger-model v1":
+    """Read a file written by save_tagger, in one pass; ParseError names the
+    line of anything save_tagger could not have written."""
+    lines = iter_utf8_lines(path)
+    if next(lines, (1, ""))[1] != TAGGER_MAGIC:
         raise ParseError(f"{path}: line 1: not a tagger model file")
 
-    def take(idx, key):
-        if idx >= len(lines):
-            raise ParseError(f"{path}: unexpected end of file, expected '{key}'")
-        lineno, line = lines[idx]
-        return _parse_kv(line, key, lineno, path)
+    def next_line(expected):
+        item = next(lines, None)
+        if item is None:
+            raise ParseError(f"{path}: unexpected end of file, expected {expected}")
+        return item
 
-    types = take(1, "entity-types").split()
-    header = [take(idx, key) for idx, key in (
-        (2, "window-radius"), (3, "use-context"), (4, "use-hownet"),
-        (5, "use-char"), (6, "dim"), (8, "classes"), (9, "features"))]
+    def header_value(key, parse):
+        lineno, line = next_line(f"'{key}'")
+        name, _, text = line.partition(" ")
+        if name != key:
+            raise ParseError(f"{path}: line {lineno}: expected '{key} ...', got {line!r}")
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+
+    def section(name, n_rows, width, what):
+        lineno, line = next_line(f"'{name}'")
+        if line != name:
+            raise ParseError(f"{path}: line {lineno}: expected '{name}', got {line!r}")
+        rows = []
+        for _ in range(n_rows):
+            lineno, line = next_line(what)
+            values = line.split()
+            if len(values) != width:
+                raise ParseError(f"{path}: line {lineno}: expected {width} {what}, "
+                                 f"got {len(values)}")
+            rows.append(finite_floats(values, lineno, path))
+        return np.array(rows, dtype=np.float64)
+
+    scheme, radius, use_context, use_hownet, use_char, dim, lam, n_classes, n_features = (
+        header_value(key, parse) for key, _, parse in _HEADER)
+    if len(scheme) != n_classes:
+        raise ParseError(f"{path}: scheme with {len(scheme)} labels does not match "
+                         f"{n_classes} classes")
     try:
-        radius, use_context, use_hownet, use_char, dim, n_classes, n_features = map(
-            int, header)
-    except ValueError:
-        raise ParseError(f"{path}: malformed numeric header field") from None
-    try:
-        spec = FeatureSpec(
-            dim=dim,
-            window_radius=radius,
-            use_context=bool(use_context),
-            use_hownet=bool(use_hownet),
-            use_char=bool(use_char),
-        )
-        scheme = LabelScheme(types)
+        spec = FeatureSpec(dim=dim, window_radius=radius, use_context=use_context,
+                           use_hownet=use_hownet, use_char=use_char)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    lam = finite_floats([take(7, "lambda")], lines[7][0], path)[0]
-    if take(10, "weights") != "":
-        raise ParseError(f"{path}: malformed weights section header")
-    if len(lines) < 11 + n_classes + 2:
-        raise ParseError(f"{path}: truncated model file")
-    rows = []
-    for offset in range(n_classes):
-        lineno, line = lines[11 + offset]
-        values = line.split()
-        if len(values) != n_features:
-            raise ParseError(
-                f"{path}: line {lineno}: expected {n_features} weights, "
-                f"got {len(values)}"
-            )
-        rows.append(finite_floats(values, lineno, path))
-    bias_at = 11 + n_classes
-    if take(bias_at, "bias") != "":
-        raise ParseError(f"{path}: malformed bias section header")
-    lineno, line = lines[bias_at + 1]
-    bias_values = line.split()
-    if len(bias_values) != n_classes:
-        raise ParseError(
-            f"{path}: line {lineno}: expected {n_classes} biases, "
-            f"got {len(bias_values)}"
-        )
-    if len(scheme) != n_classes:
-        raise ParseError(
-            f"{path}: scheme with {len(scheme)} labels does not match "
-            f"{n_classes} classes"
-        )
-    model = TaggerModel(
-        np.array(rows, dtype=np.float64),
-        np.array(finite_floats(bias_values, lineno, path)),
-        lam,
-        spec=spec,
-        scheme=scheme,
-    )
-    if model.weights.shape[1] != spec.feature_length:
-        raise ParseError(
-            f"{path}: feature count {model.weights.shape[1]} does not match "
-            f"spec length {spec.feature_length}"
-        )
-    return model
+    if n_features != spec.feature_length:
+        raise ParseError(f"{path}: feature count {n_features} does not match "
+                         f"spec length {spec.feature_length}")
+    weights = section("weights", n_classes, n_features, "weights")
+    bias = section("bias", 1, n_classes, "biases")[0]
+    for lineno, _ in lines:
+        raise ParseError(f"{path}: line {lineno}: unexpected line after the bias row")
+    return TaggerModel(weights, bias, lam, spec=spec, scheme=scheme)

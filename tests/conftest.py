@@ -1,7 +1,12 @@
-"""Shared brute-force oracles, written independently of the library code."""
+"""Shared brute-force oracles, written independently of the library code,
+and the strategies and file helper of the round-trip property tests."""
 
 import functools
 import math
+import os
+import tempfile
+
+from hypothesis import strategies as st
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,3 +85,22 @@ def all_strings(alphabet, max_len):
         frontier = [s + ch for s in frontier for ch in alphabet]
         out.extend(frontier)
     return out
+
+
+# non-empty strings that every loader reads back as one field: no
+# str.isspace() character, no lone surrogate (not encodable as UTF-8) and no
+# U+FEFF, which a loader drops when it opens a file
+tokens = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\ufeff"),
+    min_size=1, max_size=5,
+).filter(lambda t: not any(map(str.isspace, t)))
+entity_types = tokens.filter(lambda t: "/" not in t)
+finite_values = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def round_trip(save, load, value):
+    """load(path) after save(value, path), in a fresh temporary directory."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "artifact")
+        save(value, path)
+        return load(path)

@@ -135,6 +135,15 @@ class TestArtifacts:
             for lab in s.labels:
                 assert lab in model.scheme
 
+    def test_tag_stdout_equals_out_file(self, artifacts, capsys):
+        capsys.readouterr()
+        assert main(["tag", "--model", artifacts["tagger"],
+                     "--word-space", artifacts["combined"], "--char-space", artifacts["chars"],
+                     "--lexicon", data("lexicon.tsv"), "--sememe-space", artifacts["sememe"],
+                     "--corpus", data("corpus.txt")]) == 0
+        with open(artifacts["tagged"], encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
     def test_hownet_vector_prints_numbers(self, artifacts, capsys):
         rc = main(["hownet-vector", "--word", "房租", "--lexicon", data("lexicon.tsv"),
                    "--sememe-space", artifacts["sememe"]])

@@ -2,7 +2,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import entity_types, round_trip, tokens
 from sememevec.corpus import (
     Corpus,
     ParseError,
@@ -147,6 +149,30 @@ class TestTaggedCorpus:
         p = tmp_path / "out.txt"
         save_tagged_corpus(sents, str(p))
         assert load_tagged_corpus(str(p)) == sents
+
+    def test_leading_byte_order_mark_rejected(self, tmp_path):
+        # the loader drops U+FEFF at the start of a file, so "\ufeffa/O"
+        # would load back as token "a"
+        sents = [TaggedSentence(["\ufeff今天"], ["B-Date"])]
+        p = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match="byte order mark"):
+            save_tagged_corpus(sents, str(p))
+        assert os.listdir(tmp_path) == []
+
+
+# tokens with "/" anywhere in them, alone or repeated
+slashed_tokens = st.lists(st.just("/") | tokens, min_size=1, max_size=4).map("".join)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_tagged_corpus_round_trips(data):
+    scheme = LabelScheme(data.draw(st.lists(entity_types, unique=True, max_size=3)))
+    item = st.tuples(slashed_tokens, st.sampled_from(scheme.labels))
+    sents = [TaggedSentence(*map(list, zip(*items)))
+             for items in data.draw(st.lists(st.lists(item, min_size=1, max_size=5),
+                                             max_size=4))]
+    assert round_trip(save_tagged_corpus, load_tagged_corpus, sents) == sents
 
 
 def failing_sentences():

@@ -3,7 +3,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import finite_values, round_trip, tokens
 from sememevec.corpus import Corpus, ParseError
 from sememevec.embedding import (
     ARCHITECTURES,
@@ -439,6 +441,12 @@ class TestSerialization:
         back = load_space(str(p))
         assert back.tokens == ["房租"] and np.array_equal(back.get("房租"), [1.0, 2.0])
 
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "v.vec"
+        p.write_text("", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 1: malformed header ''"):
+            load_space(str(p))
+
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "v.vec"
         p.write_text("not a header\n", encoding="utf-8")
@@ -475,3 +483,20 @@ class TestSerialization:
         p.write_text("2 2\na 1.0 2.0\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_space(str(p))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_space_round_trip_keeps_order_and_settles(data):
+    # rows are written at 9 significant digits, so the first reload may
+    # round; every later one must read back the same bits
+    dim = data.draw(st.integers(1, 3))
+    space = EmbeddingSpace(dim)
+    for tok in data.draw(st.lists(tokens, unique=True, max_size=6)):
+        space.add(tok, data.draw(st.lists(finite_values, min_size=dim, max_size=dim)))
+    once = round_trip(save_space, load_space, space)
+    twice = round_trip(save_space, load_space, once)
+    assert once.tokens == twice.tokens == space.tokens
+    for tok, vec in space.items():
+        assert np.allclose(once.get(tok), vec, rtol=1e-8, atol=0.0)
+        assert twice.get(tok).tobytes() == once.get(tok).tobytes()

@@ -1,10 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_strings, char_cos_oracle, edit_distance_oracle, lcs_len_oracle
+from conftest import (
+    all_strings,
+    char_cos_oracle,
+    edit_distance_oracle,
+    finite_values,
+    lcs_len_oracle,
+    round_trip,
+)
 from sememevec.corpus import ParseError
 from sememevec.morphsim import (
     SamplingError,
@@ -260,6 +268,14 @@ def test_top_k_equals_brute_force(data):
     )
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.builds(SimilarityModel, finite_values, finite_values, finite_values, finite_values))
+def test_similarity_model_round_trips_exactly(model):
+    back = round_trip(save_similarity_model, load_similarity_model, model)
+    exact = [np.float64(v).tobytes() for v in dataclasses.astuple(model)]
+    assert [np.float64(v).tobytes() for v in dataclasses.astuple(back)] == exact
+
+
 class TestModelSerialization:
     def test_round_trip_exact(self, tmp_path):
         m = SimilarityModel(w_lcs=0.1234567890123, w_edit=-2.5, w_cos=1e-17, bias=3.0)
@@ -272,6 +288,12 @@ class TestModelSerialization:
         p = tmp_path / "m.model"
         p.write_text("lcs 1.0\n", encoding="utf-8")
         with pytest.raises(ParseError):
+            load_similarity_model(str(p))
+
+    def test_repeated_field_rejected(self, tmp_path):
+        p = tmp_path / "m.model"
+        p.write_text("w_lcs 1\nw_lcs 5\nw_edit 0\nw_cos 0\nbias 0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: repeated field 'w_lcs'"):
             load_similarity_model(str(p))
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -2,12 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import entity_types, finite_values, round_trip
 from sememevec.corpus import ParseError
 from sememevec.embedding import EmbeddingSpace
 from sememevec.tagger import (
     FeatureSpec,
     LabelScheme,
+    TaggerModel,
     assemble_features,
     load_tagger,
     predict,
@@ -132,6 +135,22 @@ def random_problem(seed=23, n=40, d=6, classes=3):
     while len(np.unique(y)) < 2:
         y = rng.integers(0, classes, n)
     return X, y
+
+
+# values whose "%.17g" text is easy to get wrong: signed zeros, the smallest
+# subnormal, a huge magnitude and a repeating binary fraction
+AWKWARD = [0.0, -0.0, 5e-324, 1e300, -1e300, 1.0 / 3.0]
+
+
+def fixed_model(entity_types, spec, lam=0.25):
+    """A model with fixed weights; the first values are the AWKWARD ones."""
+    scheme = LabelScheme(entity_types)
+    n_classes, n_features = len(scheme), spec.feature_length
+    values = np.arange(n_classes * (n_features + 1), dtype=np.float64) / 7.0 - 1.5
+    values[:len(AWKWARD)] = AWKWARD
+    weights = values[:n_classes * n_features].reshape(n_classes, n_features)
+    bias = values[n_classes * n_features:].copy()
+    return TaggerModel(weights, bias, lam, spec=spec, scheme=scheme)
 
 
 class TestLogreg:
@@ -464,6 +483,29 @@ class TestSerialization:
         with pytest.raises(ParseError, match=message):
             load_tagger(str(p))
 
+    def test_trailing_line_rejected(self, tmp_path):
+        p = tmp_path / "t.model"
+        save_tagger(fixed_model(["Date"], FeatureSpec(dim=2, window_radius=1)), str(p))
+        n_lines = len(p.read_text(encoding="utf-8").splitlines())
+        with open(p, "a", encoding="utf-8") as fh:
+            fh.write("0.5 0.5 0.5\n")
+        with pytest.raises(ParseError, match=f"line {n_lines + 1}: unexpected line"):
+            load_tagger(str(p))
+
+    @pytest.mark.parametrize("line, text", [
+        (4, "use-context 2"),
+        (5, "use-hownet -1"),
+        (6, "use-char true"),
+    ])
+    def test_flag_other_than_0_or_1_rejected(self, tmp_path, line, text):
+        p = tmp_path / "t.model"
+        save_tagger(fixed_model(["Date"], FeatureSpec(dim=2, window_radius=1)), str(p))
+        lines = p.read_text(encoding="utf-8").splitlines()
+        lines[line - 1] = text
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line {line}: expected 0 or 1"):
+            load_tagger(str(p))
+
     @pytest.mark.parametrize("where", ["lambda", "weight", "bias"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, where, bad):
@@ -481,3 +523,54 @@ class TestSerialization:
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match=f"line {at + 1}:"):
             load_tagger(str(p))
+
+
+class TestTaggerFileDigest:
+    """Pins the bytes save_tagger writes for fixed models.
+
+    The digests were recorded before the loader and writer were rewritten to
+    share one key table; a change to the file format must update them and
+    say so.
+    """
+
+    @pytest.mark.parametrize("types, spec, expected", [
+        ([], FeatureSpec(dim=2, window_radius=1),
+         "f46aba0ba91fbc0ebc8266e2846f8e4c0fb2523172e3100d6f1f692ea7444108"),
+        (["Date"], FeatureSpec(dim=2, window_radius=0, use_hownet=False),
+         "d3f829784be0ee6aa576de38c780e1d15ff3f0aeec166fd3fc42676700b69c23"),
+        (["Date", "Time"], FeatureSpec(dim=3, window_radius=2),
+         "153fb2db9f77c8814dc7c083de56f006342cf09fff4363356b0cd856bae2d4e8"),
+        (["Time"], FeatureSpec(dim=2, use_context=False, use_char=False),
+         "cd2e07134f5dae71bb59b22da8c043c89a379165ce0fcc07444192c656208be6"),
+    ])
+    def test_digest(self, tmp_path, types, spec, expected):
+        model = fixed_model(types, spec)
+        p = tmp_path / "t.model"
+        save_tagger(model, str(p))
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == expected
+        back = load_tagger(str(p))
+        assert back.weights.tobytes() == model.weights.tobytes()
+        assert back.bias.tobytes() == model.bias.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_tagger_file_round_trips_exactly(data):
+    scheme = LabelScheme(data.draw(st.lists(entity_types, unique=True, max_size=3)))
+    spec = FeatureSpec(
+        dim=data.draw(st.integers(1, 3)), window_radius=data.draw(st.integers(0, 2)),
+        use_context=data.draw(st.booleans()), use_hownet=data.draw(st.booleans()),
+        use_char=data.draw(st.booleans()),
+    )
+    shape = (len(scheme), spec.feature_length)
+    values = data.draw(st.lists(finite_values, min_size=shape[0] * (shape[1] + 1),
+                                max_size=shape[0] * (shape[1] + 1)))
+    weights = np.array(values[:shape[0] * shape[1]], dtype=np.float64).reshape(shape)
+    bias = np.array(values[shape[0] * shape[1]:], dtype=np.float64)
+    model = TaggerModel(weights, bias, data.draw(finite_values), spec=spec, scheme=scheme)
+    back = round_trip(save_tagger, load_tagger, model)
+    assert back.weights.shape == shape
+    assert back.weights.tobytes() == weights.tobytes()
+    assert back.bias.tobytes() == bias.tobytes()
+    assert np.float64(back.lam).tobytes() == np.float64(model.lam).tobytes()
+    assert back.spec == spec and back.scheme == scheme
