@@ -24,6 +24,14 @@ def finite_floats(values, lineno, path):
     return floats
 
 
+def ascii_int(text):
+    """Parse ASCII digits with an optional leading "-"; int() alone also
+    takes "+1", "1_0", surrounding spaces and non-ASCII digits."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
+
+
 _ITEM = re.compile(r"\S+")
 _WHITESPACE = re.compile(r"\s")
 

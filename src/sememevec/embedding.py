@@ -28,6 +28,7 @@ import numpy as np
 from .corpus import (
     Corpus,
     ParseError,
+    ascii_int,
     atomic_text_writer,
     build_vocabulary,
     iter_utf8_lines,
@@ -162,9 +163,8 @@ def _descend(matrix, rows, grads, live, alpha):
     """
     dim = matrix.shape[1]
     rows = rows.ravel()
-    _, inverse = np.unique(rows, return_inverse=True)
-    hits = np.maximum(np.bincount(inverse, weights=live.ravel()), 1.0)
-    rate = np.minimum(alpha, ROW_RATE_CAP / hits)[inverse]
+    hits = np.maximum(np.bincount(rows, weights=live.ravel())[rows], 1.0)
+    rate = np.minimum(alpha, ROW_RATE_CAP / hits)
     steps = grads.reshape(-1, dim) * -rate[:, None]
     # np.add.at on the flat buffer takes numpy's fast one-dimensional path
     flat = (rows * dim)[:, None] + np.arange(dim)
@@ -285,7 +285,7 @@ def load_space(path, name=""):
     lines = iter_utf8_lines(path)
     _, header = next(lines, (1, ""))
     try:
-        size, dim = map(int, header.split())
+        size, dim = map(ascii_int, header.split())
     except ValueError:
         raise ParseError(f"{path}: line 1: malformed header {header!r}") from None
     if size < 0 or dim < 1:
@@ -293,8 +293,6 @@ def load_space(path, name=""):
 
     space = EmbeddingSpace(dim, name=name)
     for lineno, line in lines:
-        if not line:
-            continue
         fields = line.split()
         if len(fields) != dim + 1:
             raise ParseError(

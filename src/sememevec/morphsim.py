@@ -278,8 +278,6 @@ def load_similarity_model(path):
     names = [f.name for f in fields(SimilarityModel)]
     values = {}
     for lineno, line in iter_utf8_lines(path):
-        if not line.strip():
-            continue
         parts = line.split()
         if len(parts) != 2 or parts[0] not in names:
             raise ParseError(f"{path}: line {lineno}: expected 'name value'")

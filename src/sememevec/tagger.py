@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import ParseError, atomic_text_writer, finite_floats, iter_utf8_lines
+from .corpus import ParseError, ascii_int, atomic_text_writer, finite_floats, iter_utf8_lines
 
 
 class LabelScheme:
@@ -275,18 +275,14 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500,
 
 
 def predict(model, features):
-    """Softmax probabilities and the argmax label index (ties: smallest index)."""
+    """The label index of each row of the (n, F) features: the argmax of
+    features @ W.T + b, the logits train_logreg fits (ties: smallest index)."""
     x = np.asarray(features, dtype=np.float64)
-    if x.shape != (model.weights.shape[1],):
+    if x.ndim != 2 or x.shape[1] != model.weights.shape[1]:
         raise ValueError(
-            f"feature length {x.shape} does not match model "
-            f"({model.weights.shape[1]},)"
+            f"feature rows {x.shape} do not match model (n, {model.weights.shape[1]})"
         )
-    z = model.weights @ x + model.bias
-    z = z - z.max()
-    probs = np.exp(z)
-    probs /= probs.sum()
-    return int(np.argmax(probs)), probs
+    return (x @ model.weights.T + model.bias).argmax(axis=1)
 
 
 def repair_bi(labels):
@@ -303,15 +299,14 @@ def repair_bi(labels):
 
 
 def tag_sentence(model, sentence, word_space, hownet_fn, char_space):
-    """Independent per-token prediction followed by BI repair."""
+    """Independent per-token labels, predicted for all the sentence's feature
+    rows at once, followed by BI repair."""
     if model.spec is None or model.scheme is None:
         raise ValueError("model carries no feature spec or label scheme")
-    labels = []
+    x = np.zeros((len(sentence), model.spec.feature_length))
     for i in range(len(sentence)):
-        x = assemble_features(sentence, i, word_space, hownet_fn, char_space, model.spec)
-        idx, _ = predict(model, x)
-        labels.append(model.scheme.label(idx))
-    return repair_bi(labels)
+        x[i] = assemble_features(sentence, i, word_space, hownet_fn, char_space, model.spec)
+    return repair_bi([model.scheme.label(idx) for idx in predict(model, x)])
 
 
 def _flag(text):
@@ -333,14 +328,14 @@ TAGGER_MAGIC = "tagger-model v1"
 # key, the fields written after it, and the parser of the text after it.
 _HEADER = (
     ("entity-types", lambda m: m.scheme.entity_types, lambda s: LabelScheme(s.split())),
-    ("window-radius", lambda m: [m.spec.window_radius], int),
+    ("window-radius", lambda m: [m.spec.window_radius], ascii_int),
     ("use-context", lambda m: [int(m.spec.use_context)], _flag),
     ("use-hownet", lambda m: [int(m.spec.use_hownet)], _flag),
     ("use-char", lambda m: [int(m.spec.use_char)], _flag),
-    ("dim", lambda m: [m.spec.dim], int),
+    ("dim", lambda m: [m.spec.dim], ascii_int),
     ("lambda", lambda m: [f"{m.lam:.17g}"], _finite),
-    ("classes", lambda m: [m.weights.shape[0]], int),
-    ("features", lambda m: [m.weights.shape[1]], int),
+    ("classes", lambda m: [m.weights.shape[0]], ascii_int),
+    ("features", lambda m: [m.weights.shape[1]], ascii_int),
 )
 
 

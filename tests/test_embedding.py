@@ -453,6 +453,22 @@ class TestSerialization:
         with pytest.raises(ParseError, match="line 1"):
             load_space(str(p))
 
+    # int() would read these headers as 10, 1 and 1 rows
+    @pytest.mark.parametrize("size, rows", [("1_0", 10), ("+1", 1), ("\u0661", 1)])
+    def test_header_integer_other_than_ascii_digits_rejected(self, tmp_path, size, rows):
+        p = tmp_path / "v.vec"
+        p.write_text(f"{size} 2\n" + "".join(f"w{i} 1 2\n" for i in range(rows)),
+                     encoding="utf-8")
+        with pytest.raises(ParseError, match="line 1: malformed header"):
+            load_space(str(p))
+
+    @pytest.mark.parametrize("text, line", [("1 2\n\n\na 1 2\n\n", 2), ("1 2\na 1 2\n\n", 3)])
+    def test_blank_line_rejected(self, tmp_path, text, line):
+        p = tmp_path / "v.vec"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line {line}: expected 1 token and 2 values"):
+            load_space(str(p))
+
     def test_wrong_field_count(self, tmp_path):
         p = tmp_path / "v.vec"
         p.write_text("1 3\na 1.0 2.0\n", encoding="utf-8")

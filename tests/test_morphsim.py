@@ -296,6 +296,17 @@ class TestModelSerialization:
         with pytest.raises(ParseError, match="line 2: repeated field 'w_lcs'"):
             load_similarity_model(str(p))
 
+    @pytest.mark.parametrize("text, line", [
+        ("\nw_lcs 1\nw_edit 0\nw_cos 0\nbias 0\n", 1),
+        ("w_lcs 1\nw_edit 0\n\nw_cos 0\nbias 0\n", 3),
+        ("w_lcs 1\nw_edit 0\nw_cos 0\nbias 0\n\n", 5),
+    ])
+    def test_blank_line_rejected(self, tmp_path, text, line):
+        p = tmp_path / "m.model"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line {line}: expected 'name value'"):
+            load_similarity_model(str(p))
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, bad):
         p = tmp_path / "m.model"

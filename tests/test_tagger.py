@@ -186,8 +186,7 @@ class TestLogreg:
         X = np.vstack([rng.normal(0, 0.5, (20, 4)) + 4, rng.normal(0, 0.5, (20, 4)) - 4])
         y = np.array([0] * 20 + [1] * 20)
         m = train_logreg(X, y, lam=1e-4, max_iter=300)
-        preds = [predict(m, x)[0] for x in X]
-        assert np.mean(np.array(preds) == y) == 1.0
+        assert np.mean(predict(m, X) == y) == 1.0
 
     def test_regularization_shrinks_weights(self):
         X, y = random_problem()
@@ -210,9 +209,8 @@ class TestLogreg:
     def test_zero_iterations_uniform(self):
         X, y = random_problem()
         m = train_logreg(X, y, lam=0.1, max_iter=0)
-        idx, probs = predict(m, X[0])
-        assert idx == 0
-        assert np.allclose(probs, np.full(3, 1.0 / 3.0), atol=1e-12)
+        assert np.array_equal(predict(m, X), np.zeros(len(X)))
+        assert np.allclose(X @ m.weights.T + m.bias, 0.0, atol=1e-12)
 
     def test_deterministic(self):
         X, y = random_problem()
@@ -326,15 +324,6 @@ class TestLogregDigest:
 
 
 class TestPredict:
-    def test_probabilities_sum_to_one(self):
-        X, y = random_problem()
-        m = train_logreg(X, y, lam=0.1, max_iter=30)
-        rng = np.random.default_rng(37)
-        for _ in range(1000):
-            _, probs = predict(m, rng.normal(0, 3, 6))
-            assert abs(probs.sum() - 1.0) <= 1e-9
-            assert np.all(probs >= 0)
-
     def test_scaling_keeps_argmax(self):
         X, y = random_problem()
         m = train_logreg(X, y, lam=0.1, max_iter=30)
@@ -342,16 +331,20 @@ class TestPredict:
         m2 = copy.deepcopy(m)
         m2.weights = m.weights * 7.0
         m2.bias = m.bias * 7.0
-        rng = np.random.default_rng(41)
-        for _ in range(100):
-            x = rng.normal(0, 1, 6)
-            assert predict(m, x)[0] == predict(m2, x)[0]
+        x = np.random.default_rng(41).normal(0, 1, (100, 6))
+        assert np.array_equal(predict(m, x), predict(m2, x))
 
     def test_dimension_mismatch(self):
         X, y = random_problem()
         m = train_logreg(X, y, lam=0.1, max_iter=5)
         with pytest.raises(ValueError):
-            predict(m, np.zeros(7))
+            predict(m, np.zeros((1, 7)))
+
+    def test_single_vector_rejected(self):
+        X, y = random_problem()
+        m = train_logreg(X, y, lam=0.1, max_iter=5)
+        with pytest.raises(ValueError):
+            predict(m, X[0])
 
 
 class TestRepair:
@@ -405,6 +398,50 @@ class TestTagSentence:
         for i, lab in enumerate(got):
             if lab.startswith("I-"):
                 assert got[i - 1].endswith(lab[2:])
+
+    def test_equals_stacked_rows_oracle(self):
+        words, chars, hownet_fn = toy_spaces()
+        # "不在" and "外" have no vector in any source
+        vocab = ["甲日", "乙山", "丙日", "不在", "外"]
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            spec = FeatureSpec(dim=4, window_radius=int(rng.integers(0, 3)),
+                               use_context=bool(rng.integers(2)),
+                               use_hownet=bool(rng.integers(2)),
+                               use_char=bool(rng.integers(2)))
+            scheme = LabelScheme(["Date", "Time"][:rng.integers(0, 3)])
+            model = TaggerModel(rng.normal(0, 1, (len(scheme), spec.feature_length)),
+                                rng.normal(0, 1, len(scheme)), 1.0,
+                                spec=spec, scheme=scheme)
+            sent = [vocab[k] for k in rng.integers(0, len(vocab), rng.integers(1, 7))]
+            X = np.array([assemble_features(sent, i, words, hownet_fn, chars, spec)
+                          for i in range(len(sent))])
+            want = [scheme.label(k) for k in np.argmax(X @ model.weights.T + model.bias,
+                                                       axis=1)]
+            assert tag_sentence(model, sent, words, hownet_fn, chars) == repair_bi(want)
+
+    def test_empty_sentence(self):
+        model, words, chars, hownet_fn = self.trained()
+        assert tag_sentence(model, [], words, hownet_fn, chars) == []
+
+    def test_one_feature_row_per_position_one_prediction(self, monkeypatch):
+        # the benchmark's tracing times these two calls under these names
+        import sememevec.tagger as tagger_module
+        model, words, chars, hownet_fn = self.trained()
+        calls = {"assemble_features": 0, "predict": 0}
+
+        def counted(name):
+            fn = getattr(tagger_module, name)
+
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(tagger_module, name, counted(name))
+        tag_sentence(model, ["乙山", "甲日", "丙日"], words, hownet_fn, chars)
+        assert calls == {"assemble_features": 3, "predict": 1}
 
 
 class TestSerialization:
@@ -504,6 +541,24 @@ class TestSerialization:
         lines[line - 1] = text
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match=f"line {line}: expected 0 or 1"):
+            load_tagger(str(p))
+
+    # int() would read each of these as the value the writer put there
+    @pytest.mark.parametrize("line, text", [
+        (3, "window-radius +1"),
+        (3, "window-radius  1"),
+        (7, "dim \u0662"),
+        (9, "classes +3"),
+        (10, "features 1_0"),
+    ])
+    def test_integer_other_than_ascii_digits_rejected(self, tmp_path, line, text):
+        p = tmp_path / "t.model"
+        save_tagger(fixed_model(["Date"], FeatureSpec(dim=2, window_radius=1)), str(p))
+        lines = p.read_text(encoding="utf-8").splitlines()
+        assert lines[line - 1].split() == [text.split()[0], str(int(text.split()[1]))]
+        lines[line - 1] = text
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line {line}: malformed integer"):
             load_tagger(str(p))
 
     @pytest.mark.parametrize("where", ["lambda", "weight", "bias"])
