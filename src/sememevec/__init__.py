@@ -31,6 +31,7 @@ from .evaluate import (
     spearman,
 )
 from .morphsim import (
+    CandidateIndex,
     SamplingError,
     SimilarityModel,
     SynonymThesaurus,

@@ -31,7 +31,9 @@ from .corpus import (
     ascii_int,
     atomic_text_writer,
     build_vocabulary,
+    check_written,
     iter_utf8_lines,
+    split_fields,
 )
 
 LR_FLOOR_FRACTION = 1e-4
@@ -91,7 +93,7 @@ class EmbeddingSpace:
             raise ValueError(
                 f"vector for {token!r} has shape {vec.shape}, expected ({self.dim},)"
             )
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise ValueError(f"vector for {token!r} has non-finite components")
         self._vectors[token] = vec
 
@@ -285,7 +287,7 @@ def load_space(path, name=""):
     lines = iter_utf8_lines(path)
     _, header = next(lines, (1, ""))
     try:
-        size, dim = map(ascii_int, header.split())
+        size, dim = map(ascii_int, split_fields(header, 1, path))
     except ValueError:
         raise ParseError(f"{path}: line 1: malformed header {header!r}") from None
     if size < 0 or dim < 1:
@@ -293,7 +295,7 @@ def load_space(path, name=""):
 
     space = EmbeddingSpace(dim, name=name)
     for lineno, line in lines:
-        fields = line.split()
+        fields = split_fields(line, lineno, path)
         if len(fields) != dim + 1:
             raise ParseError(
                 f"{path}: line {lineno}: expected 1 token and {dim} values, "
@@ -301,6 +303,7 @@ def load_space(path, name=""):
             )
         if fields[0] in space:
             raise ParseError(f"{path}: line {lineno}: duplicate token {fields[0]!r}")
+        check_written(fields[1:], lineno, path)
         try:
             # add is the one finiteness check; the error gains the line here
             space.add(fields[0], list(map(float, fields[1:])))

@@ -8,14 +8,20 @@ retrieve in-vocabulary neighbours for rare and unseen words.
 """
 
 import heapq
+import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corpus import ParseError, atomic_text_writer, finite_floats, iter_utf8_lines
+from .corpus import (
+    ParseError,
+    atomic_text_writer,
+    iter_utf8_lines,
+    split_fields,
+    written_floats,
+)
 
 
 class SamplingError(ValueError):
@@ -62,10 +68,11 @@ def edit_sim(a, b):
 def char_cos_sim(a, b):
     """Cosine between character-count vectors over the union alphabet."""
     _check_nonempty(a, b)
-    ca, cb = Counter(a), Counter(b)
+    ca = {ch: a.count(ch) for ch in set(a)}
+    cb = {ch: b.count(ch) for ch in set(b)}
     if ca == cb:
         return 1.0
-    dot = sum(n * cb[ch] for ch, n in ca.items())
+    dot = sum(n * cb.get(ch, 0) for ch, n in ca.items())
     if dot == 0:
         return 0.0
     # single square root keeps integer-exact cases exact
@@ -237,33 +244,60 @@ def word_similarity(model, a, b):
     return similarity_from_features(model, morph_features(a, b))
 
 
+class CandidateIndex:
+    """Candidate words in sorted order, with the ids of the words holding each
+    character; iterates over its words."""
+
+    def __init__(self, candidates):
+        self.words = sorted(candidates)
+        if self.words and not self.words[0]:
+            raise ValueError("candidate words must be non-empty")
+        self._ids = {}
+        for i, word in enumerate(self.words):
+            for ch in set(word):
+                self._ids.setdefault(ch, []).append(i)
+
+    def sharing(self, word):
+        """The ids of the words sharing at least one character with word."""
+        ids = set()
+        for ch in set(word):
+            ids.update(self._ids.get(ch, ()))
+        return ids
+
+    def __iter__(self):
+        return iter(self.words)
+
+
 def top_k_similar(model, word, candidates, k=5):
     """The k highest-scoring candidate words, never the query word itself.
 
     Descending score, ties broken by lexicographic word order; fewer than k
-    results only when candidates run out.
+    results only when candidates run out. candidates is a CandidateIndex or
+    an iterable of words, which is indexed on each call.
 
     Only candidates that share a character with the query are scored by the
     three measures. One that shares none has LCS 0, Levenshtein equal to the
     longer length (no aligned pair can match) and a zero count dot product,
     so its features are exactly (0, 0, 0) and its score is the floor
-    sigmoid(bias), computed once by the same arithmetic as every pair. The
-    result is therefore identical to scoring every candidate; weights may be
+    sigmoid(bias), computed once by the same arithmetic as every pair. All
+    of them tie at the floor, so only the first k in word order can rank,
+    and the result is identical to scoring every candidate; weights may be
     negative, so a sharing candidate can rank below the floor.
     """
     if not word:
         raise ValueError("query word must be non-empty")
     if k < 1:
         raise ValueError("k must be at least 1")
-    chars = set(word)
+    if not isinstance(candidates, CandidateIndex):
+        candidates = CandidateIndex(candidates)
+    words = candidates.words
+    sharing = candidates.sharing(word)
     floor = similarity_from_features(model, (0.0, 0.0, 0.0))
-    # an empty candidate still reaches word_similarity, which rejects it
-    scored = [
-        (tok, floor if tok and chars.isdisjoint(tok)
-         else word_similarity(model, word, tok))
-        for tok in candidates
-        if tok != word
-    ]
+    scored = [(words[i], word_similarity(model, word, words[i]))
+              for i in sharing if words[i] != word]
+    # the query shares its own characters, so no floor word is the query
+    floored = (w for i, w in enumerate(words) if i not in sharing)
+    scored.extend((w, floor) for w in itertools.islice(floored, k))
     return heapq.nsmallest(k, scored, key=lambda ts: (-ts[1], ts[0]))
 
 
@@ -278,12 +312,12 @@ def load_similarity_model(path):
     names = [f.name for f in fields(SimilarityModel)]
     values = {}
     for lineno, line in iter_utf8_lines(path):
-        parts = line.split()
+        parts = split_fields(line, lineno, path)
         if len(parts) != 2 or parts[0] not in names:
             raise ParseError(f"{path}: line {lineno}: expected 'name value'")
         if parts[0] in values:
             raise ParseError(f"{path}: line {lineno}: repeated field {parts[0]!r}")
-        values[parts[0]] = finite_floats(parts[1:], lineno, path)[0]
+        values[parts[0]] = written_floats(parts[1:], lineno, path)[0]
     missing = set(names) - values.keys()
     if missing:
         raise ParseError(f"{path}: missing fields {sorted(missing)}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingSpace
-from .morphsim import top_k_similar
+from .morphsim import CandidateIndex, top_k_similar
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,7 @@ def build_combined_space(target_words, original, model, vocab, config=None):
         raise ValueError("no target words")
     cfg = config if config is not None else CombinedSpaceConfig()
     space = EmbeddingSpace(original.dim, name="combined")
+    candidates = CandidateIndex(vocab)
     for word in sorted(set(target_words)):
         tf = vocab.tf(word)
         if tf > cfg.rare_tf_threshold:
@@ -122,7 +123,7 @@ def build_combined_space(target_words, original, model, vocab, config=None):
             if vec is not None:
                 space.add(word, vec)
             continue
-        neighbors = top_k_similar(model, word, vocab, cfg.k)
+        neighbors = top_k_similar(model, word, candidates, cfg.k)
         similar = similar_word_vector(neighbors, original, vocab)
         stored = original.get(word)
         if stored is None and similar is None:

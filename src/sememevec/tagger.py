@@ -8,13 +8,20 @@ changes. Predicted label sequences are repaired afterwards so that no
 I-label appears without a same-type predecessor.
 """
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import ParseError, ascii_int, atomic_text_writer, finite_floats, iter_utf8_lines
+from .corpus import (
+    ParseError,
+    ascii_int,
+    atomic_text_writer,
+    iter_utf8_lines,
+    split_fields,
+    written_float,
+    written_floats,
+)
 
 
 class LabelScheme:
@@ -315,25 +322,19 @@ def _flag(text):
     return text == "1"
 
 
-def _finite(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("non-finite value")
-    return value
-
-
 TAGGER_MAGIC = "tagger-model v1"
 
 # The header lines of a tagger file after TAGGER_MAGIC, in file order: the
 # key, the fields written after it, and the parser of the text after it.
 _HEADER = (
-    ("entity-types", lambda m: m.scheme.entity_types, lambda s: LabelScheme(s.split())),
+    ("entity-types", lambda m: m.scheme.entity_types,
+     lambda s: LabelScheme(s.split(" ") if s else [])),
     ("window-radius", lambda m: [m.spec.window_radius], ascii_int),
     ("use-context", lambda m: [int(m.spec.use_context)], _flag),
     ("use-hownet", lambda m: [int(m.spec.use_hownet)], _flag),
     ("use-char", lambda m: [int(m.spec.use_char)], _flag),
     ("dim", lambda m: [m.spec.dim], ascii_int),
-    ("lambda", lambda m: [f"{m.lam:.17g}"], _finite),
+    ("lambda", lambda m: [f"{m.lam:.17g}"], written_float),
     ("classes", lambda m: [m.weights.shape[0]], ascii_int),
     ("features", lambda m: [m.weights.shape[1]], ascii_int),
 )
@@ -369,8 +370,9 @@ def load_tagger(path):
 
     def header_value(key, parse):
         lineno, line = next_line(f"'{key}'")
-        name, _, text = line.partition(" ")
-        if name != key:
+        name, sep, text = line.partition(" ")
+        # "key " would otherwise read as a key with no fields
+        if name != key or sep and not text:
             raise ParseError(f"{path}: line {lineno}: expected '{key} ...', got {line!r}")
         try:
             return parse(text)
@@ -384,11 +386,11 @@ def load_tagger(path):
         rows = []
         for _ in range(n_rows):
             lineno, line = next_line(what)
-            values = line.split()
+            values = split_fields(line, lineno, path)
             if len(values) != width:
                 raise ParseError(f"{path}: line {lineno}: expected {width} {what}, "
                                  f"got {len(values)}")
-            rows.append(finite_floats(values, lineno, path))
+            rows.append(written_floats(values, lineno, path))
         return np.array(rows, dtype=np.float64)
 
     scheme, radius, use_context, use_hownet, use_char, dim, lam, n_classes, n_features = (

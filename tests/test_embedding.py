@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -498,6 +499,30 @@ class TestSerialization:
         p = tmp_path / "v.vec"
         p.write_text("2 2\na 1.0 2.0\n", encoding="utf-8")
         with pytest.raises(ParseError):
+            load_space(str(p))
+
+    # save_space joins every field with one space; split() read all of
+    # these, the first as one row a = [1, 2]
+    @pytest.mark.parametrize("text, line", [
+        ("1\t 2\na  1\t2 \n", 1),
+        ("1 2\na  1 2\n", 2),
+        ("1 2\na 1\t2\n", 2),
+        ("1 2\n a 1 2\n", 2),
+        ("1 2\na 1 2 \n", 2),
+        ("1 2\n房\u3000租 1 2\n", 2),
+    ])
+    def test_field_separator_other_than_one_space_rejected(self, tmp_path, text, line):
+        p = tmp_path / "v.vec"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line {line}: "):
+            load_space(str(p))
+
+    # float() reads each of these, "1_0" as 10 and "١" as 1
+    @pytest.mark.parametrize("bad", ["1_0", "+1", "\u0661", ".5", "1.", "1e5", "1E+5"])
+    def test_number_save_space_cannot_write_rejected(self, tmp_path, bad):
+        p = tmp_path / "v.vec"
+        p.write_text(f"1 2\na 1 {bad}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 2: malformed number '{re.escape(bad)}'"):
             load_space(str(p))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
 )
 from sememevec.corpus import ParseError
 from sememevec.morphsim import (
+    CandidateIndex,
     SamplingError,
     SimilarityModel,
     SynonymThesaurus,
@@ -243,6 +245,22 @@ class TestScoring:
             top_k_similar(self.model(), "甲日", ["乙日", ""], k=1)
 
 
+class TestCandidateIndex:
+    def test_iterates_words_in_sorted_order(self):
+        words = ["乙日", "ab", "甲日", "a", "戊山"]
+        assert list(CandidateIndex(words)) == sorted(words)
+
+    def test_sharing_ids_name_words_with_a_common_character(self):
+        index = CandidateIndex(["乙日", "戊山", "甲日", "山日"])
+        sharing = sorted(index.words[i] for i in index.sharing("日月"))
+        assert sharing == ["乙日", "山日", "甲日"]
+        assert index.sharing("月") == set()
+
+    def test_empty_candidate_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            CandidateIndex(["乙日", ""])
+
+
 def brute_force_top_k(model, word, candidates, k):
     # score every candidate by the three measures, then sort
     scored = [
@@ -263,9 +281,15 @@ def test_top_k_equals_brute_force(data):
     word = data.draw(st.one_of(st.sampled_from(candidates), short_words))
     model = SimilarityModel(*(data.draw(weight) for _ in range(4)))
     k = data.draw(st.integers(min_value=1, max_value=len(candidates) + 2))
-    assert top_k_similar(model, word, candidates, k) == brute_force_top_k(
-        model, word, candidates, k
-    )
+    expected = brute_force_top_k(model, word, candidates, k)
+    assert top_k_similar(model, word, candidates, k) == expected
+    # a prebuilt index answers every query the list would
+    index = CandidateIndex(candidates)
+    assert top_k_similar(model, word, index, k) == expected
+    for other in candidates:
+        assert top_k_similar(model, other, index, k) == brute_force_top_k(
+            model, other, candidates, k
+        )
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -305,6 +329,28 @@ class TestModelSerialization:
         p = tmp_path / "m.model"
         p.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=f"line {line}: expected 'name value'"):
+            load_similarity_model(str(p))
+
+    # save_similarity_model writes "name value"; split() read these
+    @pytest.mark.parametrize("text, line", [
+        ("w_lcs\t 1\nw_edit 0\nw_cos 0\nbias 0\n", 1),
+        ("w_lcs 1\nw_edit  0\nw_cos 0\nbias 0\n", 2),
+        ("w_lcs 1\nw_edit 0\nw_cos 0 \nbias 0\n", 3),
+        ("w_lcs 1\nw_edit 0\nw_cos 0\n bias 0\n", 4),
+        ("w_lcs 1\nw_edit 0\nw_cos 0\nbias\u30000\n", 4),
+    ])
+    def test_field_separator_other_than_one_space_rejected(self, tmp_path, text, line):
+        p = tmp_path / "m.model"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line {line}: fields must be separated"):
+            load_similarity_model(str(p))
+
+    # float() reads each of these, "1_5" as 15.0
+    @pytest.mark.parametrize("bad", ["1_5", "+1", "\u0661", ".5", "1.", "1e5"])
+    def test_number_the_writer_cannot_print_rejected(self, tmp_path, bad):
+        p = tmp_path / "m.model"
+        p.write_text(f"w_lcs 1\nw_edit 0\nw_cos 0\nbias {bad}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 4: malformed number '{re.escape(bad)}'"):
             load_similarity_model(str(p))
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

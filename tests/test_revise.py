@@ -1,9 +1,12 @@
 import dataclasses
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import sememevec.morphsim
+import sememevec.revise
 from sememevec.corpus import Corpus, build_vocabulary
 from sememevec.embedding import EmbeddingSpace, save_space
 from sememevec.morphsim import (
@@ -254,3 +257,32 @@ class TestCombinedSpaceDigest:
         save_space(out, str(path))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == COMBINED_DIGESTS[kind]
+
+
+def test_one_index_and_one_score_per_sharing_pair(monkeypatch):
+    targets, space, vocab, words = revision_inputs()
+    cfg = CombinedSpaceConfig(k=12)
+    indexes, scored = [], Counter()
+
+    class CountedIndex(sememevec.morphsim.CandidateIndex):
+        def __init__(self, candidates):
+            super().__init__(candidates)
+            indexes.append(self)
+
+    word_similarity = sememevec.morphsim.word_similarity
+
+    def counted(model, a, b):
+        scored[a, b] += 1
+        return word_similarity(model, a, b)
+
+    # top_k_similar would index a list of candidates under morphsim's name
+    monkeypatch.setattr(sememevec.morphsim, "CandidateIndex", CountedIndex)
+    monkeypatch.setattr(sememevec.revise, "CandidateIndex", CountedIndex)
+    monkeypatch.setattr(sememevec.morphsim, "word_similarity", counted)
+    build_combined_space(targets, space, trained_model(words), vocab, cfg)
+    rare = [w for w in targets if vocab.tf(w) <= cfg.rare_tf_threshold]
+    sharing = {(w, c) for w in rare for c in vocab if c != w and not set(w).isdisjoint(c)}
+    assert len(indexes) == 1
+    assert 0 < len(sharing) < len(rare) * (len(vocab) - 1)
+    assert scored.keys() == sharing
+    assert set(scored.values()) == {1}

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -559,6 +560,52 @@ class TestSerialization:
         lines[line - 1] = text
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match=f"line {line}: malformed integer"):
+            load_tagger(str(p))
+
+    # save_tagger joins every field with one space; split() read all of these
+    @pytest.mark.parametrize("line", [2, 12, 18])
+    @pytest.mark.parametrize("respace", [
+        lambda s: "\t".join(s.rsplit(" ", 1)),
+        lambda s: "  ".join(s.rsplit(" ", 1)),
+        lambda s: "\u3000".join(s.rsplit(" ", 1)),
+        lambda s: " " + s,
+        lambda s: s + " ",
+    ], ids=["tab", "two spaces", "U+3000", "leading space", "trailing space"])
+    def test_field_separator_other_than_one_space_rejected(self, tmp_path, line, respace):
+        p = tmp_path / "t.model"
+        spec = FeatureSpec(dim=2, window_radius=1, use_hownet=False, use_char=False)
+        save_tagger(fixed_model(["Date", "Time"], spec), str(p))
+        lines = p.read_text(encoding="utf-8").splitlines()
+        assert lines[1] == "entity-types Date Time" and lines[16] == "bias"
+        lines[line - 1] = respace(lines[line - 1])
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line {line}: "):
+            load_tagger(str(p))
+
+    def test_entity_types_line_with_trailing_space_and_no_types_rejected(self, tmp_path):
+        p = tmp_path / "t.model"
+        save_tagger(fixed_model([], FeatureSpec(dim=2, window_radius=1)), str(p))
+        lines = p.read_text(encoding="utf-8").splitlines()
+        assert lines[1] == "entity-types"
+        lines[1] = "entity-types "
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: "):
+            load_tagger(str(p))
+
+    # float() reads each of these
+    @pytest.mark.parametrize("where", ["lambda", "weight", "bias"])
+    @pytest.mark.parametrize("bad", ["1_0", "+1", "\u0661", ".5", "1."])
+    def test_number_save_tagger_cannot_write_rejected(self, tmp_path, where, bad):
+        p = tmp_path / "t.model"
+        save_tagger(fixed_model(["Date"], FeatureSpec(dim=2, window_radius=1)), str(p))
+        lines = p.read_text(encoding="utf-8").splitlines()
+        at = {"lambda": 7, "weight": 12, "bias": len(lines) - 1}[where]
+        fields = lines[at].split(" ")
+        fields[-1] = bad
+        lines[at] = " ".join(fields)
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = f"line {at + 1}: malformed number '{re.escape(bad)}'"
+        with pytest.raises(ParseError, match=message):
             load_tagger(str(p))
 
     @pytest.mark.parametrize("where", ["lambda", "weight", "bias"])
