@@ -56,8 +56,7 @@ from .revise import (
 from .sememe import (
     build_sememe_space,
     generate_replacement_corpora,
-    hownet_vector,
-    make_hownet_fn,
+    hownet_space,
     parse_lexicon,
 )
 from .tagger import (

@@ -44,7 +44,7 @@ from .morphsim import (
     train_perceptron,
 )
 from .revise import CombinedSpaceConfig, build_combined_space
-from .sememe import build_sememe_space, hownet_vector, make_hownet_fn, parse_lexicon
+from .sememe import build_sememe_space, hownet_space, parse_lexicon
 from .tagger import (
     FeatureSpec,
     LabelScheme,
@@ -133,9 +133,9 @@ def _cmd_build_sememe_space(args):
 
 
 def _cmd_hownet_vector(args):
-    lexicon = parse_lexicon(args.lexicon)
-    space = load_space(args.sememe_space, name="sememe")
-    vec = hownet_vector(args.word, lexicon, space)
+    # the space of the queried word's entry alone: one sum, not one per word
+    entry = {args.word: parse_lexicon(args.lexicon).get(args.word, ())}
+    vec = hownet_space(entry, load_space(args.sememe_space, name="sememe")).get(args.word)
     if vec is None:
         raise ValueError(f"no sememe vector obtainable for {args.word!r}")
     print(format_vector(vec))
@@ -172,12 +172,12 @@ def _cmd_revise(args):
 
 
 def _hownet_source(args):
-    """The HowNet vector function of --lexicon and --sememe-space, or None."""
+    """The HowNet space of --lexicon and --sememe-space, or None."""
     if (args.lexicon is None) != (args.sememe_space is None):
         raise ValueError("--lexicon and --sememe-space must be given together")
     if not args.lexicon:
         return None
-    return make_hownet_fn(
+    return hownet_space(
         parse_lexicon(args.lexicon), load_space(args.sememe_space, name="sememe")
     )
 
@@ -185,20 +185,17 @@ def _hownet_source(args):
 def _load_tagger_sources(args):
     word_space = load_space(args.word_space, name="word")
     char_space = load_space(args.char_space, name="character") if args.char_space else None
-    return word_space, _hownet_source(args), char_space
+    # an empty HowNet space is falsy, yet still a source
+    hownet = _hownet_source(args)
+    return word_space, None if hownet is None else hownet.get, char_space
 
 
 def _cmd_train_tagger(args):
     word_space, hownet_fn, char_space = _load_tagger_sources(args)
     tagged = load_tagged_corpus(args.tagged)
     scheme = LabelScheme.from_labels(s.labels for s in tagged)
-    spec = FeatureSpec(
-        dim=word_space.dim,
-        window_radius=args.window_radius,
-        use_context=True,
-        use_hownet=hownet_fn is not None,
-        use_char=char_space is not None,
-    )
+    spec = FeatureSpec(dim=word_space.dim, window_radius=args.window_radius,
+                       use_hownet=hownet_fn is not None, use_char=char_space is not None)
     positions = [(sent, i) for sent in tagged for i in range(len(sent.tokens))]
     features = [assemble_features(sent.tokens, i, word_space, hownet_fn, char_space, spec)
                 for sent, i in positions]

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ParseError, finite_floats, iter_utf8_lines
-from .embedding import EmbeddingSpace, cosine
+from .embedding import cosine
 
 
 class EvaluationError(ValueError):
@@ -65,22 +65,20 @@ def load_judgements(path):
     return pairs
 
 
-def eval_similarity(source, judgements):
+def eval_similarity(space, judgements):
     """Spearman against human scores plus the fraction of pairs scored.
 
-    source is either an embedding space or a callable mapping a word to a
-    vector or None; each pair is scored by the cosine of the two vectors.
+    Each pair is scored by the cosine of the two words' vectors in space.
     Pairs where either word has no vector are dropped from the correlation
     but still count in coverage's denominator.
     """
     if not judgements:
         raise EvaluationError("no judgement pairs")
-    vector_of = source.get if isinstance(source, EmbeddingSpace) else source
     model_scores = []
     human_scores = []
     for a, b, human in judgements:
-        u = vector_of(a)
-        v = vector_of(b)
+        u = space.get(a)
+        v = space.get(b)
         if u is None or v is None:
             continue
         model_scores.append(cosine(u, v))
@@ -107,7 +105,7 @@ class Span:
             raise ValueError(f"bad span bounds {self.start}..{self.end}")
 
 
-def decode_spans(labels, scheme=None, sentence=0):
+def decode_spans(labels, sentence=0):
     """Entity spans of one label sequence; a bare I-label opens a span."""
     spans = []
     open_start = None
@@ -122,8 +120,6 @@ def decode_spans(labels, scheme=None, sentence=0):
             open_type = None
 
     for i, lab in enumerate(labels):
-        if scheme is not None and lab not in scheme:
-            raise EvaluationError(f"label {lab!r} not in scheme")
         if lab == "O":
             close(i)
         elif lab.startswith("B-") and len(lab) > 2:
@@ -139,10 +135,10 @@ def decode_spans(labels, scheme=None, sentence=0):
     return spans
 
 
-def spans_of_corpus(label_sequences, scheme=None):
+def spans_of_corpus(label_sequences):
     spans = set()
     for k, labels in enumerate(label_sequences):
-        spans.update(decode_spans(labels, scheme=scheme, sentence=k))
+        spans.update(decode_spans(labels, sentence=k))
     return spans
 
 

@@ -194,12 +194,17 @@ def build_pairs(thesaurus, n_pos, n_neg, seed=0):
 
 @dataclass
 class SimilarityModel:
-    """Learned weights over the three measures plus a bias."""
+    """Learned weights over the three measures plus a bias, all finite."""
 
     w_lcs: float = 0.0
     w_edit: float = 0.0
     w_cos: float = 0.0
     bias: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
 
     def weights(self):
         return np.array([self.w_lcs, self.w_edit, self.w_cos])

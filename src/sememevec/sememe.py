@@ -14,7 +14,7 @@ import re
 import numpy as np
 
 from .corpus import Corpus, ParseError, iter_utf8_lines
-from .embedding import train_embeddings
+from .embedding import EmbeddingSpace, train_embeddings
 
 # leading relation markers stripped from descriptors
 _MARKERS = frozenset("*#$%@?!~")
@@ -102,23 +102,22 @@ def build_sememe_space(corpus, lexicon, config, max_rank=3):
     return train_embeddings(expanded, config, name="sememe")
 
 
-def hownet_vector(word, lexicon, sememe_space):
-    """Componentwise sum of the word's sememe vectors.
+def hownet_space(lexicon, sememe_space):
+    """The space named "hownet" of the lexicon words' sememe-sum vectors.
 
-    Sememes without a vector are skipped. Returns None when the word is not
-    in the lexicon or no sememe has a vector. Summation runs in sorted sememe
-    order, so equal sememe multisets produce bitwise-equal vectors.
+    A word's row is the componentwise sum of its sememe vectors; sememes
+    without a vector are skipped, and a word none of whose sememes has one
+    gets no row. Summation runs in sorted sememe order, so equal sememe
+    multisets produce bitwise-equal vectors.
     """
-    sememes = sorted(lexicon.get(word, ()))
-    present = [v for v in map(sememe_space.get, sememes) if v is not None]
-    if not present:
-        return None
-    total = np.zeros(sememe_space.dim)
-    for vec in present:
-        total += vec
-    return total
+    space = EmbeddingSpace(sememe_space.dim, name="hownet")
+    for word, sememes in lexicon.items():
+        present = [v for v in map(sememe_space.get, sorted(sememes)) if v is not None]
+        if present:
+            space.add(word, sum(present, np.zeros(sememe_space.dim)))
+    return space
 
 
 def make_hownet_fn(lexicon, sememe_space):
-    """A word -> vector-or-None callable closing over lexicon and space."""
-    return lambda word: hownet_vector(word, lexicon, sememe_space)
+    """A word -> vector-or-None lookup into the lexicon's hownet_space."""
+    return hownet_space(lexicon, sememe_space).get

@@ -63,9 +63,6 @@ class LabelScheme:
     def label(self, idx):
         return self.labels[idx]
 
-    def __contains__(self, label):
-        return label in self._index
-
     def __len__(self):
         return len(self.labels)
 
@@ -145,7 +142,8 @@ def assemble_features(sentence, i, word_space, hownet_fn, char_space, spec):
 
 @dataclass
 class TaggerModel:
-    """Per-class weight rows and biases with the spec they were trained for.
+    """Per-class weight rows and biases, checked at construction to be finite
+    and to match the spec and label scheme they were trained for.
 
     `history`, `stop_reason` and `final_gnorm` describe the fit that made the
     model; they are not serialized.
@@ -154,11 +152,19 @@ class TaggerModel:
     weights: np.ndarray
     bias: np.ndarray
     lam: float
-    spec: FeatureSpec = None
-    scheme: LabelScheme = None
+    spec: FeatureSpec
+    scheme: LabelScheme
     history: list = field(default_factory=list, repr=False)
     stop_reason: str = None
     final_gnorm: float = None
+
+    def __post_init__(self):
+        shape = (len(self.scheme), self.spec.feature_length)
+        if np.shape(self.weights) != shape or np.shape(self.bias) != shape[:1]:
+            raise ValueError(f"weights {np.shape(self.weights)} and bias "
+                             f"{np.shape(self.bias)} do not match {shape}")
+        if not all(np.isfinite(v).all() for v in (self.weights, self.bias, self.lam)):
+            raise ValueError("weights, bias and lam must be finite")
 
 
 def softmax_loss_and_grads(weights, bias, features, labels, lam):
@@ -199,9 +205,9 @@ def _lbfgs_direction(grad, pairs):
     return -q
 
 
-def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500,
-                 scheme=None, spec=None):
-    """Full-batch L-BFGS with backtracking (Armijo) line search.
+def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500, *, scheme, spec):
+    """Full-batch L-BFGS with backtracking (Armijo) line search, fitting rows
+    of spec.feature_length features to label indices of scheme.
 
     Zero initialization. The direction comes from the last LBFGS_MEMORY
     curvature pairs; the first step, and any step whose direction is not a
@@ -218,13 +224,15 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500,
     y = np.asarray(labels, dtype=np.intp)
     if X.ndim != 2 or len(X) != len(y) or len(X) == 0:
         raise ValueError("features must be a non-empty 2-d array matching labels")
+    if X.shape[1] != spec.feature_length:
+        raise ValueError(f"feature width {X.shape[1]} != spec length {spec.feature_length}")
     if lam <= 0:
         raise ValueError("lam must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if len(np.unique(y)) < 2:
         raise ValueError("training data contains a single class")
-    n_classes = len(scheme) if scheme is not None else int(y.max()) + 1
+    n_classes = len(scheme)
     if int(y.max()) >= n_classes or int(y.min()) < 0:
         raise ValueError("label index out of range for the scheme")
 
@@ -308,8 +316,6 @@ def repair_bi(labels):
 def tag_sentence(model, sentence, word_space, hownet_fn, char_space):
     """Independent per-token labels, predicted for all the sentence's feature
     rows at once, followed by BI repair."""
-    if model.spec is None or model.scheme is None:
-        raise ValueError("model carries no feature spec or label scheme")
     x = np.zeros((len(sentence), model.spec.feature_length))
     for i in range(len(sentence)):
         x[i] = assemble_features(sentence, i, word_space, hownet_fn, char_space, model.spec)
@@ -343,8 +349,6 @@ _HEADER = (
 def save_tagger(model, path):
     """TAGGER_MAGIC, the _HEADER lines, then "weights" over one row per class
     and "bias" over one row, every value at 17 significant digits."""
-    if model.spec is None or model.scheme is None:
-        raise ValueError("cannot serialize a model without spec and scheme")
     with atomic_text_writer(path) as fh:
         fh.write(TAGGER_MAGIC + "\n")
         for key, fields, _ in _HEADER:
@@ -395,19 +399,17 @@ def load_tagger(path):
 
     scheme, radius, use_context, use_hownet, use_char, dim, lam, n_classes, n_features = (
         header_value(key, parse) for key, _, parse in _HEADER)
-    if len(scheme) != n_classes:
-        raise ParseError(f"{path}: scheme with {len(scheme)} labels does not match "
-                         f"{n_classes} classes")
     try:
         spec = FeatureSpec(dim=dim, window_radius=radius, use_context=use_context,
                            use_hownet=use_hownet, use_char=use_char)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if n_features != spec.feature_length:
-        raise ParseError(f"{path}: feature count {n_features} does not match "
-                         f"spec length {spec.feature_length}")
     weights = section("weights", n_classes, n_features, "weights")
     bias = section("bias", 1, n_classes, "biases")[0]
     for lineno, _ in lines:
         raise ParseError(f"{path}: line {lineno}: unexpected line after the bias row")
-    return TaggerModel(weights, bias, lam, spec=spec, scheme=scheme)
+    try:
+        # the classes and features counts must fit the scheme and the spec
+        return TaggerModel(weights, bias, lam, spec=spec, scheme=scheme)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None

@@ -43,7 +43,7 @@ from sememevec.morphsim import (
 from sememevec.revise import build_combined_space, combine, tf_bucket
 from sememevec.sememe import (
     build_sememe_space,
-    hownet_vector,
+    hownet_space,
     make_hownet_fn,
 )
 from sememevec.tagger import (
@@ -104,16 +104,17 @@ def toy_sememe_setup():
 
 def test_c02_identical_sememe_lists_cosine_one(toy_sememe_setup):
     lex, space = toy_sememe_setup
+    hownet = hownet_space(lex, space)
     for a, b in (("薪水", "工资"), ("次序", "秩序")):
-        va = hownet_vector(a, lex, space)
-        vb = hownet_vector(b, lex, space)
+        va = hownet.get(a)
+        vb = hownet.get(b)
         assert va is not None and vb is not None
         assert abs(cosine(va, vb) - 1.0) <= 1e-12
 
 
 def test_c03_sememe_sum_construction(toy_sememe_setup):
     lex, space = toy_sememe_setup
-    got = hownet_vector("房租", lex, space)
+    got = hownet_space(lex, space).get("房租")
     want = space.get("费用") + space.get("借入") + space.get("房屋")
     assert np.allclose(got, want, atol=1e-12)
 

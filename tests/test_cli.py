@@ -2,6 +2,7 @@ import filecmp
 import os
 import re
 
+import numpy as np
 import pytest
 
 from sememevec.cli import main
@@ -133,7 +134,7 @@ class TestArtifacts:
         model = load_tagger(artifacts["tagger"])
         for s in sents:
             for lab in s.labels:
-                assert lab in model.scheme
+                assert lab in model.scheme.labels
 
     def test_tag_stdout_equals_out_file(self, artifacts, capsys):
         capsys.readouterr()
@@ -251,6 +252,25 @@ class TestEvaluationCommands:
         assert capsys.readouterr().err == (
             "error: --lexicon and --sememe-space must be given together\n"
         )
+
+    def test_lexicon_whose_sememes_have_no_vector(self, artifacts, tmp_path):
+        # the HowNet space is empty, so falsy, yet it still enables the block
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text("房租\tN\t无此义原\n今天\tN\t另一义原,无此义原\n",
+                           encoding="utf-8")
+        hownet = ["--lexicon", str(lexicon), "--sememe-space", artifacts["sememe"]]
+        model_path = str(tmp_path / "t.model")
+        assert main(["train-tagger", "--tagged", data("tagged_train.txt"),
+                     "--word-space", artifacts["combined"], "--out", model_path,
+                     "--lam", "1e-2", *hownet]) == 0
+        model = load_tagger(model_path)
+        assert model.spec.use_hownet and not model.spec.use_char
+        start = (2 * model.spec.window_radius + 1) * model.spec.dim
+        assert model.weights.shape[1] == start + model.spec.dim
+        assert np.all(model.weights[:, start:] == 0.0)
+        assert main(["tag", "--model", model_path, "--word-space", artifacts["combined"],
+                     "--corpus", data("corpus.txt"), "--out", str(tmp_path / "t.txt"),
+                     *hownet]) == 0
 
     def test_eval_ner_self_is_perfect(self, capsys):
         rc = main(["eval-ner", "--gold", data("tagged_train.txt"),

@@ -181,9 +181,19 @@ def failing_sentences():
 
 
 def tagger_with_bad_row():
+    # set after construction, which refuses it
     spec = FeatureSpec(dim=1, window_radius=0, use_hownet=False, use_char=False)
-    weights = np.array([[0.5], [None], [1.0]], dtype=object)
-    return TaggerModel(weights, np.zeros(3), 1.0, spec=spec, scheme=LabelScheme(["D"]))
+    model = TaggerModel(np.zeros((3, 1)), np.zeros(3), 1.0, spec=spec,
+                        scheme=LabelScheme(["D"]))
+    model.weights = np.array([[0.5], [None], [1.0]], dtype=object)
+    return model
+
+
+def similarity_with_bad_field():
+    # set after construction, which refuses it
+    model = SimilarityModel(w_lcs=1.0)
+    model.w_edit = "x"
+    return model
 
 
 def space_with_bad_token():
@@ -196,9 +206,7 @@ def space_with_bad_token():
 # each writer gets an input that fails after part of the file could be written
 FAILING_SAVES = {
     "space": lambda path: save_space(space_with_bad_token(), path),
-    "similarity": lambda path: save_similarity_model(
-        SimilarityModel(w_lcs=1.0, w_edit="x"), path
-    ),
+    "similarity": lambda path: save_similarity_model(similarity_with_bad_field(), path),
     "tagger": lambda path: save_tagger(tagger_with_bad_row(), path),
     "tagged": lambda path: save_tagged_corpus(failing_sentences(), path),
 }

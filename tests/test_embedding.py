@@ -21,7 +21,7 @@ from sememevec.embedding import (
     train_embeddings,
 )
 from sememevec.evaluate import spearman
-from sememevec.sememe import build_sememe_space, hownet_vector
+from sememevec.sememe import build_sememe_space, hownet_space
 
 
 def small_corpus(seed=0, n=60, vocab=12, length=7):
@@ -323,12 +323,12 @@ class TestPlantedSimilarity:
                           architecture="cbow" if kind == "cbow" else "skipgram")
         if kind == "sememe":
             # one sememe per word: its vector is trained only on the
-            # replacement copy, and hownet_vector reads it back
+            # replacement copy, and hownet_space reads it back
             lexicon = {w: [w.replace("词", "义")] for w in PLANTED}
             space = build_sememe_space(corpus, lexicon, cfg, max_rank=1)
 
             def rho_of(sp):
-                return planted_rho(lambda w: hownet_vector(w, lexicon, sp))
+                return planted_rho(hownet_space(lexicon, sp).get)
         else:
             space = train_embeddings(corpus, cfg)
 

@@ -120,14 +120,6 @@ class TestEvalSimilarity:
         rho, cov = eval_similarity(self.space(), judgements)
         assert cov == 0.5
 
-    def test_callable_source(self):
-        vectors = {"x": np.array([1.0, 0.0]), "y": np.array([0.5, 0.5]),
-                   "z": np.array([0.0, 1.0])}
-        judgements = [("x", "y", 8.0), ("x", "z", 2.0), ("y", "z", 5.0)]
-        rho, cov = eval_similarity(vectors.get, judgements)
-        assert cov == 1.0
-        assert -1.0 <= rho <= 1.0
-
     def test_too_few_scored_pairs(self):
         judgements = [("a", "zzz", 5.0), ("zzz", "b", 5.0), ("a", "b", 5.0)]
         with pytest.raises(EvaluationError):
@@ -159,11 +151,6 @@ class TestSpanDecoding:
     def test_bad_label(self):
         with pytest.raises(EvaluationError):
             decode_spans(["B-Date", "nope"])
-
-    def test_scheme_membership_enforced(self):
-        from sememevec.tagger import LabelScheme
-        with pytest.raises(EvaluationError):
-            decode_spans(["B-Time"], scheme=LabelScheme(["Date"]))
 
     def test_consistent_with_repair(self):
         # decoding a raw sequence equals decoding its repaired form

@@ -308,6 +308,13 @@ class TestModelSerialization:
         back = load_similarity_model(str(p))
         assert back == m
 
+    @pytest.mark.parametrize("field", ["w_lcs", "w_edit", "w_cos", "bias"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_rejected_at_construction(self, field, bad):
+        # save_similarity_model would write a file that load_similarity_model refuses
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SimilarityModel(**{field: bad})
+
     def test_malformed(self, tmp_path):
         p = tmp_path / "m.model"
         p.write_text("lcs 1.0\n", encoding="utf-8")

@@ -22,5 +22,5 @@ def test_library_use_block_runs(monkeypatch):
     exec(readme_block("Library use", "python"), names)
     combined, words = names["combined"], names["words"]
     assert len(combined) > 0 and combined.dim == words.dim
-    assert names["hownet"]("房租").shape == (words.dim,)
+    assert names["hownet"].get("房租").shape == (words.dim,)
     assert all(np.isfinite(vec).all() for _, vec in combined.items())

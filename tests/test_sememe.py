@@ -8,7 +8,7 @@ from sememevec.embedding import EmbeddingSpace, TrainConfig, cosine
 from sememevec.sememe import (
     build_sememe_space,
     generate_replacement_corpora,
-    hownet_vector,
+    hownet_space,
     make_hownet_fn,
     parse_lexicon,
 )
@@ -118,44 +118,44 @@ class TestHownetVector:
         return {"房租": ["费用", "借入", "房屋"], "费用": ["费用"]}
 
     def test_sum_of_sememe_vectors(self):
-        v = hownet_vector("房租", self.lexicon(), self.space())
-        assert np.allclose(v, [1.0, 1.0, 1.0], atol=1e-12)
+        sp = hownet_space(self.lexicon(), self.space())
+        assert sp.name == "hownet" and sp.dim == 3
+        assert sorted(sp.tokens) == ["房租", "费用"]
+        assert np.allclose(sp.get("房租"), [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_theta_of_word_differs_from_own_sememe(self):
-        lex, sp = self.lexicon(), self.space()
-        v_rent = hownet_vector("房租", lex, sp)
-        v_fee = hownet_vector("费用", lex, sp)
-        assert not np.allclose(v_rent, v_fee)
+        sp = hownet_space(self.lexicon(), self.space())
+        assert not np.allclose(sp.get("房租"), sp.get("费用"))
 
     def test_absent_word(self):
-        assert hownet_vector("别的", self.lexicon(), self.space()) is None
+        assert hownet_space(self.lexicon(), self.space()).get("别的") is None
 
     def test_no_sememe_has_vector(self):
-        lex = {"词": ["不存在"]}
-        assert hownet_vector("词", lex, self.space()) is None
+        sp = hownet_space({"词": ["不存在"]}, self.space())
+        assert sp.get("词") is None
+        # an empty space is falsy, so callers test for a source with `is None`
+        assert len(sp) == 0 and not sp
 
     def test_missing_sememes_skipped(self):
-        lex = {"词": ["费用", "不存在"]}
-        v = hownet_vector("词", lex, self.space())
-        assert np.allclose(v, [1.0, 0.0, 0.0])
+        sp = hownet_space({"词": ["费用", "不存在"]}, self.space())
+        assert np.allclose(sp.get("词"), [1.0, 0.0, 0.0])
 
     def test_identical_sememe_lists_identical_vectors(self):
         lex = {"薪水": ["费用", "借入"], "工资": ["费用", "借入"]}
-        sp = self.space()
-        a = hownet_vector("薪水", lex, sp)
-        b = hownet_vector("工资", lex, sp)
+        sp = hownet_space(lex, self.space())
+        a, b = sp.get("薪水"), sp.get("工资")
         assert np.array_equal(a, b)
         assert cosine(a, b) == 1.0
 
     def test_order_invariance_bitwise(self):
         # same multiset of sememes, different listing order
         rng = np.random.default_rng(5)
-        sp = EmbeddingSpace(8)
+        sememes = EmbeddingSpace(8)
         names = [f"s{i}" for i in range(6)]
         for n in names:
-            sp.add(n, rng.normal(0, 1, 8))
-        lex = {"甲": names, "乙": list(reversed(names))}
-        assert np.array_equal(hownet_vector("甲", lex, sp), hownet_vector("乙", lex, sp))
+            sememes.add(n, rng.normal(0, 1, 8))
+        sp = hownet_space({"甲": names, "乙": list(reversed(names))}, sememes)
+        assert np.array_equal(sp.get("甲"), sp.get("乙"))
 
     def test_make_hownet_fn(self):
         fn = make_hownet_fn(self.lexicon(), self.space())
@@ -201,7 +201,7 @@ def digest_corpus(seed=17, n=60):
 
 
 # sha256 of the sememe space (token order plus row bytes) and of every
-# word's hownet_vector, recorded from the mini-batch trainer
+# word's hownet_space row, recorded from the mini-batch trainer
 SEMEME_SPACE_DIGEST = (
     "8f5ba788dfd1ddc3ae8fb2cb3d251620f710367f6eda449740ba42ade1f6d95f"
 )
@@ -230,9 +230,10 @@ class TestSememeDigest:
 
     def test_hownet_vectors_pinned(self, tmp_path):
         lex, space = self.build(tmp_path)
+        hownet = hownet_space(lex, space)
         h = hashlib.sha256()
         for word in DIGEST_WORDS:
-            vec = hownet_vector(word, lex, space)
+            vec = hownet.get(word)
             h.update(word.encode("utf-8") + b"\0")
             h.update(b"none" if vec is None else vec.tobytes())
         assert h.hexdigest() == HOWNET_DIGEST

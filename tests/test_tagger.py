@@ -30,7 +30,6 @@ class TestLabelScheme:
         assert s.index("O") == 0
         assert s.label(3) == "B-Time"
         assert len(s) == 5
-        assert "I-Time" in s and "B-Place" not in s
 
     def test_from_labels_sorted(self):
         s = LabelScheme.from_labels([["O", "B-Time"], ["I-Date", "O"]])
@@ -130,12 +129,21 @@ class TestFeatureAssembly:
 
 
 def random_problem(seed=23, n=40, d=6, classes=3):
+    """Random features and labels, with a scheme of `classes` labels and a
+    spec of width d to fit them under.
+
+    A LabelScheme always holds an odd number of labels; the fit reads only
+    the scheme's length, so an even count gets a plain list of labels.
+    """
     rng = np.random.default_rng(seed)
     X = rng.normal(0, 1, (n, d))
     y = rng.integers(0, classes, n)
     while len(np.unique(y)) < 2:
         y = rng.integers(0, classes, n)
-    return X, y
+    types = ["Date", "Time", "Place"][:classes // 2]
+    scheme = LabelScheme(types) if classes % 2 else [f"L{k}" for k in range(classes)]
+    spec = FeatureSpec(dim=d, window_radius=0, use_hownet=False, use_char=False)
+    return X, y, scheme, spec
 
 
 # values whose "%.17g" text is easy to get wrong: signed zeros, the smallest
@@ -154,10 +162,39 @@ def fixed_model(entity_types, spec, lam=0.25):
     return TaggerModel(weights, bias, lam, spec=spec, scheme=scheme)
 
 
+class TestTaggerModel:
+    @pytest.mark.parametrize("weights, bias", [
+        # width-4 rows under a spec of length 10 would save a file that does not load
+        (np.zeros((3, 4)), np.zeros(3)),
+        (np.zeros((5, 10)), np.zeros(3)),
+        (np.zeros((3, 10)), np.zeros(5)),
+        (np.zeros((3, 10)), np.zeros((1, 3))),
+    ])
+    def test_shape_other_than_labels_by_spec_length_rejected(self, weights, bias):
+        with pytest.raises(ValueError, match="do not match"):
+            TaggerModel(weights, bias, 1.0, spec=FeatureSpec(dim=2, window_radius=1),
+                        scheme=LabelScheme(["Date"]))
+
+    @pytest.mark.parametrize("where", ["weight", "bias", "lam"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_rejected(self, where, bad):
+        # save_tagger would write a file that load_tagger refuses
+        weights, bias, lam = np.zeros((3, 10)), np.zeros(3), 1.0
+        if where == "weight":
+            weights[1, 4] = bad
+        elif where == "bias":
+            bias[2] = bad
+        else:
+            lam = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            TaggerModel(weights, bias, lam, spec=FeatureSpec(dim=2, window_radius=1),
+                        scheme=LabelScheme(["Date"]))
+
+
 class TestLogreg:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(29)
-        X, y = random_problem(n=20)
+        X, y, _, _ = random_problem(n=20)
         h = 1e-6
         for _ in range(10):
             W = rng.normal(0, 0.7, (3, 6))
@@ -177,8 +214,8 @@ class TestLogreg:
                 assert abs(num - gb[i]) <= 1e-5 * max(1.0, abs(num))
 
     def test_loss_history_non_increasing(self):
-        X, y = random_problem()
-        m = train_logreg(X, y, lam=0.1, max_iter=100)
+        X, y, scheme, spec = random_problem()
+        m = train_logreg(X, y, lam=0.1, max_iter=100, scheme=scheme, spec=spec)
         assert len(m.history) >= 2
         assert all(b <= a for a, b in zip(m.history, m.history[1:]))
 
@@ -186,37 +223,46 @@ class TestLogreg:
         rng = np.random.default_rng(31)
         X = np.vstack([rng.normal(0, 0.5, (20, 4)) + 4, rng.normal(0, 0.5, (20, 4)) - 4])
         y = np.array([0] * 20 + [1] * 20)
-        m = train_logreg(X, y, lam=1e-4, max_iter=300)
+        _, _, scheme, spec = random_problem(d=4)
+        m = train_logreg(X, y, lam=1e-4, max_iter=300, scheme=scheme, spec=spec)
         assert np.mean(predict(m, X) == y) == 1.0
 
     def test_regularization_shrinks_weights(self):
-        X, y = random_problem()
-        big = train_logreg(X, y, lam=1.0, max_iter=200)
-        tiny = train_logreg(X, y, lam=1e-6, max_iter=200)
+        X, y, scheme, spec = random_problem()
+        big = train_logreg(X, y, lam=1.0, max_iter=200, scheme=scheme, spec=spec)
+        tiny = train_logreg(X, y, lam=1e-6, max_iter=200, scheme=scheme, spec=spec)
         assert np.linalg.norm(big.weights) < np.linalg.norm(tiny.weights)
 
     def test_single_class_rejected(self):
         X = np.ones((5, 3))
-        with pytest.raises(ValueError):
-            train_logreg(X, [1, 1, 1, 1, 1], lam=0.1)
+        _, _, scheme, spec = random_problem(d=3)
+        with pytest.raises(ValueError, match="single class"):
+            train_logreg(X, [1, 1, 1, 1, 1], lam=0.1, scheme=scheme, spec=spec)
+
+    def test_width_other_than_spec_length_rejected(self):
+        # a model fitted to these rows would save a file that load_tagger refuses
+        X, y, scheme, _ = random_problem(d=4)
+        spec = FeatureSpec(dim=2, window_radius=1)
+        with pytest.raises(ValueError, match="feature width 4 != spec length 10"):
+            train_logreg(X, y, lam=0.1, scheme=scheme, spec=spec)
 
     def test_bad_lam_tol_rejected(self):
-        X, y = random_problem()
+        X, y, scheme, spec = random_problem()
         with pytest.raises(ValueError):
-            train_logreg(X, y, lam=0.0)
+            train_logreg(X, y, lam=0.0, scheme=scheme, spec=spec)
         with pytest.raises(ValueError):
-            train_logreg(X, y, lam=0.1, tol=0.0)
+            train_logreg(X, y, lam=0.1, tol=0.0, scheme=scheme, spec=spec)
 
     def test_zero_iterations_uniform(self):
-        X, y = random_problem()
-        m = train_logreg(X, y, lam=0.1, max_iter=0)
+        X, y, scheme, spec = random_problem()
+        m = train_logreg(X, y, lam=0.1, max_iter=0, scheme=scheme, spec=spec)
         assert np.array_equal(predict(m, X), np.zeros(len(X)))
         assert np.allclose(X @ m.weights.T + m.bias, 0.0, atol=1e-12)
 
     def test_deterministic(self):
-        X, y = random_problem()
-        a = train_logreg(X, y, lam=0.1, max_iter=50)
-        b = train_logreg(X, y, lam=0.1, max_iter=50)
+        X, y, scheme, spec = random_problem()
+        a = train_logreg(X, y, lam=0.1, max_iter=50, scheme=scheme, spec=spec)
+        b = train_logreg(X, y, lam=0.1, max_iter=50, scheme=scheme, spec=spec)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
@@ -236,36 +282,34 @@ def count_evaluations(monkeypatch):
 
 class TestStopReason:
     def test_tol(self):
-        X, y = random_problem()
-        m = train_logreg(X, y, lam=0.1, tol=1e-6, max_iter=500)
+        X, y, scheme, spec = random_problem()
+        m = train_logreg(X, y, lam=0.1, tol=1e-6, max_iter=500, scheme=scheme, spec=spec)
         assert m.stop_reason == "tol"
         assert m.final_gnorm <= 1e-6
         assert len(m.history) < 501
 
     def test_max_iter(self):
-        X, y = random_problem()
-        m = train_logreg(X, y, lam=0.1, tol=1e-6, max_iter=3)
+        X, y, scheme, spec = random_problem()
+        m = train_logreg(X, y, lam=0.1, tol=1e-6, max_iter=3, scheme=scheme, spec=spec)
         assert m.stop_reason == "max_iter"
         assert len(m.history) == 4
         assert m.final_gnorm > 1e-6
 
     def test_no_descent(self):
-        X, y = random_problem()
-        m = train_logreg(X, y, lam=0.1, tol=1e-300, max_iter=500)
+        X, y, scheme, spec = random_problem()
+        m = train_logreg(X, y, lam=0.1, tol=1e-300, max_iter=500, scheme=scheme, spec=spec)
         assert m.stop_reason == "no-descent"
         assert len(m.history) < 501
 
     def test_final_gnorm_is_that_of_the_returned_model(self):
-        X, y = random_problem(seed=29, n=30, d=12, classes=4)
-        m = train_logreg(X, y, lam=1e-3, tol=1e-6, max_iter=20)
+        X, y, scheme, spec = random_problem(seed=29, n=30, d=12, classes=4)
+        m = train_logreg(X, y, lam=1e-3, tol=1e-6, max_iter=20, scheme=scheme, spec=spec)
         _, gw, gb = softmax_loss_and_grads(m.weights, m.bias, X, y, 1e-3)
         assert m.final_gnorm == max(np.abs(gw).max(), np.abs(gb).max())
 
     def test_not_serialized(self, tmp_path):
-        X, y = random_problem()
-        scheme = LabelScheme(["Date"])
-        spec = FeatureSpec(dim=2, window_radius=1, use_hownet=False, use_char=False)
-        m = train_logreg(X[:, :6], y, lam=0.2, scheme=scheme, spec=spec)
+        X, y, scheme, spec = random_problem()
+        m = train_logreg(X, y, lam=0.2, scheme=scheme, spec=spec)
         p = tmp_path / "t.model"
         save_tagger(m, str(p))
         back = load_tagger(str(p))
@@ -277,8 +321,8 @@ class TestConvergence:
         # nearly separable: gradient descent with backtracking, step doubling
         # and the same max_iter stopped unconverged at this loss
         gradient_descent_loss = 0.05525622566844822
-        X, y = random_problem(seed=23, n=20, d=12)
-        m = train_logreg(X, y, lam=1e-4, tol=1e-6, max_iter=300)
+        X, y, scheme, spec = random_problem(seed=23, n=20, d=12)
+        m = train_logreg(X, y, lam=1e-4, tol=1e-6, max_iter=300, scheme=scheme, spec=spec)
         assert m.stop_reason == "tol"
         assert m.history[-1] <= gradient_descent_loss
 
@@ -300,9 +344,9 @@ class TestLogregDigest:
         return h.hexdigest()
 
     def test_stops_at_max_iter(self, monkeypatch):
-        X, y = random_problem(seed=29, n=30, d=12, classes=4)
+        X, y, scheme, spec = random_problem(seed=29, n=30, d=12, classes=4)
         calls = count_evaluations(monkeypatch)
-        m = train_logreg(X, y, lam=1e-3, tol=1e-6, max_iter=20)
+        m = train_logreg(X, y, lam=1e-3, tol=1e-6, max_iter=20, scheme=scheme, spec=spec)
         assert len(m.history) == 21
         assert len(calls) > len(m.history)
         _, gw, gb = softmax_loss_and_grads(m.weights, m.bias, X, y, 1e-3)
@@ -312,9 +356,9 @@ class TestLogregDigest:
         )
 
     def test_stops_at_tol(self, monkeypatch):
-        X, y = random_problem(seed=23)
+        X, y, scheme, spec = random_problem(seed=23)
         calls = count_evaluations(monkeypatch)
-        m = train_logreg(X, y, lam=1.0, tol=1e-6, max_iter=500)
+        m = train_logreg(X, y, lam=1.0, tol=1e-6, max_iter=500, scheme=scheme, spec=spec)
         assert len(m.history) == 12
         assert len(calls) > len(m.history)
         _, gw, gb = softmax_loss_and_grads(m.weights, m.bias, X, y, 1.0)
@@ -326,8 +370,8 @@ class TestLogregDigest:
 
 class TestPredict:
     def test_scaling_keeps_argmax(self):
-        X, y = random_problem()
-        m = train_logreg(X, y, lam=0.1, max_iter=30)
+        X, y, scheme, spec = random_problem()
+        m = train_logreg(X, y, lam=0.1, max_iter=30, scheme=scheme, spec=spec)
         import copy
         m2 = copy.deepcopy(m)
         m2.weights = m.weights * 7.0
@@ -336,14 +380,14 @@ class TestPredict:
         assert np.array_equal(predict(m, x), predict(m2, x))
 
     def test_dimension_mismatch(self):
-        X, y = random_problem()
-        m = train_logreg(X, y, lam=0.1, max_iter=5)
+        X, y, scheme, spec = random_problem()
+        m = train_logreg(X, y, lam=0.1, max_iter=5, scheme=scheme, spec=spec)
         with pytest.raises(ValueError):
             predict(m, np.zeros((1, 7)))
 
     def test_single_vector_rejected(self):
-        X, y = random_problem()
-        m = train_logreg(X, y, lam=0.1, max_iter=5)
+        X, y, scheme, spec = random_problem()
+        m = train_logreg(X, y, lam=0.1, max_iter=5, scheme=scheme, spec=spec)
         with pytest.raises(ValueError):
             predict(m, X[0])
 
@@ -447,11 +491,8 @@ class TestTagSentence:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        X, y = random_problem()
-        scheme = LabelScheme(["Date"])
-        spec = FeatureSpec(dim=2, window_radius=1, use_hownet=False, use_char=False)
-        m = train_logreg(X[:, :spec.feature_length], np.clip(y, 0, 2), lam=0.2,
-                         max_iter=40, scheme=scheme, spec=spec)
+        X, y, scheme, spec = random_problem()
+        m = train_logreg(X, y, lam=0.2, max_iter=40, scheme=scheme, spec=spec)
         p = tmp_path / "t.model"
         save_tagger(m, str(p))
         back = load_tagger(str(p))
@@ -461,11 +502,9 @@ class TestSerialization:
         assert back.scheme == m.scheme
         assert back.spec == m.spec
 
-    def test_unspecced_model_rejected(self, tmp_path):
-        X, y = random_problem()
-        m = train_logreg(X, y, lam=0.1, max_iter=5)
-        with pytest.raises(ValueError):
-            save_tagger(m, str(tmp_path / "t.model"))
+    def test_unspecced_model_rejected(self):
+        with pytest.raises(TypeError):
+            TaggerModel(np.zeros((3, 6)), np.zeros(3), 0.1)
 
     def test_malformed_file(self, tmp_path):
         p = tmp_path / "t.model"
@@ -474,10 +513,8 @@ class TestSerialization:
             load_tagger(str(p))
 
     def test_truncated_file(self, tmp_path):
-        X, y = random_problem()
-        scheme = LabelScheme(["Date"])
-        spec = FeatureSpec(dim=2, window_radius=1, use_hownet=False, use_char=False)
-        m = train_logreg(X[:, :6], y, lam=0.2, max_iter=5, scheme=scheme, spec=spec)
+        X, y, scheme, spec = random_problem()
+        m = train_logreg(X, y, lam=0.2, max_iter=5, scheme=scheme, spec=spec)
         p = tmp_path / "t.model"
         save_tagger(m, str(p))
         text = p.read_text(encoding="utf-8").splitlines()[:8]
@@ -486,10 +523,8 @@ class TestSerialization:
             load_tagger(str(p))
 
     def test_cut_after_lambda_names_missing_line(self, tmp_path):
-        X, y = random_problem()
-        scheme = LabelScheme(["Date"])
-        spec = FeatureSpec(dim=2, window_radius=1, use_hownet=False, use_char=False)
-        m = train_logreg(X[:, :6], y, lam=0.2, max_iter=5, scheme=scheme, spec=spec)
+        X, y, scheme, spec = random_problem()
+        m = train_logreg(X, y, lam=0.2, max_iter=5, scheme=scheme, spec=spec)
         p = tmp_path / "t.model"
         save_tagger(m, str(p))
         lines = p.read_text(encoding="utf-8").splitlines()[:8]
@@ -505,10 +540,8 @@ class TestSerialization:
         (7, "dim 0", "dim must be positive"),
     ])
     def test_header_no_writer_produces_rejected(self, tmp_path, line, text, message):
-        X, y = random_problem()
-        scheme = LabelScheme(["Date"])
-        spec = FeatureSpec(dim=2, window_radius=1, use_hownet=False, use_char=False)
-        m = train_logreg(X[:, :6], y, lam=0.2, max_iter=5, scheme=scheme, spec=spec)
+        X, y, scheme, spec = random_problem()
+        m = train_logreg(X, y, lam=0.2, max_iter=5, scheme=scheme, spec=spec)
         p = tmp_path / "t.model"
         save_tagger(m, str(p))
         lines = p.read_text(encoding="utf-8").splitlines()
@@ -519,6 +552,22 @@ class TestSerialization:
             lines[9] = "features 0"
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match=message):
+            load_tagger(str(p))
+
+    # the header's classes and features counts fit the rows but not the
+    # scheme or the spec
+    @pytest.mark.parametrize("types, line, text", [
+        (["Date", "Time"], 2, "entity-types Date"),
+        (["Date"], 3, "window-radius 0"),
+    ])
+    def test_counts_other_than_scheme_and_spec_rejected(self, tmp_path, types, line, text):
+        p = tmp_path / "t.model"
+        spec = FeatureSpec(dim=2, window_radius=1, use_hownet=False, use_char=False)
+        save_tagger(fixed_model(types, spec), str(p))
+        lines = p.read_text(encoding="utf-8").splitlines()
+        lines[line - 1] = text
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="t.model: weights .* do not match"):
             load_tagger(str(p))
 
     def test_trailing_line_rejected(self, tmp_path):
@@ -611,10 +660,8 @@ class TestSerialization:
     @pytest.mark.parametrize("where", ["lambda", "weight", "bias"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, where, bad):
-        X, y = random_problem()
-        scheme = LabelScheme(["Date"])
-        spec = FeatureSpec(dim=2, window_radius=1, use_hownet=False, use_char=False)
-        m = train_logreg(X[:, :6], y, lam=0.2, max_iter=5, scheme=scheme, spec=spec)
+        X, y, scheme, spec = random_problem()
+        m = train_logreg(X, y, lam=0.2, max_iter=5, scheme=scheme, spec=spec)
         p = tmp_path / "t.model"
         save_tagger(m, str(p))
         lines = p.read_text(encoding="utf-8").splitlines()
