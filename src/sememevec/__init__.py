@@ -34,7 +34,6 @@ from .morphsim import (
     CandidateIndex,
     SamplingError,
     SimilarityModel,
-    SynonymThesaurus,
     build_pairs,
     char_cos_sim,
     edit_sim,

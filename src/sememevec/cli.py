@@ -68,7 +68,10 @@ def _read_config_file(path):
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
             raise ParseError(f"{path}: line {lineno}: expected key=value")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise ParseError(f"{path}: line {lineno}: repeated key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -146,7 +149,7 @@ def _cmd_train_simmodel(args):
     thesaurus = load_thesaurus(args.thesaurus)
     pairs = build_pairs(thesaurus, args.positive, args.negative, seed=args.seed)
     _note(args.command, f"{len(pairs)} training pairs")
-    model = train_perceptron(pairs, args.epochs, lr=args.learning_rate)
+    model = train_perceptron(pairs, args.epochs)
     save_similarity_model(model, args.out)
     _note(args.command, f"wrote {args.out}")
     return 0
@@ -310,7 +313,6 @@ def build_parser():
     sub.add_argument("--positive", type=int, default=500)
     sub.add_argument("--negative", type=int, default=500)
     sub.add_argument("--epochs", type=int, default=20)
-    sub.add_argument("--learning-rate", type=float, default=1.0, dest="learning_rate")
     sub.add_argument("--seed", type=int, default=0)
     sub.set_defaults(func=_cmd_train_simmodel)
 

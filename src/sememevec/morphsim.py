@@ -86,41 +86,9 @@ def morph_features(a, b):
     return np.array([lcs_sim(a, b), edit_sim(a, b), char_cos_sim(a, b)])
 
 
-class SynonymThesaurus:
-    """Category-id to word-set association; words may sit in many categories."""
-
-    def __init__(self, categories):
-        self._categories = {}
-        self._word_cats = {}
-        for cat, words in categories.items():
-            words = set(words)
-            if not words:
-                raise ValueError(f"category {cat!r} is empty")
-            self._categories[cat] = words
-            for w in words:
-                self._word_cats.setdefault(w, set()).add(cat)
-        self._sorted_ids = sorted(self._categories)
-        self._sorted_members = {
-            cat: sorted(words) for cat, words in self._categories.items()
-        }
-
-    @property
-    def category_ids(self):
-        return self._sorted_ids
-
-    def members(self, cat):
-        return self._sorted_members[cat]
-
-    def are_synonyms(self, a, b):
-        """True when the two words share at least one category."""
-        return bool(self._word_cats.get(a, set()) & self._word_cats.get(b, set()))
-
-    def __len__(self):
-        return len(self._categories)
-
-
 def load_thesaurus(path):
-    """One category per line: category_id TAB word1 word2 ..."""
+    """Category id to the set of its words, from one category per line:
+    category_id TAB word1 word2 ... A repeated id adds to its set."""
     categories = {}
     for lineno, line in iter_utf8_lines(path):
         if not line.strip():
@@ -134,7 +102,7 @@ def load_thesaurus(path):
         if not words:
             raise ParseError(f"{path}: line {lineno}: category has no words")
         categories.setdefault(parts[0].strip(), set()).update(words)
-    return SynonymThesaurus(categories)
+    return categories
 
 
 @dataclass
@@ -153,21 +121,33 @@ class TrainingPair:
 
 
 def build_pairs(thesaurus, n_pos, n_neg, seed=0):
-    """Sample labelled pairs: positives within a category, negatives across.
+    """Sample labelled pairs from a category-id to words mapping: positives
+    within a category, negatives across.
 
-    Negative draws reject words that co-occur in any category. Deterministic
-    for a fixed seed. Raises SamplingError naming the side that cannot be
+    Categories and their members are drawn from in sorted order. Negative
+    draws reject words that co-occur in any category. Deterministic for a
+    fixed seed. Raises SamplingError naming the side that cannot be
     satisfied.
     """
+    if n_pos < 0 or n_neg < 0:
+        raise ValueError("pair counts cannot be negative")
+    members = {}
+    word_cats = {}
+    for cat, words in thesaurus.items():
+        members[cat] = sorted(set(words))
+        if not members[cat]:
+            raise ValueError(f"category {cat!r} is empty")
+        for w in members[cat]:
+            word_cats.setdefault(w, set()).add(cat)
     rnd = random.Random(seed)
-    cats = thesaurus.category_ids
-    eligible = [c for c in cats if len(thesaurus.members(c)) >= 2]
+    cats = sorted(members)
+    eligible = [c for c in cats if len(members[c]) >= 2]
     pairs = []
     if n_pos > 0 and not eligible:
         raise SamplingError("positive pairs: no category holds two distinct words")
     for _ in range(n_pos):
         cat = rnd.choice(eligible)
-        a, b = rnd.sample(thesaurus.members(cat), 2)
+        a, b = rnd.sample(members[cat], 2)
         pairs.append(TrainingPair(a, b, 1))
     if n_neg > 0:
         if len(cats) < 2:
@@ -176,9 +156,10 @@ def build_pairs(thesaurus, n_pos, n_neg, seed=0):
         misses = 0
         while produced < n_neg:
             ca, cb = rnd.sample(cats, 2)
-            a = rnd.choice(thesaurus.members(ca))
-            b = rnd.choice(thesaurus.members(cb))
-            if a != b and not thesaurus.are_synonyms(a, b):
+            a = rnd.choice(members[ca])
+            b = rnd.choice(members[cb])
+            # a word drawn twice shares both categories with itself
+            if not word_cats[a] & word_cats[b]:
                 pairs.append(TrainingPair(a, b, 0))
                 produced += 1
                 misses = 0
@@ -210,18 +191,17 @@ class SimilarityModel:
         return np.array([self.w_lcs, self.w_edit, self.w_cos])
 
 
-def train_perceptron(pairs, epochs, lr=1.0):
+def train_perceptron(pairs, epochs):
     """Classic perceptron over (lcs, edit, cos) features, zero-initialized.
 
-    Prediction is 1 when w.x + b > 0; updates w += lr*(y - yhat)*x and
-    b += lr*(y - yhat), in the given pair order for a fixed epoch count.
+    Prediction is 1 when w.x + b > 0; updates w += (y - yhat)*x and
+    b += (y - yhat), in the given pair order for a fixed epoch count. From
+    zero, a learning rate would only scale w and b, so there is none.
     """
     if not pairs:
         raise ValueError("no training pairs")
     if epochs < 0:
         raise ValueError("epochs cannot be negative")
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
     feats = [morph_features(p.word_a, p.word_b) for p in pairs]
     w = np.zeros(3)
     b = 0.0
@@ -230,8 +210,8 @@ def train_perceptron(pairs, epochs, lr=1.0):
             predicted = 1 if w @ x + b > 0 else 0
             err = pair.label - predicted
             if err:
-                w = w + lr * err * x
-                b = b + lr * err
+                w = w + err * x
+                b = b + err
     return SimilarityModel(float(w[0]), float(w[1]), float(w[2]), float(b))
 
 

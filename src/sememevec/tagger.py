@@ -230,6 +230,8 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500, *, scheme, s
         raise ValueError("lam must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter cannot be negative")
     if len(np.unique(y)) < 2:
         raise ValueError("training data contains a single class")
     n_classes = len(scheme)

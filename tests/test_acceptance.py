@@ -349,8 +349,7 @@ def run_pipeline(workdir, seed=PIPELINE_SEED, models=None):
     thesaurus = {"T00": SEEN_ENTITIES}
     for idx, s in enumerate(SUFFIXES):
         thesaurus[f"S{idx:02d}"] = [w for w in OTHER_WORDS if w[-1] == s]
-    from sememevec.morphsim import SynonymThesaurus
-    pairs = build_pairs(SynonymThesaurus(thesaurus), 40, 40, seed=seed + 1)
+    pairs = build_pairs(thesaurus, 40, 40, seed=seed + 1)
     sim_model = train_perceptron(pairs, 50)
 
     vocab = build_vocabulary(train_corpus)

@@ -98,6 +98,23 @@ class TestDataErrors:
         assert capsys.readouterr().err == "error: k must be at least 1\n"
         assert os.listdir(tmp_path) == []
 
+    def test_simmodel_negative_count_rejected(self, tmp_path, capsys):
+        # drawing no positives would leave an all-zero model to write
+        rc = main(["train-simmodel", "--thesaurus", data("thesaurus.tsv"),
+                   "--out", str(tmp_path / "sim.model"),
+                   "--positive", "-5", "--negative", "6"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: pair counts cannot be negative\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_train_tagger_negative_max_iter_rejected(self, artifacts, tmp_path, capsys):
+        rc = main(["train-tagger", "--tagged", data("tagged_train.txt"),
+                   "--word-space", artifacts["words"], "--out", str(tmp_path / "t.model"),
+                   "--max-iter", "-3"])
+        assert rc == 1
+        assert capsys.readouterr().err.endswith("error: max_iter cannot be negative\n")
+        assert os.listdir(tmp_path) == []
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("banana=3\n", encoding="utf-8")
@@ -184,6 +201,22 @@ class TestConfigFile:
         assert main(["train-embeddings", "--corpus", data("corpus.txt"),
                      "--out", str(b), "--config", str(cfg), "--dim", "4"]) == 0
         assert load_space(str(b)).dim == 4
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("dim=12\nepochs=1\ndim=4\n", 3, "dim"),
+        ("min-count=2\n# two spellings, one field\nmin_count=1\n", 3, "min_count"),
+    ], ids=["dim", "min-count-then-min_count"])
+    def test_repeated_key_rejected(self, tmp_path, capsys, text, line, key):
+        # letting the last value win would hide the first
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        rc = main(["train-embeddings", "--corpus", data("corpus.txt"),
+                   "--out", str(tmp_path / "o.vec"), "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: line {line}: repeated key {key!r}\n"
+        )
+        assert os.listdir(tmp_path) == ["c.cfg"]
 
     def test_hyphenated_keys_accepted(self, tmp_path):
         cfg = tmp_path / "c.cfg"

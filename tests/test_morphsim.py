@@ -19,7 +19,6 @@ from sememevec.morphsim import (
     CandidateIndex,
     SamplingError,
     SimilarityModel,
-    SynonymThesaurus,
     TrainingPair,
     build_pairs,
     char_cos_sim,
@@ -88,15 +87,22 @@ class TestStringMeasures:
         assert np.allclose(f, [0.5, 0.5, 0.5])
 
 
+def share_category(thesaurus, a, b):
+    return any(a in words and b in words for words in thesaurus.values())
+
+
 class TestThesaurus:
     def test_load(self, tmp_path):
         p = tmp_path / "th.tsv"
         p.write_text("A01\t薪水 月薪\nA02\t次序 顺序 秩序\n", encoding="utf-8")
-        th = load_thesaurus(str(p))
-        assert th.category_ids == ["A01", "A02"]
-        assert th.members("A02") == ["次序", "秩序", "顺序"]
-        assert th.are_synonyms("薪水", "月薪")
-        assert not th.are_synonyms("薪水", "次序")
+        assert load_thesaurus(str(p)) == {"A01": {"薪水", "月薪"},
+                                          "A02": {"次序", "秩序", "顺序"}}
+
+    def test_repeated_id_merges(self, tmp_path):
+        p = tmp_path / "th.tsv"
+        p.write_text("A01\t薪水 月薪\nA02\t次序\nA01\t月薪 薪金\n", encoding="utf-8")
+        assert load_thesaurus(str(p)) == {"A01": {"薪水", "月薪", "薪金"},
+                                          "A02": {"次序"}}
 
     def test_bad_line(self, tmp_path):
         p = tmp_path / "th.tsv"
@@ -105,22 +111,23 @@ class TestThesaurus:
             load_thesaurus(str(p))
 
     def test_empty_category_rejected(self):
-        with pytest.raises(ValueError):
-            SynonymThesaurus({"A01": []})
+        with pytest.raises(ValueError, match="category 'B' is empty"):
+            build_pairs({"A": ["x", "y"], "B": []}, 1, 1, seed=0)
 
     def test_shared_word_counts_as_synonym(self):
-        th = SynonymThesaurus({"A": ["x", "y"], "B": ["y", "z"]})
-        assert th.are_synonyms("y", "z")
-        assert not th.are_synonyms("x", "z")
+        # y shares a category with both x and z, so only x-z is a negative
+        th = {"A": ["x", "y"], "B": ["y", "z"]}
+        for p in build_pairs(th, 0, 20, seed=5):
+            assert {p.word_a, p.word_b} == {"x", "z"}
 
 
 class TestPairSampling:
     def thesaurus(self):
-        return SynonymThesaurus({
+        return {
             "A": ["薪水", "月薪", "薪金"],
             "B": ["次序", "顺序"],
             "C": ["房租", "租金"],
-        })
+        }
 
     def test_counts_and_labels(self):
         pairs = build_pairs(self.thesaurus(), 10, 8, seed=1)
@@ -130,28 +137,41 @@ class TestPairSampling:
     def test_positive_pairs_are_synonyms(self):
         th = self.thesaurus()
         for p in build_pairs(th, 20, 0, seed=2):
-            assert th.are_synonyms(p.word_a, p.word_b)
+            assert share_category(th, p.word_a, p.word_b)
             assert p.word_a != p.word_b
 
     def test_negative_pairs_are_not_synonyms(self):
         th = self.thesaurus()
         for p in build_pairs(th, 0, 20, seed=3):
-            assert not th.are_synonyms(p.word_a, p.word_b)
+            assert not share_category(th, p.word_a, p.word_b)
 
     def test_deterministic(self):
         a = build_pairs(self.thesaurus(), 5, 5, seed=4)
         b = build_pairs(self.thesaurus(), 5, 5, seed=4)
         assert a == b
 
+    def test_category_and_member_order_irrelevant(self):
+        th = self.thesaurus()
+        shuffled = {
+            "C": ["租金", "房租", "租金"],
+            "A": ("薪金", "薪水", "月薪", "薪水"),
+            "B": {"顺序", "次序"},
+        }
+        assert build_pairs(shuffled, 12, 12, seed=6) == build_pairs(th, 12, 12, seed=6)
+
+    def test_negative_count_rejected(self):
+        # a negative count would draw nothing and leave the perceptron all zero
+        for n_pos, n_neg in ((-5, 6), (6, -1)):
+            with pytest.raises(ValueError, match="pair counts cannot be negative"):
+                build_pairs(self.thesaurus(), n_pos, n_neg, seed=0)
+
     def test_no_positive_source(self):
-        th = SynonymThesaurus({"A": ["x"], "B": ["y"]})
         with pytest.raises(SamplingError):
-            build_pairs(th, 1, 0, seed=0)
+            build_pairs({"A": ["x"], "B": ["y"]}, 1, 0, seed=0)
 
     def test_single_category_cannot_make_negatives(self):
-        th = SynonymThesaurus({"A": ["x", "y"]})
         with pytest.raises(SamplingError):
-            build_pairs(th, 0, 1, seed=0)
+            build_pairs({"A": ["x", "y"]}, 0, 1, seed=0)
 
     def test_pair_validation(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from sememevec.corpus import Corpus, build_vocabulary
 from sememevec.embedding import EmbeddingSpace, save_space
 from sememevec.morphsim import (
     SimilarityModel,
-    SynonymThesaurus,
     build_pairs,
     train_perceptron,
 )
@@ -226,7 +225,7 @@ def trained_model(words):
     categories = {}
     for w in words:
         categories.setdefault(w[0], []).append(w)
-    pairs = build_pairs(SynonymThesaurus(categories), 40, 40, seed=3)
+    pairs = build_pairs(categories, 40, 40, seed=3)
     return train_perceptron(pairs, 5)
 
 

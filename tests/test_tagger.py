@@ -253,6 +253,12 @@ class TestLogreg:
         with pytest.raises(ValueError):
             train_logreg(X, y, lam=0.1, tol=0.0, scheme=scheme, spec=spec)
 
+    def test_negative_max_iter_rejected(self):
+        # it would return the all-zero model as though it had hit the cap
+        X, y, scheme, spec = random_problem()
+        with pytest.raises(ValueError, match="max_iter cannot be negative"):
+            train_logreg(X, y, lam=0.1, max_iter=-3, scheme=scheme, spec=spec)
+
     def test_zero_iterations_uniform(self):
         X, y, scheme, spec = random_problem()
         m = train_logreg(X, y, lam=0.1, max_iter=0, scheme=scheme, spec=spec)
