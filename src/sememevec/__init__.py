@@ -67,6 +67,7 @@ from .tagger import (
     predict,
     repair_bi,
     save_tagger,
+    sentence_features,
     tag_sentence,
     train_logreg,
 )

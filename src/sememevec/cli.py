@@ -48,9 +48,9 @@ from .sememe import build_sememe_space, hownet_space, parse_lexicon
 from .tagger import (
     FeatureSpec,
     LabelScheme,
-    assemble_features,
     load_tagger,
     save_tagger,
+    sentence_features,
     tag_sentence,
     train_logreg,
 )
@@ -199,10 +199,9 @@ def _cmd_train_tagger(args):
     scheme = LabelScheme.from_labels(s.labels for s in tagged)
     spec = FeatureSpec(dim=word_space.dim, window_radius=args.window_radius,
                        use_hownet=hownet_fn is not None, use_char=char_space is not None)
-    positions = [(sent, i) for sent in tagged for i in range(len(sent.tokens))]
-    features = [assemble_features(sent.tokens, i, word_space, hownet_fn, char_space, spec)
-                for sent, i in positions]
-    labels = [scheme.index(sent.labels[i]) for sent, i in positions]
+    features = [row for sent in tagged for row in sentence_features(
+        sent.tokens, word_space, hownet_fn, char_space, spec)]
+    labels = [scheme.index(lab) for sent in tagged for lab in sent.labels]
     _note(args.command, f"{len(features)} examples, {len(scheme)} labels")
     model = train_logreg(
         features, labels, lam=args.lam, tol=args.tol, max_iter=args.max_iter,

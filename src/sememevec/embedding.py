@@ -64,10 +64,10 @@ class TrainConfig:
         for field in ("dim", "window", "negative", "epochs", "min_count"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be a positive integer")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.subsample < 0:
-            raise ValueError("subsample threshold cannot be negative")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0 <= self.subsample < np.inf:
+            raise ValueError("subsample threshold must be non-negative and finite")
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
 

@@ -1,11 +1,12 @@
 """Rank-correlation scoring for word similarity and span P/R/F for tagging."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import ParseError, finite_floats, iter_utf8_lines
 from .embedding import cosine
+from .tagger import repair_bi
 
 
 class EvaluationError(ValueError):
@@ -14,18 +15,9 @@ class EvaluationError(ValueError):
 
 def average_ranks(values):
     """1-based ranks; equal values share the mean of their rank range."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a group of c equal values whose last rank is e takes ranks e-c+1..e
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group].tolist()
 
 
 def spearman(xs, ys):
@@ -106,32 +98,17 @@ class Span:
 
 
 def decode_spans(labels, sentence=0):
-    """Entity spans of one label sequence; a bare I-label opens a span."""
+    """Entity spans of one label sequence, read as repair_bi writes it: a span
+    opens at each B-label, a bare I-label included, and runs over the
+    I-labels after it."""
     spans = []
-    open_start = None
-    open_type = None
-
-    def close(at):
-        # at is the first position past the span
-        nonlocal open_start, open_type
-        if open_type is not None:
-            spans.append(Span(sentence, open_start, at - 1, open_type))
-            open_start = None
-            open_type = None
-
-    for i, lab in enumerate(labels):
-        if lab == "O":
-            close(i)
-        elif lab.startswith("B-") and len(lab) > 2:
-            close(i)
-            open_start, open_type = i, lab[2:]
-        elif lab.startswith("I-") and len(lab) > 2:
-            if lab[2:] != open_type:
-                close(i)
-                open_start, open_type = i, lab[2:]
-        else:
+    for i, (lab, read) in enumerate(zip(labels, repair_bi(labels))):
+        if lab != "O" and (len(lab) <= 2 or lab[:2] not in ("B-", "I-")):
             raise EvaluationError(f"unrecognised label {lab!r}")
-    close(len(labels))
+        if read.startswith("B-"):
+            spans.append(Span(sentence, i, i, read[2:]))
+        elif read != "O":
+            spans[-1] = replace(spans[-1], end=i)
     return spans
 
 

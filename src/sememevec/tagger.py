@@ -140,6 +140,16 @@ def assemble_features(sentence, i, word_space, hownet_fn, char_space, spec):
     return np.concatenate(parts)
 
 
+def sentence_features(sentence, word_space, hownet_fn, char_space, spec):
+    """The (n, spec.feature_length) rows of an n-token sentence, row i being
+    assemble_features at position i: the rows training fits and tagging
+    predicts on."""
+    x = np.zeros((len(sentence), spec.feature_length))
+    for i in range(len(sentence)):
+        x[i] = assemble_features(sentence, i, word_space, hownet_fn, char_space, spec)
+    return x
+
+
 @dataclass
 class TaggerModel:
     """Per-class weight rows and biases, checked at construction to be finite
@@ -226,10 +236,10 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500, *, scheme, s
         raise ValueError("features must be a non-empty 2-d array matching labels")
     if X.shape[1] != spec.feature_length:
         raise ValueError(f"feature width {X.shape[1]} != spec length {spec.feature_length}")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter < 0:
         raise ValueError("max_iter cannot be negative")
     if len(np.unique(y)) < 2:
@@ -318,9 +328,7 @@ def repair_bi(labels):
 def tag_sentence(model, sentence, word_space, hownet_fn, char_space):
     """Independent per-token labels, predicted for all the sentence's feature
     rows at once, followed by BI repair."""
-    x = np.zeros((len(sentence), model.spec.feature_length))
-    for i in range(len(sentence)):
-        x[i] = assemble_features(sentence, i, word_space, hownet_fn, char_space, model.spec)
+    x = sentence_features(sentence, word_space, hownet_fn, char_space, model.spec)
     return repair_bi([model.scheme.label(idx) for idx in predict(model, x)])
 
 

@@ -49,8 +49,8 @@ from sememevec.sememe import (
 from sememevec.tagger import (
     FeatureSpec,
     LabelScheme,
-    assemble_features,
     save_tagger,
+    sentence_features,
     softmax_loss_and_grads,
     tag_sentence,
     train_logreg,
@@ -317,12 +317,10 @@ def _pipeline_lexicon():
 
 def _train_and_score(train_tagged, test_tagged, word_space, hownet_fn, char_space,
                      spec, scheme):
-    X, y = [], []
-    for sent in train_tagged:
-        for i in range(len(sent.tokens)):
-            X.append(assemble_features(sent.tokens, i, word_space, hownet_fn,
-                                       char_space, spec))
-            y.append(scheme.index(sent.labels[i]))
+    X = np.concatenate([
+        sentence_features(sent.tokens, word_space, hownet_fn, char_space, spec)
+        for sent in train_tagged])
+    y = [scheme.index(lab) for sent in train_tagged for lab in sent.labels]
     model = train_logreg(X, y, lam=1e-4, tol=1e-6, max_iter=1200,
                          scheme=scheme, spec=spec)
     predicted = [tag_sentence(model, s.tokens, word_space, hownet_fn, char_space)

@@ -115,6 +115,30 @@ class TestDataErrors:
         assert capsys.readouterr().err.endswith("error: max_iter cannot be negative\n")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--learning-rate", "inf", "learning_rate must be positive and finite"),
+        ("--learning-rate", "nan", "learning_rate must be positive and finite"),
+        ("--subsample", "nan", "subsample threshold must be non-negative and finite"),
+    ])
+    def test_non_finite_train_flag_rejected(self, tmp_path, capsys, flag, value, message):
+        rc = main(["train-embeddings", "--corpus", data("corpus.txt"),
+                   "--out", str(tmp_path / "o.vec"), flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flag, value", [("--tol", "inf"), ("--tol", "nan"),
+                                             ("--lam", "nan")])
+    def test_train_tagger_non_finite_lam_tol_rejected(self, artifacts, tmp_path, capsys,
+                                                      flag, value):
+        rc = main(["train-tagger", "--tagged", data("tagged_train.txt"),
+                   "--word-space", artifacts["words"], "--out", str(tmp_path / "t.model"),
+                   flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: {flag[2:]} must be positive and finite\n")
+        assert os.listdir(tmp_path) == []
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("banana=3\n", encoding="utf-8")

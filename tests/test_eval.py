@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import spearman_oracle
+from conftest import average_ranks_oracle, spearman_oracle
 from sememevec.corpus import ParseError
 from sememevec.embedding import EmbeddingSpace
 from sememevec.evaluate import (
@@ -29,6 +29,12 @@ class TestRanks:
 
     def test_all_equal(self):
         assert average_ranks([5.0, 5.0, 5.0]) == [2.0, 2.0, 2.0]
+
+    def test_equals_counting_oracle(self):
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            values = rng.integers(0, 5, rng.integers(0, 12)).astype(float).tolist()
+            assert average_ranks(values) == average_ranks_oracle(values)
 
 
 class TestSpearman:
@@ -159,6 +165,32 @@ class TestSpanDecoding:
         for _ in range(100):
             seq = [labels[rng.integers(len(labels))] for _ in range(rng.integers(1, 10))]
             assert decode_spans(seq) == decode_spans(repair_bi(seq))
+
+    def test_equals_open_close_oracle(self):
+        # a decoder that keeps an open span and closes it at O, at B- and at
+        # an I- of another type; malformed labels must raise at the same place
+        def oracle(labels):
+            spans, start, kind = [], None, None
+            for i, lab in enumerate(labels + ["O"]):
+                if lab != "O" and (len(lab) <= 2 or lab[:2] not in ("B-", "I-")):
+                    return "error"
+                if kind is not None and (lab == "O" or lab[:2] == "B-" or lab[2:] != kind):
+                    spans.append(Span(0, start, i - 1, kind))
+                    kind = None
+                if lab != "O" and kind is None:
+                    start, kind = i, lab[2:]
+            return spans
+
+        rng = np.random.default_rng(59)
+        labels = ["O", "B-Date", "I-Date", "B-Time", "I-Time", "I-", "B-", "nope"]
+        for _ in range(2000):
+            seq = [labels[k] for k in rng.choice(len(labels), rng.integers(0, 10),
+                                                 p=[.2, .2, .2, .15, .15, .03, .03, .04])]
+            try:
+                got = decode_spans(seq)
+            except EvaluationError:
+                got = "error"
+            assert got == oracle(seq)
 
     def test_round_trip_spans_to_labels(self):
         spans = [Span(0, 1, 2, "Date"), Span(0, 4, 4, "Time")]

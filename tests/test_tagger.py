@@ -17,6 +17,7 @@ from sememevec.tagger import (
     predict,
     repair_bi,
     save_tagger,
+    sentence_features,
     softmax_loss_and_grads,
     tag_sentence,
     train_logreg,
@@ -104,6 +105,16 @@ class TestFeatureAssembly:
         assert np.array_equal(f[0:4], words.get("甲日"))
         assert np.array_equal(f[4:8], words.get("乙山"))
         assert np.array_equal(f[8:12], np.zeros(4))
+
+    def test_sentence_rows_are_positions(self):
+        words, chars, hownet_fn = toy_spaces()
+        spec = FeatureSpec(dim=4, window_radius=1)
+        for sent in (["甲日", "不在", "乙山"], []):
+            x = sentence_features(sent, words, hownet_fn, chars, spec)
+            assert x.shape == (len(sent), spec.feature_length)
+            for i in range(len(sent)):
+                assert np.array_equal(x[i], assemble_features(sent, i, words, hownet_fn,
+                                                              chars, spec))
 
     @pytest.mark.parametrize("bad", [{"dim": 0}, {"dim": 4, "window_radius": -1}])
     def test_invalid_spec_rejected_at_construction(self, bad):
@@ -252,6 +263,17 @@ class TestLogreg:
             train_logreg(X, y, lam=0.0, scheme=scheme, spec=spec)
         with pytest.raises(ValueError):
             train_logreg(X, y, lam=0.1, tol=0.0, scheme=scheme, spec=spec)
+
+    @pytest.mark.parametrize("bad", [{"lam": float("nan")}, {"lam": float("inf")},
+                                     {"tol": float("nan")}, {"tol": float("inf")}])
+    def test_non_finite_lam_tol_rejected_before_fitting(self, bad, monkeypatch):
+        # tol=inf returned the all-zero model as converged, tol=nan always
+        # ran to max_iter, and lam=nan failed only once the fit was done
+        import sememevec.tagger as tagger_module
+        X, y, scheme, spec = random_problem()
+        monkeypatch.setattr(tagger_module, "softmax_loss_and_grads", None)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            train_logreg(X, y, **{"lam": 0.1, **bad}, scheme=scheme, spec=spec)
 
     def test_negative_max_iter_rejected(self):
         # it would return the all-zero model as though it had hit the cap
@@ -430,11 +452,9 @@ class TestTagSentence:
         scheme = LabelScheme(["Date"])
         sents = [(["甲日", "乙山"], ["B-Date", "O"]), (["丙日", "乙山"], ["B-Date", "O"]),
                  (["乙山", "甲日"], ["O", "B-Date"])]
-        X, y = [], []
-        for toks, labs in sents:
-            for i in range(len(toks)):
-                X.append(assemble_features(toks, i, words, hownet_fn, chars, spec))
-                y.append(scheme.index(labs[i]))
+        X = np.concatenate([sentence_features(toks, words, hownet_fn, chars, spec)
+                            for toks, _ in sents])
+        y = [scheme.index(lab) for _, labs in sents for lab in labs]
         model = train_logreg(X, y, lam=1e-3, max_iter=200, scheme=scheme, spec=spec)
         return model, words, chars, hownet_fn
 
