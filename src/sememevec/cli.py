@@ -162,8 +162,11 @@ def _cmd_revise(args):
     vocab = build_vocabulary(corpus)
     targets = set(space.tokens) | set(vocab)
     if args.targets:
-        for _, line in iter_utf8_lines(args.targets):
+        for lineno, line in iter_utf8_lines(args.targets):
             word = line.strip()
+            if len(word.split()) > 1:  # save_space could not write its row
+                raise ParseError(f"{args.targets}: line {lineno}: "
+                                 f"target word {word!r} contains whitespace")
             if word:
                 targets.add(word)
     config = CombinedSpaceConfig(rare_tf_threshold=args.threshold, k=args.k)
@@ -322,7 +325,7 @@ def build_parser():
     sub.add_argument("--model", required=True)
     sub.add_argument("--corpus", required=True)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--targets", help="extra target words, one per line")
+    sub.add_argument("--targets", help="extra whitespace-free target words, one per line")
     sub.add_argument("--threshold", type=int, default=2)
     sub.add_argument("--k", type=int, default=5)
     sub.set_defaults(func=_cmd_revise)

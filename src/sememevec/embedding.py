@@ -31,9 +31,9 @@ from .corpus import (
     ascii_int,
     atomic_text_writer,
     build_vocabulary,
-    check_written,
     iter_utf8_lines,
     split_fields,
+    written_floats,
 )
 
 LR_FLOOR_FRACTION = 1e-4
@@ -121,14 +121,17 @@ def cosine(u, v):
     v = np.asarray(v, dtype=np.float64)
     if u.ndim != 1 or u.shape != v.shape:
         raise ValueError(f"incompatible shapes {u.shape} and {v.shape}")
-    nu = math.sqrt(float(u @ u))
-    nv = math.sqrt(float(v @ v))
+    # exact powers of two bring the largest magnitudes into [0.5, 1), so the
+    # squared norms lie in [0.25, dim) and never overflow or vanish
+    su, sv = (np.ldexp(x, -math.frexp(float(np.abs(x).max(initial=0.0)))[1]) for x in (u, v))
+    nu = math.sqrt(float(su @ su))
+    nv = math.sqrt(float(sv @ sv))
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    # identical vectors score exactly 1 regardless of rounding
+    # exactly 1 for identical vectors only; scaling would equate power-of-two multiples
     if np.array_equal(u, v):
         return 1.0
-    return min(1.0, max(-1.0, float(u @ v) / (nu * nv)))
+    return min(1.0, max(-1.0, float(su @ sv) / (nu * nv)))
 
 
 def corpus_to_characters(corpus):
@@ -303,12 +306,7 @@ def load_space(path, name=""):
             )
         if fields[0] in space:
             raise ParseError(f"{path}: line {lineno}: duplicate token {fields[0]!r}")
-        check_written(fields[1:], lineno, path)
-        try:
-            # add is the one finiteness check; the error gains the line here
-            space.add(fields[0], list(map(float, fields[1:])))
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        space.add(fields[0], written_floats(fields[1:], lineno, path))
     if len(space) != size:
         raise ParseError(
             f"{path}: header declares {size} rows but {len(space)} were read"

@@ -18,9 +18,9 @@ import numpy as np
 from .corpus import (
     ParseError,
     atomic_text_writer,
+    header_value,
     iter_utf8_lines,
-    split_fields,
-    written_floats,
+    written_float,
 )
 
 
@@ -294,16 +294,11 @@ def save_similarity_model(model, path):
 
 
 def load_similarity_model(path):
-    names = [f.name for f in fields(SimilarityModel)]
-    values = {}
-    for lineno, line in iter_utf8_lines(path):
-        parts = split_fields(line, lineno, path)
-        if len(parts) != 2 or parts[0] not in names:
-            raise ParseError(f"{path}: line {lineno}: expected 'name value'")
-        if parts[0] in values:
-            raise ParseError(f"{path}: line {lineno}: repeated field {parts[0]!r}")
-        values[parts[0]] = written_floats(parts[1:], lineno, path)[0]
-    missing = set(names) - values.keys()
-    if missing:
-        raise ParseError(f"{path}: missing fields {sorted(missing)}")
-    return SimilarityModel(**values)
+    """Read a file written by save_similarity_model, its fields in writer
+    order; ParseError names the first line it could not have written."""
+    lines = iter_utf8_lines(path)
+    model = SimilarityModel(*[header_value(lines, path, f.name, written_float)
+                              for f in fields(SimilarityModel)])
+    for lineno, _ in lines:
+        raise ParseError(f"{path}: line {lineno}: unexpected line after 'bias'")
+    return model

@@ -17,7 +17,9 @@ from .corpus import (
     ParseError,
     ascii_int,
     atomic_text_writer,
+    header_value,
     iter_utf8_lines,
+    next_line,
     split_fields,
     written_float,
     written_floats,
@@ -376,30 +378,13 @@ def load_tagger(path):
     if next(lines, (1, ""))[1] != TAGGER_MAGIC:
         raise ParseError(f"{path}: line 1: not a tagger model file")
 
-    def next_line(expected):
-        item = next(lines, None)
-        if item is None:
-            raise ParseError(f"{path}: unexpected end of file, expected {expected}")
-        return item
-
-    def header_value(key, parse):
-        lineno, line = next_line(f"'{key}'")
-        name, sep, text = line.partition(" ")
-        # "key " would otherwise read as a key with no fields
-        if name != key or sep and not text:
-            raise ParseError(f"{path}: line {lineno}: expected '{key} ...', got {line!r}")
-        try:
-            return parse(text)
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
-
     def section(name, n_rows, width, what):
-        lineno, line = next_line(f"'{name}'")
+        lineno, line = next_line(lines, path, f"'{name}'")
         if line != name:
             raise ParseError(f"{path}: line {lineno}: expected '{name}', got {line!r}")
         rows = []
         for _ in range(n_rows):
-            lineno, line = next_line(what)
+            lineno, line = next_line(lines, path, what)
             values = split_fields(line, lineno, path)
             if len(values) != width:
                 raise ParseError(f"{path}: line {lineno}: expected {width} {what}, "
@@ -408,7 +393,7 @@ def load_tagger(path):
         return np.array(rows, dtype=np.float64)
 
     scheme, radius, use_context, use_hownet, use_char, dim, lam, n_classes, n_features = (
-        header_value(key, parse) for key, _, parse in _HEADER)
+        header_value(lines, path, key, parse) for key, _, parse in _HEADER)
     try:
         spec = FeatureSpec(dim=dim, window_radius=radius, use_context=use_context,
                            use_hownet=use_hownet, use_char=use_char)

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import sememevec.cli
 from sememevec.cli import main
 from sememevec.corpus import load_tagged_corpus
 from sememevec.embedding import load_space
@@ -97,6 +98,20 @@ class TestDataErrors:
         assert rc == 1
         assert capsys.readouterr().err == "error: k must be at least 1\n"
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("word", ["新 词", "新\u3000词"])
+    def test_revise_target_with_whitespace_rejected_before_revising(
+            self, artifacts, tmp_path, capsys, monkeypatch, word):
+        targets = tmp_path / "targets.txt"
+        targets.write_text(f"新词\n{word}\n", encoding="utf-8")
+        monkeypatch.setattr(sememevec.cli, "build_combined_space", None)
+        rc = main(["revise", "--space", artifacts["words"], "--model", artifacts["sim"],
+                   "--corpus", data("corpus.txt"), "--out", str(tmp_path / "c.vec"),
+                   "--targets", str(targets)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {targets}: line 2: target word {word!r} contains whitespace\n")
+        assert os.listdir(tmp_path) == ["targets.txt"]
 
     def test_simmodel_negative_count_rejected(self, tmp_path, capsys):
         # drawing no positives would leave an all-zero model to write
@@ -271,6 +286,19 @@ class TestEvaluationCommands:
         assert lines[1].startswith("coverage ")
         float(lines[0].split()[1])
         assert float(lines[1].split()[1]) == 100.0
+
+    def test_eval_sim_huge_vectors_score_as_unit_scale(self, tmp_path, capsys):
+        # squaring 1e200 overflows; the same directions at unit scale do not
+        judgements = tmp_path / "j.tsv"
+        judgements.write_text("a\tb\t3\na\tc\t2\nb\tc\t1\n", encoding="utf-8")
+        printed = []
+        for rows in (["a 1e+200 1e+200", "b 1e+200 2e+200"], ["a 1 1", "b 1 2"]):
+            space = tmp_path / "s.vec"
+            space.write_text("\n".join(["3 2", *rows, "c 1 0"]) + "\n", encoding="utf-8")
+            assert main(["eval-sim", "--space", str(space),
+                         "--judgements", str(judgements)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] == "spearman 100.0\ncoverage 100.0\n"
 
     def test_eval_sim_hownet_source(self, artifacts, capsys):
         rc = main(["eval-sim", "--lexicon", data("lexicon.tsv"),

@@ -86,6 +86,25 @@ class TestCosine:
             v = rng.normal(0, 1, 5)
             assert -1.0 <= cosine(u, v) <= 1.0
 
+    # u @ u overflows above a norm of about 1e154 and underflows below 1e-154
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_norm_scores_as_unit_norm(self, scale):
+        assert cosine([scale, scale], [scale, 2 * scale]) == pytest.approx(
+            cosine([1.0, 1.0], [1.0, 2.0]), rel=1e-15)
+
+    @pytest.mark.parametrize("power", [-700, -20, 20, 700])
+    def test_power_of_two_scaling_is_exact(self, power):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            u = rng.normal(0, 1, 6)
+            v = rng.normal(0, 1, 6)
+            assert cosine(np.ldexp(u, power), np.ldexp(v, power)) == cosine(u, v)
+
+    def test_power_of_two_multiple_is_not_identical(self):
+        # rounding puts this pair just below 1; scaled, the two are identical,
+        # which must not make them score exactly 1
+        assert cosine([1.0, 1.0], [2.0, 2.0]) < 1.0
+
 
 class TestNegativeSamplingGradients:
     def test_matches_finite_differences(self):

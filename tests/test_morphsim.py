@@ -344,32 +344,47 @@ class TestModelSerialization:
     def test_repeated_field_rejected(self, tmp_path):
         p = tmp_path / "m.model"
         p.write_text("w_lcs 1\nw_lcs 5\nw_edit 0\nw_cos 0\nbias 0\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="line 2: repeated field 'w_lcs'"):
+        with pytest.raises(ParseError, match="line 2: expected 'w_edit ...', got 'w_lcs 5'"):
             load_similarity_model(str(p))
 
-    @pytest.mark.parametrize("text, line", [
-        ("\nw_lcs 1\nw_edit 0\nw_cos 0\nbias 0\n", 1),
-        ("w_lcs 1\nw_edit 0\n\nw_cos 0\nbias 0\n", 3),
-        ("w_lcs 1\nw_edit 0\nw_cos 0\nbias 0\n\n", 5),
+    # save_similarity_model writes the fields in declaration order, once each
+    @pytest.mark.parametrize("text, message", [
+        ("w_edit 0\nw_lcs 1\nw_cos 0\nbias 0\n", "line 1: expected 'w_lcs ...', got 'w_edit 0'"),
+        ("w_lcs 1\nw_edit 0\nbias 0\nw_cos 0\n", "line 3: expected 'w_cos ...', got 'bias 0'"),
+        ("w_lcs 1\nw_edit 0\nbias 0\n", "line 3: expected 'w_cos ...', got 'bias 0'"),
+        ("w_lcs 1\nw_edit 0\nw_cos 0\n", "unexpected end of file, expected 'bias'"),
+        ("w_lcs 1\nw_edit 0\nw_cos 0\nbias 0\nw_lcs 1\n",
+         "line 5: unexpected line after 'bias'"),
     ])
-    def test_blank_line_rejected(self, tmp_path, text, line):
+    def test_field_out_of_writer_order_rejected(self, tmp_path, text, message):
         p = tmp_path / "m.model"
         p.write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError, match=f"line {line}: expected 'name value'"):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_similarity_model(str(p))
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("\nw_lcs 1\nw_edit 0\nw_cos 0\nbias 0\n", 1, "expected 'w_lcs ...', got ''"),
+        ("w_lcs 1\nw_edit 0\n\nw_cos 0\nbias 0\n", 3, "expected 'w_cos ...', got ''"),
+        ("w_lcs 1\nw_edit 0\nw_cos 0\nbias 0\n\n", 5, "unexpected line after 'bias'"),
+    ])
+    def test_blank_line_rejected(self, tmp_path, text, line, message):
+        p = tmp_path / "m.model"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"line {line}: {message}")):
             load_similarity_model(str(p))
 
     # save_similarity_model writes "name value"; split() read these
-    @pytest.mark.parametrize("text, line", [
-        ("w_lcs\t 1\nw_edit 0\nw_cos 0\nbias 0\n", 1),
-        ("w_lcs 1\nw_edit  0\nw_cos 0\nbias 0\n", 2),
-        ("w_lcs 1\nw_edit 0\nw_cos 0 \nbias 0\n", 3),
-        ("w_lcs 1\nw_edit 0\nw_cos 0\n bias 0\n", 4),
-        ("w_lcs 1\nw_edit 0\nw_cos 0\nbias\u30000\n", 4),
+    @pytest.mark.parametrize("text, line, message", [
+        ("w_lcs\t 1\nw_edit 0\nw_cos 0\nbias 0\n", 1, "expected 'w_lcs ...', got 'w_lcs\\t 1'"),
+        ("w_lcs 1\nw_edit  0\nw_cos 0\nbias 0\n", 2, "malformed number ' 0'"),
+        ("w_lcs 1\nw_edit 0\nw_cos 0 \nbias 0\n", 3, "malformed number '0 '"),
+        ("w_lcs 1\nw_edit 0\nw_cos 0\n bias 0\n", 4, "expected 'bias ...', got ' bias 0'"),
+        ("w_lcs 1\nw_edit 0\nw_cos 0\nbias\u30000\n", 4, "expected 'bias ...', got 'bias\\u30000'"),
     ])
-    def test_field_separator_other_than_one_space_rejected(self, tmp_path, text, line):
+    def test_field_separator_other_than_one_space_rejected(self, tmp_path, text, line, message):
         p = tmp_path / "m.model"
         p.write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError, match=f"line {line}: fields must be separated"):
+        with pytest.raises(ParseError, match=re.escape(f"line {line}: {message}")):
             load_similarity_model(str(p))
 
     # float() reads each of these, "1_5" as 15.0

@@ -12,6 +12,7 @@ from sememevec.embedding import EmbeddingSpace, save_space
 from sememevec.morphsim import (
     SimilarityModel,
     build_pairs,
+    top_k_similar,
     train_perceptron,
 )
 from sememevec.revise import (
@@ -230,13 +231,18 @@ def trained_model(words):
 
 
 # sha256 of save_space output, recorded before neighbour search skipped
-# candidates that share no character with the query
+# candidates that share no character with the query; "blending" was recorded
+# later, at a rare threshold of 25, where eight rare words with a stored
+# vector blend it with their neighbours' at weights 0.25, 0.5 and 0.75
 COMBINED_DIGESTS = {
     "perceptron":
         "378c4a98a5bfbfd120b49c7ea8a8e6d4b33da7a05e0552b7611a01d4ac7bf88d",
     "negative":
         "23553dfb5c645a55d409a8cfc1a3125da27d17140eee5ad12da1011ced15a025",
+    "blending":
+        "b3fda546e755b281d9b9e8d83303a231eccd9707d5c0b29d0f6560e8ca6c96c4",
 }
+BLENDING = CombinedSpaceConfig(rare_tf_threshold=25, k=12)
 
 
 class TestCombinedSpaceDigest:
@@ -245,17 +251,31 @@ class TestCombinedSpaceDigest:
     @pytest.mark.parametrize("kind", list(COMBINED_DIGESTS))
     def test_output_pinned(self, kind, tmp_path):
         targets, space, vocab, words = revision_inputs()
-        if kind == "perceptron":
-            model = trained_model(words)
-        else:
+        if kind == "negative":
             model = SimilarityModel(w_lcs=-1.5, w_edit=-0.5, w_cos=-2.0, bias=0.3)
-        out = build_combined_space(
-            targets, space, model, vocab, CombinedSpaceConfig(k=12)
-        )
+        else:
+            model = trained_model(words)
+        config = BLENDING if kind == "blending" else CombinedSpaceConfig(k=12)
+        out = build_combined_space(targets, space, model, vocab, config)
         path = tmp_path / "combined.vec"
         save_space(out, str(path))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == COMBINED_DIGESTS[kind]
+
+    def test_blended_row_is_combine_of_stored_and_neighbours(self):
+        targets, space, vocab, words = revision_inputs()
+        model = trained_model(words)
+        out = build_combined_space(targets, space, model, vocab, BLENDING)
+        rare = [w for w in words if vocab.tf(w) == 3 and w in space]
+        assert rare
+        for word in rare:
+            neighbors = top_k_similar(model, word, vocab, BLENDING.k)
+            similar = similar_word_vector(neighbors, space, vocab)
+            want = combine(space.get(word), similar, 3)
+            # tf 3 weighs the stored vector 0.25, so both sides are in the row
+            assert not np.array_equal(want, space.get(word))
+            assert not np.array_equal(want, similar)
+            assert out.get(word).tobytes() == want.tobytes()
 
 
 def test_one_index_and_one_score_per_sharing_pair(monkeypatch):
