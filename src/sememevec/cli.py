@@ -2,6 +2,7 @@
 
 Flags mirror the training config fields one to one. An optional config file
 with one key=value pair per line supplies defaults; explicit flags win.
+A path flag that is given is always read, so an empty one is an error.
 Exit codes: 0 success, 1 data or processing error, 2 usage error.
 """
 
@@ -14,6 +15,7 @@ from .corpus import (
     TaggedSentence,
     build_vocabulary,
     format_tagged_corpus,
+    has_whitespace,
     iter_utf8_lines,
     load_corpus,
     load_tagged_corpus,
@@ -60,6 +62,7 @@ def _note(command, message):
 
 
 def _read_config_file(path):
+    casts = {f.name: f.type for f in fields(TrainConfig)}
     values = {}
     for lineno, line in iter_utf8_lines(path):
         line = line.strip()
@@ -68,41 +71,28 @@ def _read_config_file(path):
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
             raise ParseError(f"{path}: line {lineno}: expected key=value")
-        key = key.strip().replace("-", "_")
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in casts:
+            raise ParseError(f"{path}: line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ParseError(f"{path}: line {lineno}: repeated key {key!r}")
-        values[key] = value.strip()
+        try:
+            values[key] = casts[key](value)
+        except ValueError:
+            raise ParseError(
+                f"{path}: line {lineno}: bad value for {key}: {value!r}"
+            ) from None
     return values
 
 
 def _train_config(args):
-    file_values = _read_config_file(args.config) if args.config else {}
-    casts = {f.name: f.type for f in fields(TrainConfig)}
-    for key in file_values:
-        if key not in casts:
-            raise ParseError(f"{args.config}: unknown config key {key!r}")
-    kwargs = {}
-    for name, cast in casts.items():
-        flag = getattr(args, name)
-        if flag is not None:
-            kwargs[name] = flag
-        elif name in file_values:
-            try:
-                kwargs[name] = cast(file_values[name])
-            except ValueError:
-                raise ParseError(
-                    f"{args.config}: bad value for {name}: {file_values[name]!r}"
-                ) from None
-    return TrainConfig(**kwargs)
-
-
-def _add_train_flags(sub):
-    sub.add_argument("--config", help="key=value per line; flags override")
+    """The TrainConfig of --config's key=value lines, overridden by explicit flags."""
+    kwargs = {} if args.config is None else _read_config_file(args.config)
     for f in fields(TrainConfig):
-        sub.add_argument(
-            "--" + f.name.replace("_", "-"), dest=f.name, type=f.type,
-            choices=ARCHITECTURES if f.name == "architecture" else None,
-        )
+        flag = getattr(args, f.name)
+        if flag is not None:
+            kwargs[f.name] = flag
+    return TrainConfig(**kwargs)
 
 
 def _save_trained(args, space):
@@ -161,10 +151,10 @@ def _cmd_revise(args):
     corpus = load_corpus(args.corpus)
     vocab = build_vocabulary(corpus)
     targets = set(space.tokens) | set(vocab)
-    if args.targets:
+    if args.targets is not None:
         for lineno, line in iter_utf8_lines(args.targets):
             word = line.strip()
-            if len(word.split()) > 1:  # save_space could not write its row
+            if has_whitespace(word):  # save_space could not write its row
                 raise ParseError(f"{args.targets}: line {lineno}: "
                                  f"target word {word!r} contains whitespace")
             if word:
@@ -178,11 +168,13 @@ def _cmd_revise(args):
 
 
 def _hownet_source(args):
-    """The HowNet space of --lexicon and --sememe-space, or None."""
+    """Whether --lexicon and --sememe-space give a HowNet source; one alone is an error."""
     if (args.lexicon is None) != (args.sememe_space is None):
         raise ValueError("--lexicon and --sememe-space must be given together")
-    if not args.lexicon:
-        return None
+    return args.lexicon is not None
+
+
+def _load_hownet(args):
     return hownet_space(
         parse_lexicon(args.lexicon), load_space(args.sememe_space, name="sememe")
     )
@@ -190,10 +182,10 @@ def _hownet_source(args):
 
 def _load_tagger_sources(args):
     word_space = load_space(args.word_space, name="word")
-    char_space = load_space(args.char_space, name="character") if args.char_space else None
-    # an empty HowNet space is falsy, yet still a source
-    hownet = _hownet_source(args)
-    return word_space, None if hownet is None else hownet.get, char_space
+    char_space = (None if args.char_space is None
+                  else load_space(args.char_space, name="character"))
+    hownet_fn = _load_hownet(args).get if _hownet_source(args) else None
+    return word_space, hownet_fn, char_space
 
 
 def _cmd_train_tagger(args):
@@ -226,7 +218,7 @@ def _cmd_tag(args):
     corpus = load_corpus(args.corpus)
     tagged = [TaggedSentence(s, tag_sentence(model, s, word_space, hownet_fn, char_space))
               for s in corpus]
-    if args.out:
+    if args.out is not None:
         save_tagged_corpus(tagged, args.out)
         _note(args.command, f"wrote {args.out}")
     else:
@@ -236,12 +228,13 @@ def _cmd_tag(args):
 
 
 def _cmd_eval_sim(args):
-    if args.lexicon and args.sememe_space is not None and args.space:
-        raise ValueError("give either --space or --lexicon/--sememe-space, not both")
-    source = _hownet_source(args)
-    if source is None:
-        if not args.space:
-            raise ValueError("need --space or --lexicon/--sememe-space")
+    if _hownet_source(args):
+        if args.space is not None:
+            raise ValueError("give either --space or --lexicon/--sememe-space, not both")
+        source = _load_hownet(args)
+    elif args.space is None:
+        raise ValueError("need --space or --lexicon/--sememe-space")
+    else:
         source = load_space(args.space)
     judgements = load_judgements(args.judgements)
     rho, coverage = eval_similarity(source, judgements)
@@ -269,34 +262,41 @@ def _cmd_eval_ner(args):
 
 
 def build_parser():
+    # flag groups that several subcommands share, each declared once
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--corpus", required=True)
+    training.add_argument("--out", required=True)
+    training.add_argument("--config", help="key=value per line; flags override")
+    for f in fields(TrainConfig):
+        training.add_argument(
+            "--" + f.name.replace("_", "-"), type=f.type,
+            choices=ARCHITECTURES if f.name == "architecture" else None,
+        )
+    hownet = argparse.ArgumentParser(add_help=False)
+    hownet.add_argument("--lexicon")
+    hownet.add_argument("--sememe-space")
+    spaces = argparse.ArgumentParser(add_help=False)
+    spaces.add_argument("--word-space", required=True)
+    spaces.add_argument("--char-space")
+
     parser = argparse.ArgumentParser(
         prog="sememevec",
         description="Sememe-enhanced word vectors, rare-word revision and BI tagging.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("train-embeddings", help="train word vectors on a corpus")
-    sub.add_argument("--corpus", required=True)
-    sub.add_argument("--out", required=True)
-    _add_train_flags(sub)
+    sub = subs.add_parser("train-embeddings", parents=[training],
+                          help="train word vectors on a corpus")
     sub.set_defaults(func=_cmd_train_embeddings)
 
-    sub = subs.add_parser(
-        "train-char-embeddings", help="train character vectors on a corpus"
-    )
-    sub.add_argument("--corpus", required=True)
-    sub.add_argument("--out", required=True)
-    _add_train_flags(sub)
+    sub = subs.add_parser("train-char-embeddings", parents=[training],
+                          help="train character vectors on a corpus")
     sub.set_defaults(func=_cmd_train_char_embeddings)
 
-    sub = subs.add_parser(
-        "build-sememe-space", help="train sememe vectors via replacement corpora"
-    )
-    sub.add_argument("--corpus", required=True)
+    sub = subs.add_parser("build-sememe-space", parents=[training],
+                          help="train sememe vectors via replacement corpora")
     sub.add_argument("--lexicon", required=True)
-    sub.add_argument("--out", required=True)
-    sub.add_argument("--max-rank", type=int, default=3, dest="max_rank")
-    _add_train_flags(sub)
+    sub.add_argument("--max-rank", type=int, default=3)
     sub.set_defaults(func=_cmd_build_sememe_space)
 
     sub = subs.add_parser(
@@ -304,7 +304,7 @@ def build_parser():
     )
     sub.add_argument("--word", required=True)
     sub.add_argument("--lexicon", required=True)
-    sub.add_argument("--sememe-space", required=True, dest="sememe_space")
+    sub.add_argument("--sememe-space", required=True)
     sub.set_defaults(func=_cmd_hownet_vector)
 
     sub = subs.add_parser(
@@ -330,36 +330,27 @@ def build_parser():
     sub.add_argument("--k", type=int, default=5)
     sub.set_defaults(func=_cmd_revise)
 
-    sub = subs.add_parser("train-tagger", help="train the BI sequence tagger")
+    sub = subs.add_parser("train-tagger", parents=[spaces, hownet],
+                          help="train the BI sequence tagger")
     sub.add_argument("--tagged", required=True)
-    sub.add_argument("--word-space", required=True, dest="word_space")
     sub.add_argument("--out", required=True)
-    sub.add_argument("--char-space", dest="char_space")
-    sub.add_argument("--lexicon")
-    sub.add_argument("--sememe-space", dest="sememe_space")
-    sub.add_argument("--window-radius", type=int, default=2, dest="window_radius")
+    sub.add_argument("--window-radius", type=int, default=2)
     sub.add_argument("--lam", type=float, default=1.0)
     sub.add_argument("--tol", type=float, default=1e-6)
-    sub.add_argument("--max-iter", type=int, default=500, dest="max_iter")
+    sub.add_argument("--max-iter", type=int, default=500)
     sub.set_defaults(func=_cmd_train_tagger)
 
-    sub = subs.add_parser("tag", help="tag a corpus with a trained model")
+    sub = subs.add_parser("tag", parents=[spaces, hownet],
+                          help="tag a corpus with a trained model")
     sub.add_argument("--model", required=True)
-    sub.add_argument("--word-space", required=True, dest="word_space")
     sub.add_argument("--corpus", required=True)
-    sub.add_argument("--char-space", dest="char_space")
-    sub.add_argument("--lexicon")
-    sub.add_argument("--sememe-space", dest="sememe_space")
     sub.add_argument("--out")
     sub.set_defaults(func=_cmd_tag)
 
-    sub = subs.add_parser(
-        "eval-sim", help="Spearman against human similarity judgements"
-    )
+    sub = subs.add_parser("eval-sim", parents=[hownet],
+                          help="Spearman against human similarity judgements")
     sub.add_argument("--judgements", required=True)
     sub.add_argument("--space")
-    sub.add_argument("--lexicon")
-    sub.add_argument("--sememe-space", dest="sememe_space")
     sub.set_defaults(func=_cmd_eval_sim)
 
     sub = subs.add_parser("eval-ner", help="span precision/recall/F1")

@@ -99,7 +99,7 @@ def ascii_int(text):
 
 
 _ITEM = re.compile(r"\S+")
-_WHITESPACE = re.compile(r"\s")
+has_whitespace = re.compile(r"\s").search  # \s is exactly str.isspace()
 
 
 def iter_utf8_lines(path):
@@ -229,7 +229,7 @@ def format_tagged_corpus(sentences):
         if not sent.tokens:
             raise ValueError(f"sentence {k} is empty and cannot be saved")
         for tok, label in zip(sent.tokens, sent.labels):
-            if not (tok and label) or "/" in label or _WHITESPACE.search(tok + label):
+            if not (tok and label) or "/" in label or has_whitespace(tok + label):
                 raise ValueError(f"sentence {k}: {tok!r}/{label!r} would not load back")
     if sentences and sentences[0].tokens[0].startswith("\ufeff"):
         raise ValueError("sentence 1 starts with a byte order mark, which loading drops")

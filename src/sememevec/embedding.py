@@ -31,6 +31,7 @@ from .corpus import (
     ascii_int,
     atomic_text_writer,
     build_vocabulary,
+    has_whitespace,
     iter_utf8_lines,
     split_fields,
     written_floats,
@@ -275,7 +276,7 @@ def format_vector(vec):
 def save_space(space, path):
     """Write the word2vec text format: "vocab dim" header, then one token row."""
     for token in space.tokens:
-        if any(ch.isspace() for ch in token):
+        if has_whitespace(token):
             raise ValueError(
                 f"token {token!r} contains whitespace and cannot be serialized"
             )

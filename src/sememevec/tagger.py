@@ -17,6 +17,7 @@ from .corpus import (
     ParseError,
     ascii_int,
     atomic_text_writer,
+    has_whitespace,
     header_value,
     iter_utf8_lines,
     next_line,
@@ -35,7 +36,7 @@ class LabelScheme:
             raise ValueError("duplicate entity types")
         for t in types:
             # "/" would split a saved token/LABEL item at the wrong place
-            if not t or "/" in t or any(ch.isspace() for ch in t):
+            if not t or "/" in t or has_whitespace(t):
                 raise ValueError(f"invalid entity type {t!r}")
         self.entity_types = types
         self.labels = ["O"]

@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import os
 import re
@@ -68,6 +69,68 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+class TestParser:
+    """Every option of every subcommand, as the parser declares it."""
+
+    REQUIRED = (True, None, None, None, None)
+    OPTIONAL = (False, None, None, None, None)
+    TRAINING = {
+        "--corpus": REQUIRED,
+        "--out": REQUIRED,
+        "--config": (False, None, None, None, "key=value per line; flags override"),
+        "--dim": (False, int, None, None, None),
+        "--window": (False, int, None, None, None),
+        "--negative": (False, int, None, None, None),
+        "--epochs": (False, int, None, None, None),
+        "--learning-rate": (False, float, None, None, None),
+        "--min-count": (False, int, None, None, None),
+        "--subsample": (False, float, None, None, None),
+        "--seed": (False, int, None, None, None),
+        "--architecture": (False, str, None, ("skipgram", "cbow"), None),
+    }
+    TAGGER_SOURCES = {"--word-space": REQUIRED, "--char-space": OPTIONAL,
+                      "--lexicon": OPTIONAL, "--sememe-space": OPTIONAL}
+    EXPECTED = {
+        "train-embeddings": TRAINING,
+        "train-char-embeddings": TRAINING,
+        "build-sememe-space": {**TRAINING, "--lexicon": REQUIRED,
+                               "--max-rank": (False, int, 3, None, None)},
+        "hownet-vector": {"--word": REQUIRED, "--lexicon": REQUIRED,
+                          "--sememe-space": REQUIRED},
+        "train-simmodel": {"--thesaurus": REQUIRED, "--out": REQUIRED,
+                           "--positive": (False, int, 500, None, None),
+                           "--negative": (False, int, 500, None, None),
+                           "--epochs": (False, int, 20, None, None),
+                           "--seed": (False, int, 0, None, None)},
+        "revise": {"--space": REQUIRED, "--model": REQUIRED, "--corpus": REQUIRED,
+                   "--out": REQUIRED,
+                   "--targets": (False, None, None, None,
+                                 "extra whitespace-free target words, one per line"),
+                   "--threshold": (False, int, 2, None, None),
+                   "--k": (False, int, 5, None, None)},
+        "train-tagger": {**TAGGER_SOURCES, "--tagged": REQUIRED, "--out": REQUIRED,
+                         "--window-radius": (False, int, 2, None, None),
+                         "--lam": (False, float, 1.0, None, None),
+                         "--tol": (False, float, 1e-6, None, None),
+                         "--max-iter": (False, int, 500, None, None)},
+        "tag": {**TAGGER_SOURCES, "--model": REQUIRED, "--corpus": REQUIRED,
+                "--out": OPTIONAL},
+        "eval-sim": {"--judgements": REQUIRED, "--space": OPTIONAL,
+                     "--lexicon": OPTIONAL, "--sememe-space": OPTIONAL},
+        "eval-ner": {"--gold": REQUIRED, "--pred": REQUIRED},
+    }
+
+    def test_every_option_pinned(self):
+        parser = sememevec.cli.build_parser()
+        [subs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(subs.choices) == list(self.EXPECTED)
+        for name, sub in subs.choices.items():
+            options = {opt: (a.required, a.type, a.default, a.choices, a.help)
+                       for a in sub._actions if not isinstance(a, argparse._HelpAction)
+                       for opt in a.option_strings}
+            assert options == self.EXPECTED[name], name
 
 
 class TestDataErrors:
@@ -161,6 +224,52 @@ class TestDataErrors:
                    "--out", str(tmp_path / "o.vec"), "--config", str(cfg)])
         assert rc == 1
         assert "banana" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("dim=5\nbanana=3\n", "line 2: unknown config key 'banana'"),
+        ("# comment\n\nepochs=two\n", "line 3: bad value for epochs: 'two'"),
+    ], ids=["unknown-key", "bad-value"])
+    def test_config_error_names_its_line(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        rc = main(["train-embeddings", "--corpus", data("corpus.txt"),
+                   "--out", str(tmp_path / "o.vec"), "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert os.listdir(tmp_path) == ["c.cfg"]
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("train-tagger", "--lexicon", "No such file or directory: ''"),
+        ("train-tagger", "--char-space", "No such file or directory: ''"),
+        ("eval-sim", "--lexicon", "give either --space or --lexicon/--sememe-space"),
+        ("train-embeddings", "--config", "No such file or directory: ''"),
+        ("revise", "--targets", "No such file or directory: ''"),
+        ("tag", "--out", "-> ''"),
+    ])
+    def test_empty_path_flag_is_read(self, artifacts, tmp_path, monkeypatch, capsys,
+                                     command, flag, message):
+        # a path flag that is given is read, so an empty one fails like any
+        # missing file instead of switching its input or output off
+        args = {
+            "train-tagger": ["--tagged", data("tagged_train.txt"), "--out", "t.model",
+                             "--word-space", artifacts["words"]],
+            "eval-sim": ["--judgements", data("judgements.tsv"),
+                         "--space", artifacts["words"]],
+            "train-embeddings": ["--corpus", data("corpus.txt"), "--out", "o.vec"],
+            "revise": ["--space", artifacts["words"], "--model", artifacts["sim"],
+                       "--corpus", data("corpus.txt"), "--out", "c.vec"],
+            "tag": ["--model", artifacts["tagger"], "--word-space", artifacts["combined"],
+                    "--char-space", artifacts["chars"], "--lexicon", data("lexicon.tsv"),
+                    "--sememe-space", artifacts["sememe"], "--corpus", data("corpus.txt")],
+        }[command]
+        if flag == "--lexicon":
+            args += ["--sememe-space", artifacts["sememe"]]
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *args, flag, ""]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert os.listdir(tmp_path) == []
 
 
 class TestArtifacts:
