@@ -82,6 +82,10 @@ def _read_config_file(path):
             raise ParseError(
                 f"{path}: line {lineno}: bad value for {key}: {value!r}"
             ) from None
+        try:
+            TrainConfig(**{key: values[key]})  # its range check, at its line
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
     return values
 
 

@@ -28,62 +28,88 @@ class SamplingError(ValueError):
     """Requested training pairs cannot be drawn from the thesaurus."""
 
 
-def _check_nonempty(a, b):
-    if not a or not b:
+# the two sides of a pair are padded with different sentinels below every
+# code point, so no pad equals a character or the other side's pad
+_PAD_A = -1
+_PAD_B = -2
+
+
+def pad_words(words, pad):
+    """Words as (codes, lengths, norms): an (n, L) int32 array of code
+    points padded with pad to the longest word's length L, the word lengths,
+    and the integer squared norms of their character-count vectors."""
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    if not lengths.all():
         raise ValueError("similarity measures require non-empty strings")
+    codes = np.full((len(words), lengths.max(initial=0)), pad, dtype=np.int32)
+    # row-major order of the mask is the order of the joined characters
+    codes[np.arange(codes.shape[1]) < lengths[:, None]] = np.frombuffer(
+        "".join(words).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    # equal (position, position) pairs within a word: its squared counts' sum
+    norms = np.fromiter((sum(map(w.count, w)) for w in words), dtype=np.int64,
+                        count=len(words))
+    return codes, lengths, norms
+
+
+def feature_rows(a, b):
+    """(m, 3) rows of (LCS, edit, character cosine) similarity between the
+    pad_words words a and b, paired row by row; a side holding one word pairs
+    it with every word of the other. The sides need different pad values.
+
+    LCS is the longest common contiguous substring over max(|a|, |b|), edit
+    is 1 - Levenshtein / max(|a|, |b|) with unit costs, and the cosine is
+    taken between character-count vectors. Every count is an integer until
+    the final division, which is the same as on Python ints.
+    """
+    (codes_a, len_a, norm_a), (codes_b, len_b, norm_b) = a, b
+    m = np.broadcast(len_a, len_b).size
+    height, width = codes_a.shape[1] + 1, codes_b.shape[1] + 1
+    cols = np.arange(width)
+    equal = codes_a[:, :, None] == codes_b[:, None, :]
+    dot = equal.sum(axis=(1, 2))  # equal (position in a, position in b) pairs
+    # DP tables over (pair, prefix of a, prefix of b), one row of a per step:
+    # runs holds the common suffix length of the two prefixes, edits their
+    # Levenshtein distance
+    runs = np.zeros((m, height, width), dtype=np.intp)
+    edits = np.empty((m, height, width), dtype=np.intp)
+    edits[:, 0] = cols
+    edits[:, :, 0] = np.arange(height)
+    for i in range(height - 1):
+        np.multiply(runs[:, i, :-1] + 1, equal[:, i], out=runs[:, i + 1, 1:])
+        # min(delete, substitute), then insertions as a running minimum:
+        # row[j] = min over k <= j of row[k] + (j - k)
+        row = edits[:, i + 1]
+        np.minimum(edits[:, i, 1:] + 1, edits[:, i, :-1] + ~equal[:, i], out=row[:, 1:])
+        row -= cols
+        np.minimum.accumulate(row, axis=1, out=row)
+        row += cols
+    longest = runs.max(axis=(1, 2), initial=0)
+    # each pair's distance sits at its own two lengths
+    distance = edits[np.arange(m), len_a, len_b]
+    longer = np.maximum(len_a, len_b)
+    same_bag = (dot == norm_a) & (dot == norm_b)
+    cos = np.where(same_bag, 1.0, np.minimum(1.0, dot / np.sqrt(norm_a * norm_b)))
+    return np.stack([longest / longer, 1.0 - distance / longer, cos], axis=1)
+
+
+def morph_features(a, b):
+    """The three measure values of one word pair as a feature vector."""
+    return feature_rows(pad_words([a], _PAD_A), pad_words([b], _PAD_B))[0]
 
 
 def lcs_sim(a, b):
     """Length of the longest common contiguous substring over max(|a|, |b|)."""
-    _check_nonempty(a, b)
-    best = 0
-    prev = [0] * (len(b) + 1)
-    for ca in a:
-        cur = [0] * (len(b) + 1)
-        for j, cb in enumerate(b, start=1):
-            if ca == cb:
-                cur[j] = prev[j - 1] + 1
-                if cur[j] > best:
-                    best = cur[j]
-        prev = cur
-    return best / max(len(a), len(b))
+    return float(morph_features(a, b)[0])
 
 
 def edit_sim(a, b):
     """1 - Levenshtein(a, b) / max(|a|, |b|) with unit edit costs."""
-    _check_nonempty(a, b)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, cb in enumerate(b, start=1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (ca != cb),
-            )
-        prev = cur
-    return 1.0 - prev[len(b)] / max(len(a), len(b))
+    return float(morph_features(a, b)[1])
 
 
 def char_cos_sim(a, b):
     """Cosine between character-count vectors over the union alphabet."""
-    _check_nonempty(a, b)
-    ca = {ch: a.count(ch) for ch in set(a)}
-    cb = {ch: b.count(ch) for ch in set(b)}
-    if ca == cb:
-        return 1.0
-    dot = sum(n * cb.get(ch, 0) for ch, n in ca.items())
-    if dot == 0:
-        return 0.0
-    # single square root keeps integer-exact cases exact
-    na2 = sum(n * n for n in ca.values())
-    nb2 = sum(n * n for n in cb.values())
-    return min(1.0, dot / math.sqrt(na2 * nb2))
-
-
-def morph_features(a, b):
-    """The three measure values as a feature vector."""
-    return np.array([lcs_sim(a, b), edit_sim(a, b), char_cos_sim(a, b)])
+    return float(morph_features(a, b)[2])
 
 
 def load_thesaurus(path):
@@ -202,7 +228,8 @@ def train_perceptron(pairs, epochs):
         raise ValueError("no training pairs")
     if epochs < 0:
         raise ValueError("epochs cannot be negative")
-    feats = [morph_features(p.word_a, p.word_b) for p in pairs]
+    feats = feature_rows(pad_words([p.word_a for p in pairs], _PAD_A),
+                         pad_words([p.word_b for p in pairs], _PAD_B))
     w = np.zeros(3)
     b = 0.0
     for _ in range(epochs):
@@ -215,13 +242,27 @@ def train_perceptron(pairs, epochs):
     return SimilarityModel(float(w[0]), float(w[1]), float(w[2]), float(b))
 
 
-def similarity_from_features(model, features):
-    """Logistic squashing of the weighted feature sum, guaranteeing [0, 1]."""
-    z = float(model.weights() @ np.asarray(features, dtype=np.float64) + model.bias)
+def score_rows(model, rows):
+    """Logistic squashing of each (m, 3) row's weighted feature sum, in [0, 1].
+
+    Each row takes its own dot product, the kernel model.weights() @ x calls
+    for one row, so a score does not depend on the rows scored beside it; a
+    matrix-vector product may round differently.
+    """
+    z = np.matmul(rows[:, None, :], model.weights())[:, 0] + model.bias
+    return [_sigmoid(v) for v in z.tolist()]
+
+
+def _sigmoid(z):
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
     ez = math.exp(z)
     return ez / (1.0 + ez)
+
+
+def similarity_from_features(model, features):
+    """Logistic squashing of the weighted feature sum, guaranteeing [0, 1]."""
+    return score_rows(model, np.asarray(features, dtype=np.float64)[None])[0]
 
 
 def word_similarity(model, a, b):
@@ -231,12 +272,13 @@ def word_similarity(model, a, b):
 
 class CandidateIndex:
     """Candidate words in sorted order, with the ids of the words holding each
-    character; iterates over its words."""
+    character and the words as pad_words arrays; iterates over its words."""
 
     def __init__(self, candidates):
         self.words = sorted(candidates)
         if self.words and not self.words[0]:
             raise ValueError("candidate words must be non-empty")
+        self.codes, self.lengths, self.norms = pad_words(self.words, _PAD_B)
         self._ids = {}
         for i, word in enumerate(self.words):
             for ch in set(word):
@@ -261,13 +303,14 @@ def top_k_similar(model, word, candidates, k=5):
     an iterable of words, which is indexed on each call.
 
     Only candidates that share a character with the query are scored by the
-    three measures. One that shares none has LCS 0, Levenshtein equal to the
-    longer length (no aligned pair can match) and a zero count dot product,
-    so its features are exactly (0, 0, 0) and its score is the floor
-    sigmoid(bias), computed once by the same arithmetic as every pair. All
-    of them tie at the floor, so only the first k in word order can rank,
-    and the result is identical to scoring every candidate; weights may be
-    negative, so a sharing candidate can rank below the floor.
+    three measures, all of them in one feature_rows call. One that shares
+    none has LCS 0, Levenshtein equal to the longer length (no aligned pair
+    can match) and a zero count dot product, so its features are exactly
+    (0, 0, 0) and its score is the floor sigmoid(bias), computed once by the
+    same arithmetic as every pair. All of them tie at the floor, so only the
+    first k in word order can rank, and the result is identical to scoring
+    every candidate; weights may be negative, so a sharing candidate can rank
+    below the floor.
     """
     if not word:
         raise ValueError("query word must be non-empty")
@@ -277,9 +320,12 @@ def top_k_similar(model, word, candidates, k=5):
         candidates = CandidateIndex(candidates)
     words = candidates.words
     sharing = candidates.sharing(word)
+    ids = [i for i in sharing if words[i] != word]
+    width = candidates.lengths[ids].max(initial=0)
+    rows = feature_rows(pad_words([word], _PAD_A), (
+        candidates.codes[ids, :width], candidates.lengths[ids], candidates.norms[ids]))
+    scored = list(zip([words[i] for i in ids], score_rows(model, rows)))
     floor = similarity_from_features(model, (0.0, 0.0, 0.0))
-    scored = [(words[i], word_similarity(model, word, words[i]))
-              for i in sharing if words[i] != word]
     # the query shares its own characters, so no floor word is the query
     floored = (w for i, w in enumerate(words) if i not in sharing)
     scored.extend((w, floor) for w in itertools.islice(floored, k))

@@ -228,7 +228,9 @@ class TestDataErrors:
     @pytest.mark.parametrize("text, message", [
         ("dim=5\nbanana=3\n", "line 2: unknown config key 'banana'"),
         ("# comment\n\nepochs=two\n", "line 3: bad value for epochs: 'two'"),
-    ], ids=["unknown-key", "bad-value"])
+        ("dim=5\narchitecture=glove\n", "line 2: unknown architecture 'glove'"),
+        ("epochs=1\ndim=0\n", "line 2: dim must be a positive integer"),
+    ], ids=["unknown-key", "bad-value", "unknown-architecture", "dim-out-of-range"])
     def test_config_error_names_its_line(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text, encoding="utf-8")

@@ -23,11 +23,14 @@ from sememevec.morphsim import (
     build_pairs,
     char_cos_sim,
     edit_sim,
+    feature_rows,
     lcs_sim,
     load_similarity_model,
     load_thesaurus,
     morph_features,
+    pad_words,
     save_similarity_model,
+    score_rows,
     similarity_from_features,
     top_k_similar,
     train_perceptron,
@@ -280,17 +283,43 @@ class TestCandidateIndex:
         with pytest.raises(ValueError, match="non-empty"):
             CandidateIndex(["乙日", ""])
 
+    def test_words_held_as_padded_code_points(self):
+        index = CandidateIndex(["\U00020000", "甲甲乙"])
+        assert index.words == ["甲甲乙", "\U00020000"]
+        assert index.codes[0].tolist() == [ord("甲"), ord("甲"), ord("乙")]
+        assert index.codes[1, 0] == 0x20000
+        # a pad equals no code point
+        assert index.codes[1, 1] == index.codes[1, 2] < 0
+        assert index.lengths.tolist() == [3, 1]
+        assert index.norms.tolist() == [2 * 2 + 1 * 1, 1]
+
+
+def oracle_features(a, b):
+    n = max(len(a), len(b))
+    return [lcs_len_oracle(a, b) / n, 1.0 - edit_distance_oracle(a, b) / n,
+            char_cos_oracle(a, b)]
+
+
+def oracle_score(model, x):
+    # the scalar arithmetic of one pair: one dot product, the bias, a sigmoid
+    z = float(model.weights() @ np.array(x) + model.bias)
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    return math.exp(z) / (1.0 + math.exp(z))
+
 
 def brute_force_top_k(model, word, candidates, k):
-    # score every candidate by the three measures, then sort
-    scored = [
-        (tok, word_similarity(model, word, tok)) for tok in candidates if tok != word
-    ]
+    # score every candidate by the oracle measures, then sort
+    scored = [(tok, oracle_score(model, oracle_features(word, tok)))
+              for tok in candidates if tok != word]
     scored.sort(key=lambda ts: (-ts[1], ts[0]))
     return scored[:k]
 
 
-short_words = st.text(alphabet="甲乙日月ab", min_size=1, max_size=4)
+# a character outside the BMP, and one listed twice, which words draw twice as
+# often and so hold repeatedly
+ALPHABET = st.sampled_from("甲甲乙日月ab\U00020000")
+short_words = st.text(alphabet=ALPHABET, min_size=1, max_size=4)
 weight = st.floats(min_value=-3.0, max_value=3.0)
 
 
@@ -310,6 +339,37 @@ def test_top_k_equals_brute_force(data):
         assert top_k_similar(model, other, index, k) == brute_force_top_k(
             model, other, candidates, k
         )
+
+
+def exact(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+words_to_6 = st.text(alphabet=ALPHABET, min_size=1, max_size=6)
+models = st.builds(SimilarityModel, *[st.floats(min_value=-40.0, max_value=40.0)] * 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(query=words_to_6, candidates=st.lists(words_to_6, max_size=8), model=models)
+def test_feature_rows_equal_oracles_and_scores_equal_scalar_arithmetic(
+        query, candidates, model):
+    want = [oracle_features(query, c) for c in candidates]
+    # one query against its candidates, as top_k_similar calls it
+    one_query = feature_rows(pad_words([query], -1), pad_words(candidates, -7))
+    assert one_query.shape == (len(candidates), 3)
+    assert exact(one_query) == exact(want)
+    # pairs of mixed lengths padded on both sides, as train_perceptron calls
+    # it; any two distinct negative pads work
+    others = candidates[::-1]
+    pairwise = feature_rows(pad_words(candidates, -3), pad_words(others, -2))
+    assert pairwise.shape == (len(candidates), 3)
+    assert exact(pairwise) == exact([oracle_features(a, b)
+                                     for a, b in zip(candidates, others)])
+    assert exact(score_rows(model, one_query)) == exact(
+        [oracle_score(model, x) for x in want])
+    for c, x in zip(candidates, want):
+        assert exact(morph_features(query, c)) == exact(x)
+        assert exact(word_similarity(model, query, c)) == exact(oracle_score(model, x))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

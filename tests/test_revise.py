@@ -281,6 +281,7 @@ class TestCombinedSpaceDigest:
 def test_one_index_and_one_score_per_sharing_pair(monkeypatch):
     targets, space, vocab, words = revision_inputs()
     cfg = CombinedSpaceConfig(k=12)
+    model = trained_model(words)
     indexes, scored = [], Counter()
 
     class CountedIndex(sememevec.morphsim.CandidateIndex):
@@ -288,17 +289,23 @@ def test_one_index_and_one_score_per_sharing_pair(monkeypatch):
             super().__init__(candidates)
             indexes.append(self)
 
-    word_similarity = sememevec.morphsim.word_similarity
+    feature_rows = sememevec.morphsim.feature_rows
 
-    def counted(model, a, b):
-        scored[a, b] += 1
-        return word_similarity(model, a, b)
+    def decoded(padded):
+        codes, lengths, _ = padded
+        return ["".join(map(chr, row[:n])) for row, n in zip(codes, lengths)]
+
+    def counted(a, b):
+        # one query against its candidates: count each (query, candidate) row
+        (query,), candidates = decoded(a), decoded(b)
+        scored.update((query, c) for c in candidates)
+        return feature_rows(a, b)
 
     # top_k_similar would index a list of candidates under morphsim's name
     monkeypatch.setattr(sememevec.morphsim, "CandidateIndex", CountedIndex)
     monkeypatch.setattr(sememevec.revise, "CandidateIndex", CountedIndex)
-    monkeypatch.setattr(sememevec.morphsim, "word_similarity", counted)
-    build_combined_space(targets, space, trained_model(words), vocab, cfg)
+    monkeypatch.setattr(sememevec.morphsim, "feature_rows", counted)
+    build_combined_space(targets, space, model, vocab, cfg)
     rare = [w for w in targets if vocab.tf(w) <= cfg.rare_tf_threshold]
     sharing = {(w, c) for w in rare for c in vocab if c != w and not set(w).isdisjoint(c)}
     assert len(indexes) == 1
