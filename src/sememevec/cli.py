@@ -185,11 +185,17 @@ def _load_hownet(args):
 
 
 def _load_tagger_sources(args):
+    """The word space, HowNet lookup and character space the flags give; a
+    source whose dimension is not the word space's is an error."""
     word_space = load_space(args.word_space, name="word")
     char_space = (None if args.char_space is None
                   else load_space(args.char_space, name="character"))
-    hownet_fn = _load_hownet(args).get if _hownet_source(args) else None
-    return word_space, hownet_fn, char_space
+    hownet = _load_hownet(args) if _hownet_source(args) else None
+    for flag, space in (("--char-space", char_space), ("--sememe-space", hownet)):
+        if space is not None and space.dim != word_space.dim:
+            raise ValueError(f"{flag} has dimension {space.dim}, "
+                             f"but --word-space has {word_space.dim}")
+    return word_space, None if hownet is None else hownet.get, char_space
 
 
 def _cmd_train_tagger(args):
@@ -218,6 +224,11 @@ def _cmd_train_tagger(args):
 
 def _cmd_tag(args):
     model = load_tagger(args.model)
+    # a source for a block the model leaves off would be ignored silently
+    if args.char_space is not None and not model.spec.use_char:
+        raise ValueError("the model has no character block; drop --char-space")
+    if _hownet_source(args) and not model.spec.use_hownet:
+        raise ValueError("the model has no HowNet block; drop --lexicon and --sememe-space")
     word_space, hownet_fn, char_space = _load_tagger_sources(args)
     corpus = load_corpus(args.corpus)
     tagged = [TaggedSentence(s, tag_sentence(model, s, word_space, hownet_fn, char_space))

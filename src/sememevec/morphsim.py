@@ -92,26 +92,6 @@ def feature_rows(a, b):
     return np.stack([longest / longer, 1.0 - distance / longer, cos], axis=1)
 
 
-def morph_features(a, b):
-    """The three measure values of one word pair as a feature vector."""
-    return feature_rows(pad_words([a], _PAD_A), pad_words([b], _PAD_B))[0]
-
-
-def lcs_sim(a, b):
-    """Length of the longest common contiguous substring over max(|a|, |b|)."""
-    return float(morph_features(a, b)[0])
-
-
-def edit_sim(a, b):
-    """1 - Levenshtein(a, b) / max(|a|, |b|) with unit edit costs."""
-    return float(morph_features(a, b)[1])
-
-
-def char_cos_sim(a, b):
-    """Cosine between character-count vectors over the union alphabet."""
-    return float(morph_features(a, b)[2])
-
-
 def load_thesaurus(path):
     """Category id to the set of its words, from one category per line:
     category_id TAB word1 word2 ... A repeated id adds to its set."""
@@ -260,16 +240,6 @@ def _sigmoid(z):
     return ez / (1.0 + ez)
 
 
-def similarity_from_features(model, features):
-    """Logistic squashing of the weighted feature sum, guaranteeing [0, 1]."""
-    return score_rows(model, np.asarray(features, dtype=np.float64)[None])[0]
-
-
-def word_similarity(model, a, b):
-    """Model-weighted morphological similarity of two words, in [0, 1]."""
-    return similarity_from_features(model, morph_features(a, b))
-
-
 class CandidateIndex:
     """Candidate words in sorted order, with the ids of the words holding each
     character and the words as pad_words arrays; iterates over its words."""
@@ -325,7 +295,7 @@ def top_k_similar(model, word, candidates, k=5):
     rows = feature_rows(pad_words([word], _PAD_A), (
         candidates.codes[ids, :width], candidates.lengths[ids], candidates.norms[ids]))
     scored = list(zip([words[i] for i in ids], score_rows(model, rows)))
-    floor = similarity_from_features(model, (0.0, 0.0, 0.0))
+    floor = score_rows(model, np.zeros((1, 3)))[0]
     # the query shares its own characters, so no floor word is the query
     floored = (w for i, w in enumerate(words) if i not in sharing)
     scored.extend((w, floor) for w in itertools.islice(floored, k))

@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from .corpus import Corpus, ParseError, iter_utf8_lines
+from .corpus import Corpus, ParseError, has_whitespace, iter_utf8_lines
 from .embedding import EmbeddingSpace, train_embeddings
 
 # leading relation markers stripped from descriptors
@@ -40,7 +40,8 @@ def parse_lexicon(path):
 
     Returns a dict from each word to the sememe list of its first line; later
     lines for the same word are checked like any other, then dropped. The POS
-    column must be present but is not kept.
+    column must be present but is not kept. A sememe identifier holding
+    whitespace is an error, since it could never be a token of a space.
     """
     lexicon = {}
     for lineno, line in iter_utf8_lines(path):
@@ -65,6 +66,9 @@ def parse_lexicon(path):
                     f"{path}: line {lineno}: descriptor {raw!r} has no "
                     f"sememe identifier"
                 )
+            if has_whitespace(ident):
+                raise ParseError(f"{path}: line {lineno}: sememe identifier "
+                                 f"{ident!r} contains whitespace")
             sememes.append(ident)
         if not sememes:
             raise ParseError(f"{path}: line {lineno}: empty sememe list for {word!r}")

@@ -32,11 +32,9 @@ from sememevec.evaluate import span_prf, spans_of_corpus, spearman
 from sememevec.morphsim import (
     TrainingPair,
     build_pairs,
-    char_cos_sim,
-    edit_sim,
-    lcs_sim,
+    feature_rows,
     load_thesaurus,
-    morph_features,
+    pad_words,
     save_similarity_model,
     train_perceptron,
 )
@@ -197,12 +195,16 @@ def test_c05_two_cluster_embedding_sanity():
 def test_c06_string_measure_oracles_exhaustive():
     strings = all_strings("xyz", 4)
     assert len(strings) == 120
-    for a in strings:
-        for b in strings:
-            m = max(len(a), len(b))
-            assert lcs_sim(a, b) == lcs_len_oracle(a, b) / m
-            assert edit_sim(a, b) == 1.0 - edit_distance_oracle(a, b) / m
-            assert char_cos_sim(a, b) == char_cos_oracle(a, b)
+    pairs = [(a, b) for a in strings for b in strings]
+    # all 14,400 pairs in one call, each side padded with its own sentinel
+    rows = feature_rows(pad_words([a for a, _ in pairs], -1),
+                        pad_words([b for _, b in pairs], -2))
+    assert rows.shape == (14400, 3)
+    for (a, b), (lcs, edit, cos) in zip(pairs, rows.tolist()):
+        m = max(len(a), len(b))
+        assert lcs == lcs_len_oracle(a, b) / m
+        assert edit == 1.0 - edit_distance_oracle(a, b) / m
+        assert cos == char_cos_oracle(a, b)
 
 
 def test_c07_perceptron_separable_fixture():
@@ -218,9 +220,11 @@ def test_c07_perceptron_separable_fixture():
     assert len(pairs) == 40
     model = train_perceptron(pairs, 50)
     w = model.weights()
+    rows = feature_rows(pad_words([p.word_a for p in pairs], -1),
+                        pad_words([p.word_b for p in pairs], -2))
     correct = 0
-    for p in pairs:
-        margin = float(w @ morph_features(p.word_a, p.word_b)) + model.bias
+    for p, x in zip(pairs, rows):
+        margin = float(w @ x) + model.bias
         correct += int(margin > 0) == p.label
     assert correct == 40
 

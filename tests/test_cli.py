@@ -449,6 +449,49 @@ class TestEvaluationCommands:
             "error: --lexicon and --sememe-space must be given together\n"
         )
 
+    @pytest.mark.parametrize("command", ["train-tagger", "tag"])
+    @pytest.mark.parametrize("flag", ["--char-space", "--sememe-space"])
+    def test_source_of_another_dimension_rejected(self, artifacts, tmp_path, capsys,
+                                                  command, flag):
+        # the lexicon covers no token, so no HowNet vector's length is ever read
+        narrow = tmp_path / "narrow.vec"
+        narrow.write_text("1 8\n无此词 " + " ".join(["0.5"] * 8) + "\n", encoding="utf-8")
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text("无此词\tN\t无此词\n", encoding="utf-8")
+        sources = {"--char-space": artifacts["chars"], "--sememe-space": artifacts["sememe"],
+                   flag: str(narrow)}
+        inputs = {"train-tagger": ["--tagged", data("tagged_train.txt")],
+                  "tag": ["--model", artifacts["tagger"], "--corpus", data("corpus.txt")]}
+        out = tmp_path / "out"
+        rc = main([command, *inputs[command], "--word-space", artifacts["combined"],
+                   "--lexicon", str(lexicon), *[v for kv in sources.items() for v in kv],
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} has dimension 8, but --word-space has 12\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, message", [
+        ("char", "character block; drop --char-space"),
+        ("hownet", "HowNet block; drop --lexicon and --sememe-space"),
+    ])
+    def test_tag_source_the_model_leaves_off_rejected(self, artifacts, tmp_path, capsys,
+                                                      source, message):
+        model_path = str(tmp_path / "context.model")
+        assert main(["train-tagger", "--tagged", data("tagged_train.txt"),
+                     "--word-space", artifacts["combined"], "--out", model_path,
+                     "--max-iter", "2"]) == 0
+        flags = {"char": ["--char-space", artifacts["chars"]],
+                 "hownet": ["--lexicon", data("lexicon.tsv"),
+                            "--sememe-space", artifacts["sememe"]]}
+        out = tmp_path / "tagged.txt"
+        capsys.readouterr()
+        rc = main(["tag", "--model", model_path, "--word-space", artifacts["combined"],
+                   "--corpus", data("corpus.txt"), "--out", str(out), *flags[source]])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: the model has no {message}\n"
+        assert not out.exists()
+
     def test_lexicon_whose_sememes_have_no_vector(self, artifacts, tmp_path):
         # the HowNet space is empty, so falsy, yet it still enables the block
         lexicon = tmp_path / "lex.tsv"

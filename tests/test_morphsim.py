@@ -21,47 +21,49 @@ from sememevec.morphsim import (
     SimilarityModel,
     TrainingPair,
     build_pairs,
-    char_cos_sim,
-    edit_sim,
     feature_rows,
-    lcs_sim,
     load_similarity_model,
     load_thesaurus,
-    morph_features,
     pad_words,
     save_similarity_model,
     score_rows,
-    similarity_from_features,
     top_k_similar,
     train_perceptron,
-    word_similarity,
 )
+
+
+def features(a, b):
+    # the (lcs, edit, cos) row of one pair, from a one-pair feature_rows call
+    return feature_rows(pad_words([a], -1), pad_words([b], -2))[0]
+
+
+def similarity(model, a, b):
+    return score_rows(model, features(a, b)[None])[0]
 
 
 class TestStringMeasures:
     def test_lcs_known_values(self):
-        assert lcs_sim("次序", "秩序") == 0.5
-        assert lcs_sim("abc", "abc") == 1.0
-        assert lcs_sim("abc", "xyz") == 0.0
-        assert lcs_sim("abcd", "bc") == 0.5
+        assert features("次序", "秩序")[0] == 0.5
+        assert features("abc", "abc")[0] == 1.0
+        assert features("abc", "xyz")[0] == 0.0
+        assert features("abcd", "bc")[0] == 0.5
 
     def test_edit_known_values(self):
-        assert edit_sim("次序", "秩序") == 0.5
-        assert edit_sim("abc", "abc") == 1.0
-        assert edit_sim("ab", "ba") == 0.0  # two substitutions over length 2
-        assert edit_sim("abcd", "abc") == 0.75
+        assert features("次序", "秩序")[1] == 0.5
+        assert features("abc", "abc")[1] == 1.0
+        assert features("ab", "ba")[1] == 0.0  # two substitutions over length 2
+        assert features("abcd", "abc")[1] == 0.75
 
     def test_char_cos_known_values(self):
-        assert char_cos_sim("次序", "秩序") == 0.5
-        assert char_cos_sim("ab", "ba") == 1.0  # order-insensitive
-        assert char_cos_sim("abc", "xyz") == 0.0
+        assert features("次序", "秩序")[2] == 0.5
+        assert features("ab", "ba")[2] == 1.0  # order-insensitive
+        assert features("abc", "xyz")[2] == 0.0
 
     def test_empty_rejected(self):
-        for fn in (lcs_sim, edit_sim, char_cos_sim):
-            with pytest.raises(ValueError):
-                fn("", "a")
-            with pytest.raises(ValueError):
-                fn("a", "")
+        with pytest.raises(ValueError):
+            features("", "a")
+        with pytest.raises(ValueError):
+            features("a", "")
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(7)
@@ -69,10 +71,10 @@ class TestStringMeasures:
         for _ in range(200):
             a = "".join(rng.choice(list(alphabet), size=rng.integers(1, 5)))
             b = "".join(rng.choice(list(alphabet), size=rng.integers(1, 5)))
-            for fn in (lcs_sim, edit_sim, char_cos_sim):
-                assert fn(a, b) == fn(b, a)
-                assert 0.0 <= fn(a, b) <= 1.0
-                assert fn(a, a) == 1.0
+            f = features(a, b)
+            assert np.array_equal(f, features(b, a))
+            assert np.all((0.0 <= f) & (f <= 1.0))
+            assert np.array_equal(features(a, a), [1.0, 1.0, 1.0])
 
     def test_oracle_sample(self):
         # exhaustive length <= 3 here; the full length <= 4 run is in acceptance
@@ -80,12 +82,12 @@ class TestStringMeasures:
         for a in strings:
             for b in strings:
                 m = max(len(a), len(b))
-                assert lcs_sim(a, b) == lcs_len_oracle(a, b) / m
-                assert edit_sim(a, b) == 1.0 - edit_distance_oracle(a, b) / m
-                assert char_cos_sim(a, b) == char_cos_oracle(a, b)
+                assert features(a, b).tolist() == [
+                    lcs_len_oracle(a, b) / m, 1.0 - edit_distance_oracle(a, b) / m,
+                    char_cos_oracle(a, b)]
 
     def test_features_vector(self):
-        f = morph_features("次序", "秩序")
+        f = features("次序", "秩序")
         assert f.shape == (3,)
         assert np.allclose(f, [0.5, 0.5, 0.5])
 
@@ -202,7 +204,7 @@ class TestPerceptron:
         w = model.weights()
         correct = 0
         for p in pairs:
-            margin = float(w @ morph_features(p.word_a, p.word_b)) + model.bias
+            margin = float(w @ features(p.word_a, p.word_b)) + model.bias
             correct += int(margin > 0) == p.label
         assert correct == len(pairs)
 
@@ -229,16 +231,16 @@ class TestScoring:
     def test_similarity_in_unit_interval(self):
         m = self.model()
         for a, b in [("甲日", "乙日"), ("甲日", "戊山"), ("abc", "abc")]:
-            assert 0.0 < word_similarity(m, a, b) < 1.0 or word_similarity(m, a, b) in (0.0, 1.0)
+            assert 0.0 <= similarity(m, a, b) <= 1.0
 
     def test_sigmoid_midpoint(self):
         m = SimilarityModel()
-        assert similarity_from_features(m, np.zeros(3)) == 0.5
+        assert score_rows(m, np.zeros((1, 3))) == [0.5]
 
     def test_monotone_in_margin(self):
         m = self.model()
-        close = word_similarity(m, "甲日", "乙日")
-        far = word_similarity(m, "甲日", "戊山")
+        close = similarity(m, "甲日", "乙日")
+        far = similarity(m, "甲日", "戊山")
         assert close > far
 
     def test_top_k_ranking_and_ties(self):
@@ -260,7 +262,7 @@ class TestScoring:
         top = top_k_similar(m, "甲日", ["甲乙", "戊己", "子", "丙丁"], k=4)
         # non-sharers tie at sigmoid(bias), in code point order (丙 < 子 < 戊)
         assert [w for w, _ in top] == ["丙丁", "子", "戊己", "甲乙"]
-        assert top[0][1] == top[1][1] == top[2][1] == similarity_from_features(m, np.zeros(3))
+        assert top[0][1] == top[1][1] == top[2][1] == score_rows(m, np.zeros((1, 3)))[0]
         assert top[3][1] < top[2][1]
 
     def test_top_k_empty_candidate_rejected(self):
@@ -367,9 +369,11 @@ def test_feature_rows_equal_oracles_and_scores_equal_scalar_arithmetic(
                                      for a, b in zip(candidates, others)])
     assert exact(score_rows(model, one_query)) == exact(
         [oracle_score(model, x) for x in want])
-    for c, x in zip(candidates, want):
-        assert exact(morph_features(query, c)) == exact(x)
-        assert exact(word_similarity(model, query, c)) == exact(oracle_score(model, x))
+    # each batch row equals its pair scored alone
+    for c, row, x in zip(candidates, one_query, want):
+        alone = feature_rows(pad_words([query], -1), pad_words([c], -7))
+        assert exact(alone) == exact(row[None])
+        assert exact(score_rows(model, alone)) == exact([oracle_score(model, x)])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -75,6 +75,13 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_lexicon(p)
 
+    # no space file could hold such a sememe's row, so building would fail late
+    @pytest.mark.parametrize("sememe", ["房 屋", "时间\u3000点", "fee 房\xa0屋"])
+    def test_sememe_with_whitespace_rejected(self, tmp_path, sememe):
+        p = write_lexicon(tmp_path, f"房租\tN\t费用\n打\tV\t击打,{sememe}\n")
+        with pytest.raises(ParseError, match="line 2: sememe identifier .* contains whitespace"):
+            parse_lexicon(p)
+
     def test_unknown_word_absent(self, tmp_path):
         p = write_lexicon(tmp_path, "词\tN\t甲\n")
         lex = parse_lexicon(p)
