@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import ParseError, finite_floats, iter_utf8_lines
+from .corpus import ParseError, finite_floats, has_whitespace, iter_utf8_lines
 from .embedding import cosine
 from .tagger import repair_bi
 
@@ -39,7 +39,8 @@ def spearman(xs, ys):
 
 
 def load_judgements(path):
-    """Tab-separated rows of word, word, numeric human score."""
+    """Tab-separated rows of word, word, numeric human score. A word holding
+    whitespace is an error, since no space row could hold it."""
     pairs = []
     for lineno, line in iter_utf8_lines(path):
         if not line.strip():
@@ -53,6 +54,9 @@ def load_judgements(path):
         a, b, raw = (p.strip() for p in parts)
         if not a or not b:
             raise ParseError(f"{path}: line {lineno}: empty word")
+        for word in (a, b):
+            if has_whitespace(word):
+                raise ParseError(f"{path}: line {lineno}: word {word!r} contains whitespace")
         pairs.append((a, b, finite_floats([raw], lineno, path)[0]))
     return pairs
 

@@ -28,20 +28,14 @@ class SamplingError(ValueError):
     """Requested training pairs cannot be drawn from the thesaurus."""
 
 
-# the two sides of a pair are padded with different sentinels below every
-# code point, so no pad equals a character or the other side's pad
-_PAD_A = -1
-_PAD_B = -2
-
-
-def pad_words(words, pad):
+def pad_words(words):
     """Words as (codes, lengths, norms): an (n, L) int32 array of code
-    points padded with pad to the longest word's length L, the word lengths,
+    points padded with -1 to the longest word's length L, the word lengths,
     and the integer squared norms of their character-count vectors."""
     lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
     if not lengths.all():
         raise ValueError("similarity measures require non-empty strings")
-    codes = np.full((len(words), lengths.max(initial=0)), pad, dtype=np.int32)
+    codes = np.full((len(words), lengths.max(initial=0)), -1, dtype=np.int32)
     # row-major order of the mask is the order of the joined characters
     codes[np.arange(codes.shape[1]) < lengths[:, None]] = np.frombuffer(
         "".join(words).encode("utf-32-le", "surrogatepass"), dtype="<u4")
@@ -54,7 +48,7 @@ def pad_words(words, pad):
 def feature_rows(a, b):
     """(m, 3) rows of (LCS, edit, character cosine) similarity between the
     pad_words words a and b, paired row by row; a side holding one word pairs
-    it with every word of the other. The sides need different pad values.
+    it with every word of the other.
 
     LCS is the longest common contiguous substring over max(|a|, |b|), edit
     is 1 - Levenshtein / max(|a|, |b|) with unit costs, and the cosine is
@@ -62,6 +56,8 @@ def feature_rows(a, b):
     the final division, which is the same as on Python ints.
     """
     (codes_a, len_a, norm_a), (codes_b, len_b, norm_b) = a, b
+    # a's pads become -2, so no pad equals a character or the other side's pad
+    codes_a = np.where(codes_a < 0, -2, codes_a)
     m = np.broadcast(len_a, len_b).size
     height, width = codes_a.shape[1] + 1, codes_b.shape[1] + 1
     cols = np.arange(width)
@@ -208,8 +204,8 @@ def train_perceptron(pairs, epochs):
         raise ValueError("no training pairs")
     if epochs < 0:
         raise ValueError("epochs cannot be negative")
-    feats = feature_rows(pad_words([p.word_a for p in pairs], _PAD_A),
-                         pad_words([p.word_b for p in pairs], _PAD_B))
+    feats = feature_rows(pad_words([p.word_a for p in pairs]),
+                         pad_words([p.word_b for p in pairs]))
     w = np.zeros(3)
     b = 0.0
     for _ in range(epochs):
@@ -246,9 +242,7 @@ class CandidateIndex:
 
     def __init__(self, candidates):
         self.words = sorted(candidates)
-        if self.words and not self.words[0]:
-            raise ValueError("candidate words must be non-empty")
-        self.codes, self.lengths, self.norms = pad_words(self.words, _PAD_B)
+        self.codes, self.lengths, self.norms = pad_words(self.words)
         self._ids = {}
         for i, word in enumerate(self.words):
             for ch in set(word):
@@ -282,8 +276,6 @@ def top_k_similar(model, word, candidates, k=5):
     every candidate; weights may be negative, so a sharing candidate can rank
     below the floor.
     """
-    if not word:
-        raise ValueError("query word must be non-empty")
     if k < 1:
         raise ValueError("k must be at least 1")
     if not isinstance(candidates, CandidateIndex):
@@ -292,7 +284,7 @@ def top_k_similar(model, word, candidates, k=5):
     sharing = candidates.sharing(word)
     ids = [i for i in sharing if words[i] != word]
     width = candidates.lengths[ids].max(initial=0)
-    rows = feature_rows(pad_words([word], _PAD_A), (
+    rows = feature_rows(pad_words([word]), (
         candidates.codes[ids, :width], candidates.lengths[ids], candidates.norms[ids]))
     scored = list(zip([words[i] for i in ids], score_rows(model, rows)))
     floor = score_rows(model, np.zeros((1, 3)))[0]

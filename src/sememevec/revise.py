@@ -7,6 +7,7 @@ word keeps its vector untouched; an unseen word relies entirely on its
 neighbours.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +41,7 @@ def tf_bucket(tf):
     """
     if tf < 0:
         raise ValueError("term frequency cannot be negative")
-    if tf > 100:
-        return 4
-    if tf > 20:
-        return 3
-    if tf > 5:
-        return 2
-    if tf > 2:
-        return 1
-    return 0
+    return bisect_left((2, 5, 20, 100), tf)
 
 
 def similar_word_vector(neighbors, space, vocab):
@@ -59,16 +52,12 @@ def similar_word_vector(neighbors, space, vocab):
     Accumulation runs in sorted word order, so the result does not depend on
     neighbour list order.
     """
-    present = [
-        (word, vec)
-        for word, vec in ((w, space.get(w)) for w, _ in neighbors)
-        if vec is not None
-    ]
+    present = sorted(((w, space.get(w)) for w, _ in neighbors if w in space),
+                     key=lambda wv: wv[0])
     if not present:
         return None
     if len(present) == 1:
         return np.array(present[0][1])
-    present.sort(key=lambda wv: wv[0])
     weights = [tf_bucket(vocab.tf(word)) for word, _ in present]
     total = sum(weights)
     if total == 0:
@@ -90,21 +79,18 @@ def combine(original, similar, tf):
     """
     if original is None and similar is None:
         raise ValueError("both vectors absent")
-    if similar is None:
-        return np.array(original, dtype=np.float64)
-    if original is None:
-        return np.array(similar, dtype=np.float64)
+    if original is None or similar is None:
+        return np.array(similar if original is None else original, dtype=np.float64)
     c1 = tf_bucket(tf) / 4.0
-    if c1 == 1.0:
-        return np.array(original, dtype=np.float64)
-    if c1 == 0.0:
-        return np.array(similar, dtype=np.float64)
+    if c1 in (0.0, 1.0):
+        return np.array(original if c1 else similar, dtype=np.float64)
     original = np.asarray(original, dtype=np.float64)
     similar = np.asarray(similar, dtype=np.float64)
     return c1 * original + (1.0 - c1) * similar
 
 
-def build_combined_space(target_words, original, model, vocab, config=None):
+def build_combined_space(target_words, original, model, vocab,
+                         config=CombinedSpaceConfig()):
     """Revise rare target words and pass frequent ones through.
 
     Words with tf above the rare threshold keep the original vector exactly;
@@ -113,17 +99,16 @@ def build_combined_space(target_words, original, model, vocab, config=None):
     """
     if not target_words:
         raise ValueError("no target words")
-    cfg = config if config is not None else CombinedSpaceConfig()
     space = EmbeddingSpace(original.dim, name="combined")
     candidates = CandidateIndex(vocab)
     for word in sorted(set(target_words)):
         tf = vocab.tf(word)
-        if tf > cfg.rare_tf_threshold:
+        if tf > config.rare_tf_threshold:
             vec = original.get(word)
             if vec is not None:
                 space.add(word, vec)
             continue
-        neighbors = top_k_similar(model, word, candidates, cfg.k)
+        neighbors = top_k_similar(model, word, candidates, config.k)
         similar = similar_word_vector(neighbors, original, vocab)
         stored = original.get(word)
         if stored is None and similar is None:

@@ -40,8 +40,8 @@ def parse_lexicon(path):
 
     Returns a dict from each word to the sememe list of its first line; later
     lines for the same word are checked like any other, then dropped. The POS
-    column must be present but is not kept. A sememe identifier holding
-    whitespace is an error, since it could never be a token of a space.
+    column must be present but is not kept. A word or a sememe identifier
+    holding whitespace is an error, since it could never be a corpus token.
     """
     lexicon = {}
     for lineno, line in iter_utf8_lines(path):
@@ -56,6 +56,8 @@ def parse_lexicon(path):
         word = parts[0].strip()
         if not word:
             raise ParseError(f"{path}: line {lineno}: empty word field")
+        if has_whitespace(word):
+            raise ParseError(f"{path}: line {lineno}: word {word!r} contains whitespace")
         sememes = []
         for raw in parts[2].split(","):
             if not raw.strip():

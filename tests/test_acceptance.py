@@ -196,9 +196,9 @@ def test_c06_string_measure_oracles_exhaustive():
     strings = all_strings("xyz", 4)
     assert len(strings) == 120
     pairs = [(a, b) for a in strings for b in strings]
-    # all 14,400 pairs in one call, each side padded with its own sentinel
-    rows = feature_rows(pad_words([a for a, _ in pairs], -1),
-                        pad_words([b for _, b in pairs], -2))
+    # all 14,400 pairs in one call
+    rows = feature_rows(pad_words([a for a, _ in pairs]),
+                        pad_words([b for _, b in pairs]))
     assert rows.shape == (14400, 3)
     for (a, b), (lcs, edit, cos) in zip(pairs, rows.tolist()):
         m = max(len(a), len(b))
@@ -220,8 +220,8 @@ def test_c07_perceptron_separable_fixture():
     assert len(pairs) == 40
     model = train_perceptron(pairs, 50)
     w = model.weights()
-    rows = feature_rows(pad_words([p.word_a for p in pairs], -1),
-                        pad_words([p.word_b for p in pairs], -2))
+    rows = feature_rows(pad_words([p.word_a for p in pairs]),
+                        pad_words([p.word_b for p in pairs]))
     correct = 0
     for p, x in zip(pairs, rows):
         margin = float(w @ x) + model.bias

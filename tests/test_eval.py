@@ -98,6 +98,14 @@ class TestJudgements:
         with pytest.raises(ParseError, match="line 1"):
             load_judgements(str(p))
 
+    # no space row could hold such a word, so the pair would count as uncovered
+    @pytest.mark.parametrize("row", ["a\tb c\t3", "a b\tc\t3", "甲\u3000乙\t丙\t3"])
+    def test_word_with_whitespace_rejected(self, tmp_path, row):
+        p = tmp_path / "j.tsv"
+        p.write_text(f"甲\t乙\t7.5\n{row}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: word .* contains whitespace"):
+            load_judgements(str(p))
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_score(self, tmp_path, bad):
         p = tmp_path / "j.tsv"

@@ -34,7 +34,7 @@ from sememevec.morphsim import (
 
 def features(a, b):
     # the (lcs, edit, cos) row of one pair, from a one-pair feature_rows call
-    return feature_rows(pad_words([a], -1), pad_words([b], -2))[0]
+    return feature_rows(pad_words([a]), pad_words([b]))[0]
 
 
 def similarity(model, a, b):
@@ -265,6 +265,10 @@ class TestScoring:
         assert top[0][1] == top[1][1] == top[2][1] == score_rows(m, np.zeros((1, 3)))[0]
         assert top[3][1] < top[2][1]
 
+    def test_top_k_empty_query_rejected(self):
+        with pytest.raises(ValueError, match="require non-empty strings"):
+            top_k_similar(self.model(), "", ["乙日"], k=1)
+
     def test_top_k_empty_candidate_rejected(self):
         with pytest.raises(ValueError):
             top_k_similar(self.model(), "甲日", ["乙日", ""], k=1)
@@ -282,7 +286,7 @@ class TestCandidateIndex:
         assert index.sharing("月") == set()
 
     def test_empty_candidate_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
+        with pytest.raises(ValueError, match="require non-empty strings"):
             CandidateIndex(["乙日", ""])
 
     def test_words_held_as_padded_code_points(self):
@@ -357,13 +361,12 @@ def test_feature_rows_equal_oracles_and_scores_equal_scalar_arithmetic(
         query, candidates, model):
     want = [oracle_features(query, c) for c in candidates]
     # one query against its candidates, as top_k_similar calls it
-    one_query = feature_rows(pad_words([query], -1), pad_words(candidates, -7))
+    one_query = feature_rows(pad_words([query]), pad_words(candidates))
     assert one_query.shape == (len(candidates), 3)
     assert exact(one_query) == exact(want)
-    # pairs of mixed lengths padded on both sides, as train_perceptron calls
-    # it; any two distinct negative pads work
+    # pairs of mixed lengths padded on both sides, as train_perceptron calls it
     others = candidates[::-1]
-    pairwise = feature_rows(pad_words(candidates, -3), pad_words(others, -2))
+    pairwise = feature_rows(pad_words(candidates), pad_words(others))
     assert pairwise.shape == (len(candidates), 3)
     assert exact(pairwise) == exact([oracle_features(a, b)
                                      for a, b in zip(candidates, others)])
@@ -371,7 +374,7 @@ def test_feature_rows_equal_oracles_and_scores_equal_scalar_arithmetic(
         [oracle_score(model, x) for x in want])
     # each batch row equals its pair scored alone
     for c, row, x in zip(candidates, one_query, want):
-        alone = feature_rows(pad_words([query], -1), pad_words([c], -7))
+        alone = feature_rows(pad_words([query]), pad_words([c]))
         assert exact(alone) == exact(row[None])
         assert exact(score_rows(model, alone)) == exact([oracle_score(model, x)])
 

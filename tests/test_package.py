@@ -1,4 +1,7 @@
+import ast
 import inspect
+import pathlib
+import sys
 
 import sememevec
 
@@ -20,3 +23,16 @@ def test_public_names_pinned():
     names = sorted(name for name, value in vars(sememevec).items()
                    if not name.startswith("_") and not inspect.ismodule(value))
     assert names == PUBLIC
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    imported = set()
+    for path in pathlib.Path(sememevec.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    tops = {name.split(".")[0] for name in imported}
+    assert "numpy" in tops
+    assert tops - set(sys.stdlib_module_names) == {"numpy"}

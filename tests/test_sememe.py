@@ -82,6 +82,13 @@ class TestParsing:
         with pytest.raises(ParseError, match="line 2: sememe identifier .* contains whitespace"):
             parse_lexicon(p)
 
+    # load_corpus splits on it, so no corpus token could ever be such a word
+    @pytest.mark.parametrize("word", ["房 租", "房\u3000租", "房\xa0租"])
+    def test_word_with_whitespace_rejected(self, tmp_path, word):
+        p = write_lexicon(tmp_path, f"打\tV\t击打\n{word}\tN\t费用\n")
+        with pytest.raises(ParseError, match="line 2: word .* contains whitespace"):
+            parse_lexicon(p)
+
     def test_unknown_word_absent(self, tmp_path):
         p = write_lexicon(tmp_path, "词\tN\t甲\n")
         lex = parse_lexicon(p)
