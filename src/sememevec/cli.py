@@ -103,21 +103,20 @@ def _save_trained(args, space):
     _note(args.command, f"trained {len(space)} vectors of dimension {space.dim}")
     save_space(space, args.out)
     _note(args.command, f"wrote {args.out}")
-    return 0
 
 
 def _cmd_train_embeddings(args):
     config = _train_config(args)
     corpus = load_corpus(args.corpus)
     _note(args.command, f"{len(corpus)} sentences, {corpus.total_tokens()} tokens")
-    return _save_trained(args, train_embeddings(corpus, config))
+    _save_trained(args, train_embeddings(corpus, config))
 
 
 def _cmd_train_char_embeddings(args):
     config = _train_config(args)
     corpus = corpus_to_characters(load_corpus(args.corpus))
     _note(args.command, f"{corpus.total_tokens()} characters")
-    return _save_trained(args, train_embeddings(corpus, config, name="character"))
+    _save_trained(args, train_embeddings(corpus, config, name="character"))
 
 
 def _cmd_build_sememe_space(args):
@@ -126,7 +125,7 @@ def _cmd_build_sememe_space(args):
     lexicon = parse_lexicon(args.lexicon)
     _note(args.command, f"{len(lexicon)} lexicon words, max rank {args.max_rank}")
     space = build_sememe_space(corpus, lexicon, config, max_rank=args.max_rank)
-    return _save_trained(args, space)
+    _save_trained(args, space)
 
 
 def _cmd_hownet_vector(args):
@@ -136,7 +135,6 @@ def _cmd_hownet_vector(args):
     if vec is None:
         raise ValueError(f"no sememe vector obtainable for {args.word!r}")
     print(format_vector(vec))
-    return 0
 
 
 def _cmd_train_simmodel(args):
@@ -146,7 +144,6 @@ def _cmd_train_simmodel(args):
     model = train_perceptron(pairs, args.epochs)
     save_similarity_model(model, args.out)
     _note(args.command, f"wrote {args.out}")
-    return 0
 
 
 def _cmd_revise(args):
@@ -168,7 +165,6 @@ def _cmd_revise(args):
     combined = build_combined_space(targets, space, model, vocab, config)
     save_space(combined, args.out)
     _note(args.command, f"wrote {args.out} ({len(combined)} vectors)")
-    return 0
 
 
 def _hownet_source(args):
@@ -219,7 +215,6 @@ def _cmd_train_tagger(args):
     )
     save_tagger(model, args.out)
     _note(args.command, f"wrote {args.out}")
-    return 0
 
 
 def _cmd_tag(args):
@@ -239,7 +234,6 @@ def _cmd_tag(args):
     else:
         for line in format_tagged_corpus(tagged):
             print(line)
-    return 0
 
 
 def _cmd_eval_sim(args):
@@ -255,7 +249,6 @@ def _cmd_eval_sim(args):
     rho, coverage = eval_similarity(source, judgements)
     print(f"spearman {100.0 * rho:.1f}")
     print(f"coverage {100.0 * coverage:.1f}")
-    return 0
 
 
 def _cmd_eval_ner(args):
@@ -273,7 +266,6 @@ def _cmd_eval_ner(args):
     print("overall " + format_prf(*span_prf(gold_spans, pred_spans)))
     for t, (p, r, f) in per_type_prf(gold_spans, pred_spans).items():
         print(f"{t} " + format_prf(p, r, f))
-    return 0
 
 
 def build_parser():
@@ -383,10 +375,11 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.func(args)
+        args.func(args)
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

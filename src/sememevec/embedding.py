@@ -76,17 +76,15 @@ class TrainConfig:
 class EmbeddingSpace:
     """A vocabulary-indexed collection of d-dimensional vectors."""
 
-    def __init__(self, dim, name="", vectors=None):
+    def __init__(self, dim, name=""):
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = dim
         self.name = name
         self._vectors = {}
-        if vectors:
-            for token, vec in vectors.items():
-                self.add(token, vec)
 
     def add(self, token, vector):
+        """Store a float64 copy of vector as token's row: the one way in."""
         if not token:
             raise ValueError("empty token")
         vec = np.array(vector, dtype=np.float64)
@@ -219,12 +217,13 @@ def train_embeddings(corpus, config, name="original"):
     w_in = (rng.random((len(vocab), dim)) - 0.5) / dim
     w_out = np.zeros((len(vocab), dim))
 
-    counts = np.array([vocab.tf(t) for t in vocab.tokens], dtype=np.float64)
+    counts = np.array([vocab.tf(t) for t in vocab], dtype=np.float64)
     noise_cum = np.cumsum(counts ** 0.75)
     noise_cum /= noise_cum[-1]
 
     # the corpus as one id array, with the sentence of every position
-    pairs = ((k, vocab.id_of(t)) for k, s in enumerate(corpus) for t in s if t in vocab)
+    ids = {t: i for i, t in enumerate(vocab)}
+    pairs = ((k, ids[t]) for k, s in enumerate(corpus) for t in s if t in ids)
     sent_of, flat = np.fromiter(pairs, np.dtype((np.intp, 2))).T
     n = len(flat)
     total = n * config.epochs
@@ -265,7 +264,10 @@ def train_embeddings(corpus, config, name="original"):
         if not (np.all(np.isfinite(w_in)) and np.all(np.isfinite(w_out))):
             raise FloatingPointError(f"non-finite parameters after epoch {epoch + 1}")
 
-    return EmbeddingSpace(dim, name=name, vectors=dict(zip(vocab.tokens, w_in)))
+    space = EmbeddingSpace(dim, name=name)
+    for token, vec in zip(vocab, w_in):
+        space.add(token, vec)
+    return space
 
 
 def format_vector(vec):
@@ -275,14 +277,13 @@ def format_vector(vec):
 
 def save_space(space, path):
     """Write the word2vec text format: "vocab dim" header, then one token row."""
-    for token in space.tokens:
-        if has_whitespace(token):
-            raise ValueError(
-                f"token {token!r} contains whitespace and cannot be serialized"
-            )
     with atomic_text_writer(path) as fh:
         fh.write(f"{len(space)} {space.dim}\n")
         for token, vec in space.items():
+            if has_whitespace(token):
+                raise ValueError(
+                    f"token {token!r} contains whitespace and cannot be serialized"
+                )
             fh.write(token + " " + format_vector(vec) + "\n")
 
 

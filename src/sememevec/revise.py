@@ -48,16 +48,16 @@ def similar_word_vector(neighbors, space, vocab):
     """tf-bucket weighted average of neighbour vectors.
 
     Neighbours absent from the space are skipped; if every bucket weight is
-    zero the plain mean is used. Returns None when no neighbour has a vector.
-    Accumulation runs in sorted word order, so the result does not depend on
-    neighbour list order.
+    zero the plain mean is used. Returns None when no neighbour has a vector,
+    and a lone neighbour's stored row itself. Accumulation runs in sorted
+    word order, so the result does not depend on neighbour list order.
     """
     present = sorted(((w, space.get(w)) for w, _ in neighbors if w in space),
                      key=lambda wv: wv[0])
     if not present:
         return None
     if len(present) == 1:
-        return np.array(present[0][1])
+        return present[0][1]
     weights = [tf_bucket(vocab.tf(word)) for word, _ in present]
     total = sum(weights)
     if total == 0:
@@ -74,18 +74,16 @@ def combine(original, similar, tf):
     """Blend the stored and the neighbour-derived vector by term frequency.
 
     The stored vector's weight is tf_bucket(tf)/4, the neighbour vector gets
-    the rest. A missing side yields the other side unchanged; both missing is
-    a contract violation.
+    the rest. A missing side, or a weight of 0 or 1, returns the side that
+    counts, not a copy of it; both missing is a contract violation.
     """
     if original is None and similar is None:
         raise ValueError("both vectors absent")
     if original is None or similar is None:
-        return np.array(similar if original is None else original, dtype=np.float64)
+        return similar if original is None else original
     c1 = tf_bucket(tf) / 4.0
     if c1 in (0.0, 1.0):
-        return np.array(original if c1 else similar, dtype=np.float64)
-    original = np.asarray(original, dtype=np.float64)
-    similar = np.asarray(similar, dtype=np.float64)
+        return original if c1 else similar
     return c1 * original + (1.0 - c1) * similar
 
 

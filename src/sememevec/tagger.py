@@ -63,9 +63,6 @@ class LabelScheme:
         except KeyError:
             raise ValueError(f"label {label!r} not in scheme") from None
 
-    def label(self, idx):
-        return self.labels[idx]
-
     def __len__(self):
         return len(self.labels)
 
@@ -332,7 +329,7 @@ def tag_sentence(model, sentence, word_space, hownet_fn, char_space):
     """Independent per-token labels, predicted for all the sentence's feature
     rows at once, followed by BI repair."""
     x = sentence_features(sentence, word_space, hownet_fn, char_space, model.spec)
-    return repair_bi([model.scheme.label(idx) for idx in predict(model, x)])
+    return repair_bi([model.scheme.labels[idx] for idx in predict(model, x)])
 
 
 def _flag(text):

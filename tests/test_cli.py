@@ -9,8 +9,9 @@ import pytest
 import sememevec.cli
 from sememevec.cli import main
 from sememevec.corpus import load_tagged_corpus
-from sememevec.embedding import load_space
+from sememevec.embedding import format_vector, load_space
 from sememevec.morphsim import load_similarity_model
+from sememevec.sememe import hownet_space, parse_lexicon
 from sememevec.tagger import load_tagger
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data", "toy")
@@ -319,6 +320,14 @@ class TestArtifacts:
         out = capsys.readouterr().out.strip().split()
         assert len(out) == 12
         [float(x) for x in out]
+        # the one-entry shortcut prints each word's row of the full
+        # sememe-sum space, the one tag and eval-sim load
+        lexicon = parse_lexicon(data("lexicon.tsv"))
+        full = hownet_space(lexicon, load_space(artifacts["sememe"]))
+        for word in lexicon:
+            assert main(["hownet-vector", "--word", word, "--lexicon", data("lexicon.tsv"),
+                         "--sememe-space", artifacts["sememe"]]) == 0
+            assert capsys.readouterr().out == format_vector(full.get(word)) + "\n"
 
     def test_progress_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "w.vec"

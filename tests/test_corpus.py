@@ -248,7 +248,6 @@ class TestVocabulary:
         assert v.tf("b") == 3
         assert v.tf("a") == 2
         assert v.tf("missing") == 0
-        assert v.id_of("b") == 0
         assert "a" in v and "zzz" not in v
 
     def test_oracle_recount(self):

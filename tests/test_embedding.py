@@ -394,8 +394,9 @@ class TestPlantedSimilarity:
             def rho_of(sp):
                 return planted_rho(sp.get)
         rng = np.random.default_rng(1)
-        control = EmbeddingSpace(space.dim, vectors={
-            t: rng.normal(0, 1, space.dim) for t in space.tokens})
+        control = EmbeddingSpace(space.dim)
+        for t in space.tokens:
+            control.add(t, rng.normal(0, 1, space.dim))
         rho, rho_random = rho_of(space), rho_of(control)
         assert rho >= PLANTED_RHO_MIN
         assert rho - rho_random >= PLANTED_MARGIN

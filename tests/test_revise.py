@@ -182,6 +182,23 @@ class TestBuildCombinedSpace:
         out = build_combined_space(["新词"], space, model, vocab)
         assert "新词" not in out and len(out) == 0
 
+    def test_rows_share_no_memory_with_the_source(self):
+        # revision hands back source rows uncopied on these paths; add must
+        # copy each one, or a write to the combined space would reach the source
+        space, vocab, model = self.setup_inputs()
+        space.add("稀日", np.array([3.0, 3.0]))
+        vocab = build_vocabulary(Corpus([["甲日"] * 150 + ["乙日"] * 30 + ["稀日"]]))
+        passed = build_combined_space(["甲日"], space, model, vocab)
+        # tf 150 is rare under threshold 200 with C1 = 1; 稀日 has tf 1 and
+        # C1 = 0; 丙日 is unseen; each of the last two takes one neighbour
+        revised = build_combined_space(["甲日", "稀日", "丙日"], space, model, vocab,
+                                       CombinedSpaceConfig(rare_tf_threshold=200, k=1))
+        rows = [passed.get("甲日")] + [revised.get(w) for w in ("甲日", "稀日", "丙日")]
+        sources = [vec for _, vec in space.items()]
+        for row in rows:
+            assert any(np.array_equal(row, src) for src in sources)
+            assert not any(np.shares_memory(row, src) for src in sources)
+
     def test_empty_targets_rejected(self):
         space, vocab, model = self.setup_inputs()
         with pytest.raises(ValueError):

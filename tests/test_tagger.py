@@ -29,7 +29,7 @@ class TestLabelScheme:
         s = LabelScheme(["Date", "Time"])
         assert s.labels == ["O", "B-Date", "I-Date", "B-Time", "I-Time"]
         assert s.index("O") == 0
-        assert s.label(3) == "B-Time"
+        assert s.labels[3] == "B-Time"
         assert len(s) == 5
 
     def test_from_labels_sorted(self):
@@ -487,7 +487,7 @@ class TestTagSentence:
             sent = [vocab[k] for k in rng.integers(0, len(vocab), rng.integers(1, 7))]
             X = np.array([assemble_features(sent, i, words, hownet_fn, chars, spec)
                           for i in range(len(sent))])
-            want = [scheme.label(k) for k in np.argmax(X @ model.weights.T + model.bias,
+            want = [scheme.labels[k] for k in np.argmax(X @ model.weights.T + model.bias,
                                                        axis=1)]
             assert tag_sentence(model, sent, words, hownet_fn, chars) == repair_bi(want)
 
