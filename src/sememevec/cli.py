@@ -211,6 +211,7 @@ def _cmd_train_tagger(args):
     _note(
         args.command,
         f"{len(model.history) - 1} iterations, stopped on {model.stop_reason}, "
+        f"{model.evaluations} loss-and-gradient evaluations, "
         f"final loss {model.history[-1]:.6g}, gradient inf-norm {model.final_gnorm:.3g}",
     )
     save_tagger(model, args.out)

@@ -155,8 +155,9 @@ class TaggerModel:
     """Per-class weight rows and biases, checked at construction to be finite
     and to match the spec and label scheme they were trained for.
 
-    `history`, `stop_reason` and `final_gnorm` describe the fit that made the
-    model; they are not serialized.
+    `history`, `evaluations` (loss-and-gradient evaluations), `stop_reason`
+    and `final_gnorm` describe the fit that made the model; they are not
+    serialized.
     """
 
     weights: np.ndarray
@@ -165,6 +166,7 @@ class TaggerModel:
     spec: FeatureSpec
     scheme: LabelScheme
     history: list = field(default_factory=list, repr=False)
+    evaluations: int = None
     stop_reason: str = None
     final_gnorm: float = None
 
@@ -196,7 +198,7 @@ def softmax_loss_and_grads(weights, bias, features, labels, lam):
     return loss, grad_w, grad_b
 
 
-LBFGS_MEMORY = 10  # curvature pairs kept by train_logreg
+LBFGS_MEMORY = 30  # curvature pairs kept by train_logreg
 
 
 def _lbfgs_direction(grad, pairs):
@@ -227,8 +229,9 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500, *, scheme, s
     and close its curvature pair. Stops when the gradient infinity-norm
     drops to tol ("tol"), after max_iter accepted steps ("max_iter"), or
     when no trial of the line search descends at float precision
-    ("no-descent"); the reason and the final gradient infinity-norm are
-    kept on the model. The loss history is non-increasing.
+    ("no-descent"); the reason, the final gradient infinity-norm and the
+    number of evaluations are kept on the model. The loss history is
+    non-increasing.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.intp)
@@ -260,6 +263,7 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500, *, scheme, s
 
     theta = np.zeros(split + n_classes)
     loss, grad = evaluate(theta)
+    evaluations = 1
     history = [loss]
     pairs = deque(maxlen=LBFGS_MEMORY)
     while True:
@@ -279,6 +283,7 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500, *, scheme, s
         for _ in range(60):
             trial = theta + alpha * direction
             trial_loss, trial_grad = evaluate(trial)
+            evaluations += 1
             # strict: a trial whose loss does not move at float precision
             # is no descent
             if trial_loss < loss + 1e-4 * alpha * slope:
@@ -298,7 +303,8 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500, *, scheme, s
         history.append(loss)
     W, b = unpack(theta)
     return TaggerModel(W, b, lam, spec=spec, scheme=scheme, history=history,
-                       stop_reason=stop_reason, final_gnorm=gnorm)
+                       evaluations=evaluations, stop_reason=stop_reason,
+                       final_gnorm=gnorm)
 
 
 def predict(model, features):

@@ -558,7 +558,12 @@ class TestEvaluationCommands:
                  if "stopped on" in line]
         assert len(notes) == 1
         assert stop in notes[0]
-        assert re.search(r", final loss \S+, gradient inf-norm \S+$", notes[0])
+        found = re.search(r"^\[train-tagger\] (\d+) iterations, stopped on \S+, "
+                          r"(\d+) loss-and-gradient evaluations, "
+                          r"final loss \S+, gradient inf-norm \S+$", notes[0])
+        assert found
+        # one evaluation at the start and at least one per accepted step
+        assert int(found[2]) > int(found[1])
 
     def test_eval_ner_mismatched_tokens(self, tmp_path, capsys):
         gold = tmp_path / "gold.txt"

@@ -342,6 +342,7 @@ class TestStopReason:
         save_tagger(m, str(p))
         back = load_tagger(str(p))
         assert back.stop_reason is None and back.final_gnorm is None
+        assert back.evaluations is None and back.history == []
 
 
 class TestConvergence:
@@ -353,6 +354,15 @@ class TestConvergence:
         m = train_logreg(X, y, lam=1e-4, tol=1e-6, max_iter=300, scheme=scheme, spec=spec)
         assert m.stop_reason == "tol"
         assert m.history[-1] <= gradient_descent_loss
+
+    def test_near_separable_stops_on_tol_within_100_iterations(self):
+        # like the pipeline's context-only fit: lam=1e-4 leaves the problem
+        # (40 rows, 39 parameters) nearly separable, and too few curvature
+        # pairs slow it down: 10 pairs took 155 iterations, 30 take 64
+        X, y, scheme, spec = random_problem(seed=31, n=40, d=12)
+        m = train_logreg(X, y, lam=1e-4, tol=1e-6, max_iter=500, scheme=scheme, spec=spec)
+        assert m.stop_reason == "tol"
+        assert len(m.history) <= 101
 
 
 class TestLogregDigest:
@@ -374,13 +384,17 @@ class TestLogregDigest:
     def test_stops_at_max_iter(self, monkeypatch):
         X, y, scheme, spec = random_problem(seed=29, n=30, d=12, classes=4)
         calls = count_evaluations(monkeypatch)
-        m = train_logreg(X, y, lam=1e-3, tol=1e-6, max_iter=20, scheme=scheme, spec=spec)
-        assert len(m.history) == 21
+        # the first 20 steps accept every first trial; by step 40 the line
+        # search has rejected one
+        m = train_logreg(X, y, lam=1e-3, tol=1e-6, max_iter=40, scheme=scheme, spec=spec)
+        assert m.stop_reason == "max_iter"
+        assert len(m.history) == 41
         assert len(calls) > len(m.history)
+        assert m.evaluations == len(calls)
         _, gw, gb = softmax_loss_and_grads(m.weights, m.bias, X, y, 1e-3)
         assert max(np.abs(gw).max(), np.abs(gb).max()) > 1e-6
         assert self.digest(m) == (
-            "f1bf7edd70cea839b9583982c333812751a1775b09e7ce9fefcff9f81ff1a9dd"
+            "ddac9aeadb593cd2ba69cd49977043ec18da5368eed652e0e52b97a5231138b6"
         )
 
     def test_stops_at_tol(self, monkeypatch):
@@ -389,6 +403,7 @@ class TestLogregDigest:
         m = train_logreg(X, y, lam=1.0, tol=1e-6, max_iter=500, scheme=scheme, spec=spec)
         assert len(m.history) == 12
         assert len(calls) > len(m.history)
+        assert m.evaluations == len(calls)
         _, gw, gb = softmax_loss_and_grads(m.weights, m.bias, X, y, 1.0)
         assert max(np.abs(gw).max(), np.abs(gb).max()) <= 1e-6
         assert self.digest(m) == (
