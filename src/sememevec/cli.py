@@ -220,12 +220,20 @@ def _cmd_train_tagger(args):
 
 def _cmd_tag(args):
     model = load_tagger(args.model)
-    # a source for a block the model leaves off would be ignored silently
-    if args.char_space is not None and not model.spec.use_char:
-        raise ValueError("the model has no character block; drop --char-space")
-    if _hownet_source(args) and not model.spec.use_hownet:
-        raise ValueError("the model has no HowNet block; drop --lexicon and --sememe-space")
+    spec = model.spec
+    # each block the model uses needs its source; a source for a block it
+    # leaves off would be ignored silently
+    for block, flags, given, used in (
+            ("character", "--char-space", args.char_space is not None, spec.use_char),
+            ("HowNet", "--lexicon and --sememe-space", _hownet_source(args), spec.use_hownet)):
+        if given and not used:
+            raise ValueError(f"the model has no {block} block; drop {flags}")
+        if used and not given:
+            raise ValueError(f"the model has a {block} block; give {flags}")
     word_space, hownet_fn, char_space = _load_tagger_sources(args)
+    if word_space.dim != spec.dim:
+        raise ValueError(f"--word-space has dimension {word_space.dim}, "
+                         f"but the model has {spec.dim}")
     corpus = load_corpus(args.corpus)
     tagged = [TaggedSentence(s, tag_sentence(model, s, word_space, hownet_fn, char_space))
               for s in corpus]

@@ -258,11 +258,6 @@ class Vocabulary:
                 raise ValueError(f"token {tok!r} has non-positive count {count}")
         self._tf = dict(items)
 
-    @property
-    def tokens(self):
-        """Tokens in id order."""
-        return list(self._tf)
-
     def tf(self, token):
         """Stored term frequency, or 0 for out-of-vocabulary tokens."""
         return self._tf.get(token, 0)

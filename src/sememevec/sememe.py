@@ -16,23 +16,9 @@ import numpy as np
 from .corpus import Corpus, ParseError, has_whitespace, iter_utf8_lines
 from .embedding import EmbeddingSpace, train_embeddings
 
-# leading relation markers stripped from descriptors
-_MARKERS = frozenset("*#$%@?!~")
-# a latin gloss before the sememe identifier, e.g. "house 房屋"
-_GLOSS = re.compile(r"[A-Za-z]+(?:[ \t]+[A-Za-z]+)*[ \t]+")
-
-
-def _clean_descriptor(raw):
-    """Strip relation markers and a latin gloss, keeping the sememe identifier."""
-    s = raw.strip()
-    i = 0
-    while i < len(s) and (s[i] in _MARKERS or s[i].isspace()):
-        i += 1
-    s = s[i:]
-    m = _GLOSS.match(s)
-    if m and m.end() < len(s):
-        s = s[m.end():]
-    return s
+# relation markers and whitespace, then a Latin gloss when a non-Latin
+# identifier follows it: "*house 房屋" names the sememe "房屋"
+_PREFIX = re.compile(r"[*#$%@?!~\s]*(?:[A-Za-z]+(?:[ \t]+[A-Za-z]+)*[ \t]+(?![A-Za-z]))?")
 
 
 def parse_lexicon(path):
@@ -60,9 +46,10 @@ def parse_lexicon(path):
             raise ParseError(f"{path}: line {lineno}: word {word!r} contains whitespace")
         sememes = []
         for raw in parts[2].split(","):
-            if not raw.strip():
+            descriptor = raw.strip()
+            if not descriptor:
                 continue
-            ident = _clean_descriptor(raw)
+            ident = descriptor[_PREFIX.match(descriptor).end():]
             if not ident:
                 raise ParseError(
                     f"{path}: line {lineno}: descriptor {raw!r} has no "

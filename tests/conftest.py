@@ -4,6 +4,7 @@ and the strategies and file helper of the round-trip property tests."""
 import functools
 import math
 import os
+import string
 import tempfile
 
 from hypothesis import strategies as st
@@ -76,6 +77,21 @@ def pearson_oracle(xs, ys):
 
 def spearman_oracle(xs, ys):
     return pearson_oracle(average_ranks_oracle(xs), average_ranks_oracle(ys))
+
+
+def descriptor_oracle(descriptor):
+    """A lexicon descriptor's sememe identifier, by a walk over its characters."""
+    s = descriptor.strip()
+    i = 0
+    while i < len(s) and (s[i] in "*#$%@?!~" or s[i].isspace()):
+        i += 1
+    j = i
+    while j < len(s) and (s[j] in string.ascii_letters or s[j] in " \t"):
+        j += 1
+    # the run is a gloss only if a letter starts it and a space or tab ends it
+    if j > i and s[i] in string.ascii_letters and s[j - 1] in " \t":
+        i = j
+    return s[i:]
 
 
 def all_strings(alphabet, max_len):

@@ -404,12 +404,14 @@ def pipeline_first_run(pipeline_models_run):
     return pipeline_models_run[:2]
 
 
+@pytest.mark.two_blas_threads
 def test_c11_end_to_end_tagging_and_ablation_order(pipeline_first_run):
     _, metrics = pipeline_first_run
     assert 100.0 * metrics["f_final"] >= 95.0
     assert metrics["f_final"] >= metrics["f_char"] >= metrics["f_w2v"]
 
 
+@pytest.mark.two_blas_threads
 def test_c12_pipeline_rerun_byte_identical(pipeline_first_run, tmp_path_factory):
     dir_a, metrics_a = pipeline_first_run
     dir_b = str(tmp_path_factory.mktemp("pipeline-b"))
@@ -422,6 +424,7 @@ def test_c12_pipeline_rerun_byte_identical(pipeline_first_run, tmp_path_factory)
                            shallow=False), f"{name} differs between runs"
 
 
+@pytest.mark.two_blas_threads
 def test_c11_tagger_fits_converge(pipeline_models_run):
     _, _, models = pipeline_models_run
     assert sorted(models) == ["char", "final", "w2v"]

@@ -480,25 +480,43 @@ class TestEvaluationCommands:
             f"error: {flag} has dimension 8, but --word-space has 12\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("source, message", [
-        ("char", "character block; drop --char-space"),
-        ("hownet", "HowNet block; drop --lexicon and --sememe-space"),
+    # checked before --corpus is read, so an empty corpus cannot hide a mismatch
+    @pytest.mark.parametrize("corpus", ["toy", "empty"])
+    @pytest.mark.parametrize("case, message", [
+        ("char", "the model has no character block; drop --char-space"),
+        ("hownet", "the model has no HowNet block; drop --lexicon and --sememe-space"),
+        ("no-char", "the model has a character block; give --char-space"),
+        ("no-hownet", "the model has a HowNet block; give --lexicon and --sememe-space"),
+        ("word-dim", "--word-space has dimension 5, but the model has 12"),
     ])
-    def test_tag_source_the_model_leaves_off_rejected(self, artifacts, tmp_path, capsys,
-                                                      source, message):
-        model_path = str(tmp_path / "context.model")
-        assert main(["train-tagger", "--tagged", data("tagged_train.txt"),
-                     "--word-space", artifacts["combined"], "--out", model_path,
-                     "--max-iter", "2"]) == 0
-        flags = {"char": ["--char-space", artifacts["chars"]],
-                 "hownet": ["--lexicon", data("lexicon.tsv"),
-                            "--sememe-space", artifacts["sememe"]]}
+    def test_tag_source_not_matching_the_model_rejected(self, artifacts, tmp_path, capsys,
+                                                        case, message, corpus):
+        char = ["--char-space", artifacts["chars"]]
+        hownet = ["--lexicon", data("lexicon.tsv"), "--sememe-space", artifacts["sememe"]]
+        word_space = artifacts["combined"]
+        if case.startswith("no-"):  # the model of every block, one source left out
+            model_path = artifacts["tagger"]
+            flags = hownet if case == "no-char" else char
+        else:  # the context-only model, one source too many or too short
+            model_path = str(tmp_path / "context.model")
+            assert main(["train-tagger", "--tagged", data("tagged_train.txt"),
+                         "--word-space", word_space, "--out", model_path,
+                         "--max-iter", "2"]) == 0
+            flags = {"char": char, "hownet": hownet, "word-dim": []}[case]
+            if case == "word-dim":
+                word_space = str(tmp_path / "short.vec")
+                with open(word_space, "w", encoding="utf-8") as fh:
+                    fh.write("1 5\n今天 1 2 3 4 5\n")
+        corpus_path = data("corpus.txt")
+        if corpus == "empty":
+            corpus_path = str(tmp_path / "empty.txt")
+            open(corpus_path, "w").close()
         out = tmp_path / "tagged.txt"
         capsys.readouterr()
-        rc = main(["tag", "--model", model_path, "--word-space", artifacts["combined"],
-                   "--corpus", data("corpus.txt"), "--out", str(out), *flags[source]])
+        rc = main(["tag", "--model", model_path, "--word-space", word_space,
+                   "--corpus", corpus_path, "--out", str(out), *flags])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: the model has no {message}\n"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
     def test_lexicon_whose_sememes_have_no_vector(self, artifacts, tmp_path):

@@ -244,7 +244,7 @@ class TestVocabulary:
         c = Corpus([["b", "a", "b"], ["c", "b", "a"]])
         v = build_vocabulary(c)
         # sorted by frequency desc, then token
-        assert v.tokens == ["b", "a", "c"]
+        assert list(v) == ["b", "a", "c"]
         assert v.tf("b") == 3
         assert v.tf("a") == 2
         assert v.tf("missing") == 0
@@ -258,16 +258,16 @@ class TestVocabulary:
         for sent in c.sentences:
             for tok in sent:
                 counts[tok] = counts.get(tok, 0) + 1
-        assert {t: v.tf(t) for t in v.tokens} == counts
+        assert {t: v.tf(t) for t in v} == counts
 
     def test_min_count(self):
         c = Corpus([["a", "a", "b"]])
         v = build_vocabulary(c, min_count=2)
-        assert v.tokens == ["a"]
+        assert list(v) == ["a"]
 
     def test_frequency_tie_breaks_by_token(self):
         c = Corpus([["d", "c", "b", "a"]])
-        assert build_vocabulary(c).tokens == ["a", "b", "c", "d"]
+        assert list(build_vocabulary(c)) == ["a", "b", "c", "d"]
 
     def test_empty_vocabulary(self):
         v = Vocabulary({})

@@ -470,6 +470,7 @@ TRAINING_DIGESTS = {
 }
 
 
+@pytest.mark.two_blas_threads
 class TestTrainingDigest:
     """Pins the trainer's output bit for bit.
 

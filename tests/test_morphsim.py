@@ -355,6 +355,7 @@ words_to_6 = st.text(alphabet=ALPHABET, min_size=1, max_size=6)
 models = st.builds(SimilarityModel, *[st.floats(min_value=-40.0, max_value=40.0)] * 4)
 
 
+@pytest.mark.two_blas_threads
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(query=words_to_6, candidates=st.lists(words_to_6, max_size=8), model=models)
 def test_feature_rows_equal_oracles_and_scores_equal_scalar_arithmetic(

@@ -262,6 +262,7 @@ COMBINED_DIGESTS = {
 BLENDING = CombinedSpaceConfig(rare_tf_threshold=25, k=12)
 
 
+@pytest.mark.two_blas_threads
 class TestCombinedSpaceDigest:
     """Pins build_combined_space's saved output byte for byte."""
 

@@ -1,8 +1,11 @@
 import hashlib
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import descriptor_oracle, round_trip
 from sememevec.corpus import Corpus, ParseError
 from sememevec.embedding import EmbeddingSpace, TrainConfig, cosine
 from sememevec.sememe import (
@@ -44,6 +47,13 @@ class TestParsing:
         # a descriptor that is only Latin text must not vanish
         p = write_lexicon(tmp_path, "词\tN\ttime\n")
         assert parse_lexicon(p)["词"] == ["time"]
+
+    def test_gloss_before_latin_refused(self, tmp_path):
+        # only a non-Latin identifier ends a gloss, so this is one identifier
+        p = write_lexicon(tmp_path, "房租\tN\t费用\n房子\tN\tbig house\n")
+        with pytest.raises(ParseError, match="line 2: sememe identifier 'big house' "
+                                             "contains whitespace"):
+            parse_lexicon(p)
 
     def test_multiple_entries_per_word(self, tmp_path):
         p = write_lexicon(tmp_path, "打\tV\t击打\n打\tN\t量词\n")
@@ -93,6 +103,34 @@ class TestParsing:
         p = write_lexicon(tmp_path, "词\tN\t甲\n")
         lex = parse_lexicon(p)
         assert "别的" not in lex
+
+
+descriptors = st.text(st.one_of(
+    st.sampled_from("*#$%@?!~ \t\u3000\xa0\x1c"),
+    st.sampled_from(string.ascii_letters),
+    st.sampled_from(string.digits + "-"),
+    st.characters(min_codepoint=0x4E00, max_codepoint=0x9FFF),
+), max_size=10).filter(str.strip)
+
+
+def write_text(text, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(descriptor=descriptors)
+def test_descriptor_identifier_matches_oracle(descriptor):
+    want = descriptor_oracle(descriptor)
+    line = f"词\tN\t{descriptor}\n"
+    if not want:
+        with pytest.raises(ParseError, match="line 1: descriptor .* has no sememe identifier"):
+            round_trip(write_text, parse_lexicon, line)
+    elif any(map(str.isspace, want)):
+        with pytest.raises(ParseError, match="line 1: sememe identifier .* contains whitespace"):
+            round_trip(write_text, parse_lexicon, line)
+    else:
+        assert round_trip(write_text, parse_lexicon, line) == {"词": [want]}
 
 
 class TestReplacementCorpora:
@@ -224,6 +262,7 @@ HOWNET_DIGEST = (
 )
 
 
+@pytest.mark.two_blas_threads
 class TestSememeDigest:
     """Pins the sememe layer bit for bit: space training and sememe sums."""
 

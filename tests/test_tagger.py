@@ -355,6 +355,7 @@ class TestConvergence:
         assert m.stop_reason == "tol"
         assert m.history[-1] <= gradient_descent_loss
 
+    @pytest.mark.two_blas_threads
     def test_near_separable_stops_on_tol_within_100_iterations(self):
         # like the pipeline's context-only fit: lam=1e-4 leaves the problem
         # (40 rows, 39 parameters) nearly separable, and too few curvature
@@ -365,6 +366,7 @@ class TestConvergence:
         assert len(m.history) <= 101
 
 
+@pytest.mark.two_blas_threads
 class TestLogregDigest:
     """Pins the optimizer's output bit for bit.
 
@@ -715,6 +717,7 @@ class TestSerialization:
             load_tagger(str(p))
 
 
+@pytest.mark.two_blas_threads
 class TestTaggerFileDigest:
     """Pins the bytes save_tagger writes for fixed models.
 
