@@ -15,11 +15,12 @@ from .corpus import (
     TaggedSentence,
     build_vocabulary,
     format_tagged_corpus,
-    has_whitespace,
     iter_utf8_lines,
     load_corpus,
     load_tagged_corpus,
+    plain_word,
     save_tagged_corpus,
+    tab_fields,
 )
 from .embedding import (
     ARCHITECTURES,
@@ -153,13 +154,8 @@ def _cmd_revise(args):
     vocab = build_vocabulary(corpus)
     targets = set(space.tokens) | set(vocab)
     if args.targets is not None:
-        for lineno, line in iter_utf8_lines(args.targets):
-            word = line.strip()
-            if has_whitespace(word):  # save_space could not write its row
-                raise ParseError(f"{args.targets}: line {lineno}: "
-                                 f"target word {word!r} contains whitespace")
-            if word:
-                targets.add(word)
+        targets.update(plain_word(word, lineno, args.targets)
+                       for lineno, (word,) in tab_fields(args.targets, 1))
     config = CombinedSpaceConfig(rare_tf_threshold=args.threshold, k=args.k)
     _note(args.command, f"revising over {len(targets)} target words")
     combined = build_combined_space(targets, space, model, vocab, config)

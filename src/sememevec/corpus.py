@@ -74,18 +74,20 @@ def header_value(lines, path, key, parse):
         raise ParseError(f"{path}: line {lineno}: {exc}") from None
 
 
-def split_fields(line, lineno, path):
-    """The fields of a line its writer joined with single spaces; a blank
-    line has none.
+def split_fields(line, lineno, path, width):
+    """The width fields of a line its writer joined with single spaces; a
+    blank line has none.
 
     ParseError names the line for any other whitespace (a tab, U+3000), a
-    run of spaces, or a leading or trailing space.
+    run of spaces, a leading or trailing space, or another field count.
     """
     fields = line.split(" ") if line else []
     # every whitespace character but the space is unprintable; split() drops
     # empty fields and also splits on every other whitespace
     if "" in fields or not line.isprintable() and fields != line.split():
         raise ParseError(f"{path}: line {lineno}: fields must be separated by single spaces")
+    if len(fields) != width:
+        raise ParseError(f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
     return fields
 
 
@@ -117,6 +119,28 @@ def iter_utf8_lines(path):
                     f"{path}: line {lineno}: invalid UTF-8 ({exc.reason})"
                 ) from exc
             yield lineno, text.rstrip("\r\n")
+
+
+def tab_fields(path, n):
+    """(lineno, fields) of each non-blank line of a hand-written file, split at
+    its first n - 1 tabs, so the last field keeps any further tabs, and stripped;
+    ParseError names a line with fewer than n fields or an empty first field."""
+    for lineno, line in iter_utf8_lines(path):
+        if not line.strip():
+            continue
+        fields = [f.strip() for f in line.split("\t", n - 1)]
+        if len(fields) < n or not fields[0]:
+            raise ParseError(f"{path}: line {lineno}: expected {n} tab-separated "
+                             f"fields, the first not empty")
+        yield lineno, fields
+
+
+def plain_word(word, lineno, path):
+    """word, which ParseError refuses, naming the line, if it holds
+    whitespace: no corpus token or space row could equal it."""
+    if has_whitespace(word):
+        raise ParseError(f"{path}: line {lineno}: word {word!r} contains whitespace")
+    return word
 
 
 @contextmanager

@@ -69,6 +69,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive and finite")
         if not 0 <= self.subsample < np.inf:
             raise ValueError("subsample threshold must be non-negative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
 
@@ -292,7 +294,7 @@ def load_space(path, name=""):
     lines = iter_utf8_lines(path)
     _, header = next(lines, (1, ""))
     try:
-        size, dim = map(ascii_int, split_fields(header, 1, path))
+        size, dim = map(ascii_int, split_fields(header, 1, path, 2))
     except ValueError:
         raise ParseError(f"{path}: line 1: malformed header {header!r}") from None
     if size < 0 or dim < 1:
@@ -300,15 +302,10 @@ def load_space(path, name=""):
 
     space = EmbeddingSpace(dim, name=name)
     for lineno, line in lines:
-        fields = split_fields(line, lineno, path)
-        if len(fields) != dim + 1:
-            raise ParseError(
-                f"{path}: line {lineno}: expected 1 token and {dim} values, "
-                f"got {len(fields)} fields"
-            )
-        if fields[0] in space:
-            raise ParseError(f"{path}: line {lineno}: duplicate token {fields[0]!r}")
-        space.add(fields[0], written_floats(fields[1:], lineno, path))
+        token, *values = split_fields(line, lineno, path, dim + 1)
+        if token in space:
+            raise ParseError(f"{path}: line {lineno}: duplicate token {token!r}")
+        space.add(token, written_floats(values, lineno, path))
     if len(space) != size:
         raise ParseError(
             f"{path}: header declares {size} rows but {len(space)} were read"

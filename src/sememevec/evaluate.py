@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import ParseError, finite_floats, has_whitespace, iter_utf8_lines
+from .corpus import ParseError, finite_floats, plain_word, tab_fields
 from .embedding import cosine
 from .tagger import repair_bi
 
@@ -42,22 +42,11 @@ def load_judgements(path):
     """Tab-separated rows of word, word, numeric human score. A word holding
     whitespace is an error, since no space row could hold it."""
     pairs = []
-    for lineno, line in iter_utf8_lines(path):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(
-                f"{path}: line {lineno}: expected 3 tab-separated fields, "
-                f"got {len(parts)}"
-            )
-        a, b, raw = (p.strip() for p in parts)
-        if not a or not b:
+    for lineno, (a, b, raw) in tab_fields(path, 3):
+        if not b:
             raise ParseError(f"{path}: line {lineno}: empty word")
-        for word in (a, b):
-            if has_whitespace(word):
-                raise ParseError(f"{path}: line {lineno}: word {word!r} contains whitespace")
-        pairs.append((a, b, finite_floats([raw], lineno, path)[0]))
+        pairs.append((plain_word(a, lineno, path), plain_word(b, lineno, path),
+                      finite_floats([raw], lineno, path)[0]))
     return pairs
 
 

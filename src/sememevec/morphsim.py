@@ -20,6 +20,7 @@ from .corpus import (
     atomic_text_writer,
     header_value,
     iter_utf8_lines,
+    tab_fields,
     written_float,
 )
 
@@ -92,18 +93,10 @@ def load_thesaurus(path):
     """Category id to the set of its words, from one category per line:
     category_id TAB word1 word2 ... A repeated id adds to its set."""
     categories = {}
-    for lineno, line in iter_utf8_lines(path):
-        if not line.strip():
-            continue
-        parts = line.split("\t", 1)
-        if len(parts) < 2 or not parts[0].strip():
-            raise ParseError(
-                f"{path}: line {lineno}: expected category_id TAB words"
-            )
-        words = parts[1].split()
+    for lineno, (cat, words) in tab_fields(path, 2):
         if not words:
             raise ParseError(f"{path}: line {lineno}: category has no words")
-        categories.setdefault(parts[0].strip(), set()).update(words)
+        categories.setdefault(cat, set()).update(words.split())
     return categories
 
 

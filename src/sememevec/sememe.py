@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from .corpus import Corpus, ParseError, has_whitespace, iter_utf8_lines
+from .corpus import Corpus, ParseError, has_whitespace, plain_word, tab_fields
 from .embedding import EmbeddingSpace, train_embeddings
 
 # relation markers and whitespace, then a Latin gloss when a non-Latin
@@ -30,22 +30,10 @@ def parse_lexicon(path):
     holding whitespace is an error, since it could never be a corpus token.
     """
     lexicon = {}
-    for lineno, line in iter_utf8_lines(path):
-        if not line.strip():
-            continue
-        parts = line.split("\t", 2)
-        if len(parts) < 3:
-            raise ParseError(
-                f"{path}: line {lineno}: expected word, POS and sememe list "
-                f"separated by tabs"
-            )
-        word = parts[0].strip()
-        if not word:
-            raise ParseError(f"{path}: line {lineno}: empty word field")
-        if has_whitespace(word):
-            raise ParseError(f"{path}: line {lineno}: word {word!r} contains whitespace")
+    for lineno, (word, _, descriptors) in tab_fields(path, 3):
+        plain_word(word, lineno, path)
         sememes = []
-        for raw in parts[2].split(","):
+        for raw in descriptors.split(","):
             descriptor = raw.strip()
             if not descriptor:
                 continue

@@ -389,11 +389,7 @@ def load_tagger(path):
         rows = []
         for _ in range(n_rows):
             lineno, line = next_line(lines, path, what)
-            values = split_fields(line, lineno, path)
-            if len(values) != width:
-                raise ParseError(f"{path}: line {lineno}: expected {width} {what}, "
-                                 f"got {len(values)}")
-            rows.append(written_floats(values, lineno, path))
+            rows.append(written_floats(split_fields(line, lineno, path, width), lineno, path))
         return np.array(rows, dtype=np.float64)
 
     scheme, radius, use_context, use_hownet, use_char, dim, lam, n_classes, n_features = (

@@ -174,7 +174,7 @@ class TestDataErrors:
                    "--targets", str(targets)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: {targets}: line 2: target word {word!r} contains whitespace\n")
+            f"error: {targets}: line 2: word {word!r} contains whitespace\n")
         assert os.listdir(tmp_path) == ["targets.txt"]
 
     def test_simmodel_negative_count_rejected(self, tmp_path, capsys):
@@ -198,6 +198,7 @@ class TestDataErrors:
         ("--learning-rate", "inf", "learning_rate must be positive and finite"),
         ("--learning-rate", "nan", "learning_rate must be positive and finite"),
         ("--subsample", "nan", "subsample threshold must be non-negative and finite"),
+        ("--seed", "-1", "seed must be a non-negative integer"),
     ])
     def test_non_finite_train_flag_rejected(self, tmp_path, capsys, flag, value, message):
         rc = main(["train-embeddings", "--corpus", data("corpus.txt"),
@@ -231,7 +232,10 @@ class TestDataErrors:
         ("# comment\n\nepochs=two\n", "line 3: bad value for epochs: 'two'"),
         ("dim=5\narchitecture=glove\n", "line 2: unknown architecture 'glove'"),
         ("epochs=1\ndim=0\n", "line 2: dim must be a positive integer"),
-    ], ids=["unknown-key", "bad-value", "unknown-architecture", "dim-out-of-range"])
+        ("seed=-1\n", "line 1: seed must be a non-negative integer"),
+        ("dim=5\nbanana\n", "line 2: expected key=value"),
+    ], ids=["unknown-key", "bad-value", "unknown-architecture", "dim-out-of-range",
+            "seed-out-of-range", "no-equals-sign"])
     def test_config_error_names_its_line(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text, encoding="utf-8")

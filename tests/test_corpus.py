@@ -1,9 +1,12 @@
 import os
+import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sememevec.cli
 from conftest import entity_types, round_trip, tokens
 from sememevec.corpus import (
     Corpus,
@@ -16,8 +19,11 @@ from sememevec.corpus import (
     load_tagged_corpus,
     save_tagged_corpus,
 )
+from sememevec.cli import build_parser
 from sememevec.embedding import EmbeddingSpace, save_space
-from sememevec.morphsim import SimilarityModel, save_similarity_model
+from sememevec.evaluate import load_judgements
+from sememevec.morphsim import SimilarityModel, load_thesaurus, save_similarity_model
+from sememevec.sememe import parse_lexicon
 from sememevec.tagger import FeatureSpec, LabelScheme, TaggerModel, save_tagger
 
 
@@ -65,6 +71,87 @@ class TestCorpus:
     def test_empty_token_rejected(self):
         with pytest.raises(ValueError):
             Corpus([["a", ""]])
+
+
+class _Revised(Exception):
+    pass
+
+
+def revise_targets(path):
+    """The words `revise --targets path` adds to those of a one-row space
+    and a one-token corpus; the revision itself does not run."""
+    d = pathlib.Path(path).parent
+    space = EmbeddingSpace(2)
+    space.add("旧", [1.0, 0.0])
+    save_space(space, str(d / "s.vec"))
+    save_similarity_model(SimilarityModel(), str(d / "sim.model"))
+
+    def capture(targets, *_):
+        raise _Revised(targets - {"旧"})
+
+    args = build_parser().parse_args([
+        "revise", "--space", str(d / "s.vec"), "--corpus", write(d / "c.txt", "旧\n"),
+        "--model", str(d / "sim.model"), "--out", str(d / "o.vec"), "--targets", path])
+    with mock.patch.object(sememevec.cli, "build_combined_space", capture):
+        with pytest.raises(_Revised) as revised:
+            args.func(args)
+    return revised.value.args[0]
+
+
+READERS = {"lexicon": parse_lexicon, "thesaurus": load_thesaurus,
+           "judgements": load_judgements, "targets": revise_targets}
+FIELDS_3 = "expected 3 tab-separated fields, the first not empty"
+FIELDS_2 = "expected 2 tab-separated fields, the first not empty"
+
+
+def whitespace(lineno, word):
+    return f"line {lineno}: word {word!r} contains whitespace"
+
+
+class TestHandWrittenReaders:
+    """The four readers of hand-written files, all through corpus.tab_fields:
+    each case is a file's text and what reading it gives, or the message of
+    the ParseError it raises, after the path."""
+
+    @pytest.mark.parametrize("reader, text, expected", [
+        # blank, whitespace-only and CRLF lines are skipped
+        ("lexicon", "\n \t\u3000\n词\tN\t费用\r\n\r\n", {"词": ["费用"]}),
+        ("thesaurus", "\n \t\u3000\nA01\tx y\r\n\r\n", {"A01": {"x", "y"}}),
+        ("judgements", "\n \t\u3000\n甲\t乙\t1\r\n\r\n", [("甲", "乙", 1.0)]),
+        ("targets", "\n \t\u3000\n新词\r\n\r\n", {"新词"}),
+        # a missing field or an empty first field names its line
+        ("lexicon", "词\tN\t费用\n词\tN\n", f"line 2: {FIELDS_3}"),
+        ("lexicon", "词\tN\t费用\n \tN\t费用\n", f"line 2: {FIELDS_3}"),
+        ("thesaurus", "A01\tx\nA02\n", f"line 2: {FIELDS_2}"),
+        ("thesaurus", "A01\tx\n\u3000\ty\n", f"line 2: {FIELDS_2}"),
+        ("thesaurus", "A01\tx\nA02\t\n", "line 2: category has no words"),
+        ("judgements", "甲\t乙\t1\n甲\t乙\n", f"line 2: {FIELDS_3}"),
+        ("judgements", "甲\t乙\t1\n\t乙\t1\n", f"line 2: {FIELDS_3}"),
+        ("judgements", "甲\t乙\t1\n甲\t \t1\n", "line 2: empty word"),
+        # a word holding U+3000 or NBSP names its line; a thesaurus line's
+        # members are split at any whitespace
+        ("lexicon", "词\tN\t费用\n房\u3000租\tN\t费用\n", whitespace(2, "房\u3000租")),
+        ("lexicon", "词\tN\t费用\n房\xa0租\tN\t费用\n", whitespace(2, "房\xa0租")),
+        ("thesaurus", "A01\tx\u3000y\xa0z\n", {"A01": {"x", "y", "z"}}),
+        ("judgements", "甲\t乙\t1\n甲\u3000乙\t丙\t1\n", whitespace(2, "甲\u3000乙")),
+        ("judgements", "甲\t乙\t1\n甲\t乙\xa0丙\t1\n", whitespace(2, "乙\xa0丙")),
+        ("targets", "新词\n新\u3000词\n", whitespace(2, "新\u3000词")),
+        ("targets", "新词\n新\xa0词\n", whitespace(2, "新\xa0词")),
+        # further tabs go to the last field
+        ("lexicon", "词\tN\t费用\t\n", {"词": ["费用"]}),
+        ("thesaurus", "A01\tx\ty z\n", {"A01": {"x", "y", "z"}}),
+        ("judgements", "甲\t乙\t1\t\n", [("甲", "乙", 1.0)]),
+        ("judgements", "甲\t乙\t1\t2\n", "line 1: non-numeric value"),
+        ("targets", "新\t词\n", whitespace(1, "新\t词")),
+    ])
+    def test_reads(self, tmp_path, reader, text, expected):
+        path = write(tmp_path / "hand.tsv", text)
+        if isinstance(expected, str):
+            with pytest.raises(ParseError) as error:
+                READERS[reader](path)
+            assert str(error.value) == f"{path}: {expected}"
+        else:
+            assert READERS[reader](path) == expected
 
 
 class TestTaggedCorpus:
@@ -268,6 +355,16 @@ class TestVocabulary:
     def test_frequency_tie_breaks_by_token(self):
         c = Corpus([["d", "c", "b", "a"]])
         assert list(build_vocabulary(c)) == ["a", "b", "c", "d"]
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Vocabulary({"a": 1, "": 2}), "empty token in vocabulary"),
+        (lambda: Vocabulary({"a": 1, "b": 0}), "token 'b' has non-positive count 0"),
+        (lambda: build_vocabulary(Corpus([["a"]]), min_count=0),
+         "min_count must be at least 1"),
+    ], ids=["empty-token", "count-below-1", "min-count-0"])
+    def test_invalid_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_empty_vocabulary(self):
         v = Vocabulary({})

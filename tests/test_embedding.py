@@ -43,6 +43,12 @@ class TestEmbeddingSpace:
         with pytest.raises(ValueError):
             s.add("a", [1.0, 2.0])
 
+    def test_empty_token_and_zero_dimension_rejected(self):
+        with pytest.raises(ValueError, match="empty token"):
+            EmbeddingSpace(2).add("", [1.0, 2.0])
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            EmbeddingSpace(0)
+
     def test_non_finite_rejected(self):
         s = EmbeddingSpace(2)
         with pytest.raises(ValueError):
@@ -192,6 +198,10 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_embeddings(c, TrainConfig(dim=4, min_count=5))
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ValueError, match="cannot train on an empty corpus"):
+            train_embeddings(Corpus([]), TrainConfig(dim=4))
+
     def test_subsample_runs(self):
         c = small_corpus()
         cfg = TrainConfig(dim=4, epochs=1, subsample=1e-2, seed=5)
@@ -232,6 +242,8 @@ class TestTraining:
             dict(subsample=float("inf")),
             dict(subsample=float("nan")),
             dict(architecture="glove"),
+            # np.random.default_rng would refuse it, but only after the corpus is read
+            dict(seed=-1),
         ):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
@@ -556,11 +568,18 @@ class TestSerialization:
         with pytest.raises(ParseError, match="line 1: malformed header"):
             load_space(str(p))
 
+    @pytest.mark.parametrize("header", ["-1 2", "1 0"])
+    def test_header_sizes_out_of_range_rejected(self, tmp_path, header):
+        p = tmp_path / "v.vec"
+        p.write_text(f"{header}\na 1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 1: invalid sizes in header '{header}'"):
+            load_space(str(p))
+
     @pytest.mark.parametrize("text, line", [("1 2\n\n\na 1 2\n\n", 2), ("1 2\na 1 2\n\n", 3)])
     def test_blank_line_rejected(self, tmp_path, text, line):
         p = tmp_path / "v.vec"
         p.write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError, match=f"line {line}: expected 1 token and 2 values"):
+        with pytest.raises(ParseError, match=f"line {line}: expected 3 fields, got 0"):
             load_space(str(p))
 
     def test_wrong_field_count(self, tmp_path):

@@ -178,6 +178,11 @@ class TestPairSampling:
         with pytest.raises(SamplingError):
             build_pairs({"A": ["x", "y"]}, 0, 1, seed=0)
 
+    def test_gives_up_when_every_negative_draw_is_a_synonym(self):
+        # every word is in both categories, so no draw can be a negative
+        with pytest.raises(SamplingError, match="could not find non-synonymous words"):
+            build_pairs({"A": ["x", "y"], "B": ["x", "y"]}, 0, 1, seed=0)
+
     def test_pair_validation(self):
         with pytest.raises(ValueError):
             TrainingPair("x", "x", 1)
@@ -223,6 +228,10 @@ class TestPerceptron:
         with pytest.raises(ValueError):
             train_perceptron([], 5)
 
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ValueError, match="epochs cannot be negative"):
+            train_perceptron(separable_pairs(), -1)
+
 
 class TestScoring:
     def model(self):
@@ -264,6 +273,10 @@ class TestScoring:
         assert [w for w, _ in top] == ["丙丁", "子", "戊己", "甲乙"]
         assert top[0][1] == top[1][1] == top[2][1] == score_rows(m, np.zeros((1, 3)))[0]
         assert top[3][1] < top[2][1]
+
+    def test_top_k_k_below_1_rejected(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            top_k_similar(self.model(), "甲日", ["乙日"], k=0)
 
     def test_top_k_empty_query_rejected(self):
         with pytest.raises(ValueError, match="require non-empty strings"):

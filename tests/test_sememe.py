@@ -157,6 +157,10 @@ class TestReplacementCorpora:
         reps = generate_replacement_corpora(c, self.lexicon(), max_rank=3)
         assert all(s == ["追", "叫"] for s in reps.sentences)
 
+    def test_max_rank_below_1_rejected(self):
+        with pytest.raises(ValueError, match="max_rank must be at least 1"):
+            generate_replacement_corpora(Corpus([["猫"]]), self.lexicon(), max_rank=0)
+
 
 class TestHownetVector:
     def space(self):

@@ -138,6 +138,25 @@ class TestFeatureAssembly:
         with pytest.raises(ValueError):
             assemble_features(["甲日"], 0, None, None, None, spec)
 
+    @pytest.mark.parametrize("source, message", [
+        ("no-hownet", "hownet features enabled but no hownet source given"),
+        ("hownet-dim", "hownet vector length 5 != feature dim 4"),
+        ("no-char", "character features enabled but no character space given"),
+        ("char-dim", "character space dimension 5 != feature dim 4"),
+    ])
+    def test_hownet_and_char_sources_checked(self, source, message):
+        words, chars, hownet_fn = toy_spaces()
+        if source == "no-hownet":
+            hownet_fn = None
+        elif source == "hownet-dim":
+            hownet_fn = {"甲日": np.ones(5)}.get
+        elif source == "no-char":
+            chars = None
+        else:
+            chars = toy_spaces(5)[1]
+        with pytest.raises(ValueError, match=message):
+            assemble_features(["甲日"], 0, words, hownet_fn, chars, FeatureSpec(dim=4))
+
 
 def random_problem(seed=23, n=40, d=6, classes=3):
     """Random features and labels, with a scheme of `classes` labels and a
@@ -249,6 +268,15 @@ class TestLogreg:
         _, _, scheme, spec = random_problem(d=3)
         with pytest.raises(ValueError, match="single class"):
             train_logreg(X, [1, 1, 1, 1, 1], lam=0.1, scheme=scheme, spec=spec)
+
+    @pytest.mark.parametrize("rows, labels, message", [
+        (0, [], "features must be a non-empty 2-d array matching labels"),
+        (3, [0, 1, 3], "label index out of range for the scheme"),
+    ])
+    def test_no_rows_or_label_outside_scheme_rejected(self, rows, labels, message):
+        _, _, scheme, spec = random_problem(d=3)
+        with pytest.raises(ValueError, match=message):
+            train_logreg(np.ones((rows, 3)), labels, scheme=scheme, spec=spec)
 
     def test_width_other_than_spec_length_rejected(self):
         # a model fitted to these rows would save a file that load_tagger refuses
@@ -581,6 +609,8 @@ class TestSerialization:
         (2, "entity-types A/B", "invalid entity type 'A/B'"),
         (3, "window-radius -1", "window_radius cannot be negative"),
         (7, "dim 0", "dim must be positive"),
+        (11, "weight", "line 11: expected 'weights', got 'weight'"),
+        (12, "1 2 3", "line 12: expected 6 fields, got 3"),
     ])
     def test_header_no_writer_produces_rejected(self, tmp_path, line, text, message):
         X, y, scheme, spec = random_problem()
