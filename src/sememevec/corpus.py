@@ -190,16 +190,21 @@ def load_corpus(path):
     Whitespace is every str.isspace() character (U+3000 and NBSP among them),
     the set load_space splits on and save_space rejects in a token. Blank
     lines are skipped. Raises ParseError on invalid UTF-8.
+
+    Equal tokens are one string object, so memory grows with the types and
+    one pointer per occurrence.
     """
+    seen = {}
     sentences = []
     for _, line in iter_utf8_lines(path):
         tokens = line.split()
         if tokens:
-            sentences.append(tokens)
+            # map over setdefault runs faster than a comprehension
+            sentences.append(list(map(seen.setdefault, tokens, tokens)))
     return Corpus(sentences)
 
 
-@dataclass
+@dataclass(slots=True)
 class TaggedSentence:
     """A token sequence with a parallel label sequence."""
 
@@ -219,8 +224,10 @@ def load_tagged_corpus(path):
     Items are separated by runs of whitespace, the same set as load_corpus's.
     The label separator is the last "/" of an item, so tokens containing "/"
     survive. Items without a separator, with an empty token or with an empty
-    label raise ParseError naming line and column.
+    label raise ParseError naming line and column. Equal tokens or labels are
+    one string object, as in load_corpus.
     """
+    seen = {}
     sentences = []
     for lineno, line in iter_utf8_lines(path):
         tokens, labels = [], []
@@ -232,8 +239,9 @@ def load_tagged_corpus(path):
                     f"{path}: line {lineno}, column {m.start() + 1}: "
                     f"expected token/LABEL, got {item!r}"
                 )
-            tokens.append(item[:cut])
-            labels.append(item[cut + 1:])
+            token, label = item[:cut], item[cut + 1:]
+            tokens.append(seen.setdefault(token, token))
+            labels.append(seen.setdefault(label, label))
         if tokens:
             sentences.append(TaggedSentence(tokens, labels))
     return sentences

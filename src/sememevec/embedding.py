@@ -136,8 +136,10 @@ def cosine(u, v):
 
 
 def corpus_to_characters(corpus):
-    """Split every token into its unicode scalar values, keeping sentence bounds."""
-    return Corpus([[ch for tok in sent for ch in tok] for sent in corpus])
+    """Split every token into its unicode scalar values, keeping sentence
+    bounds; equal characters are one string object."""
+    seen = {}
+    return Corpus([list(map(seen.setdefault, chars, chars)) for chars in map("".join, corpus)])
 
 
 def negative_sampling_loss_and_grads(hidden, outputs, valid):
@@ -274,7 +276,8 @@ def train_embeddings(corpus, config, name="original"):
 
 def format_vector(vec):
     """A vector's values as a save_space row holds them: 9 significant digits."""
-    return " ".join(f"{x:.9g}" for x in vec)
+    # Python floats format faster than numpy scalars, to the same text
+    return " ".join(f"{x:.9g}" for x in vec.tolist())
 
 
 def save_space(space, path):

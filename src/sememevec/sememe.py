@@ -28,7 +28,9 @@ def parse_lexicon(path):
     lines for the same word are checked like any other, then dropped. The POS
     column must be present but is not kept. A word or a sememe identifier
     holding whitespace is an error, since it could never be a corpus token.
+    Equal sememe identifiers are one string object.
     """
+    seen = {}
     lexicon = {}
     for lineno, (word, _, descriptors) in tab_fields(path, 3):
         plain_word(word, lineno, path)
@@ -46,7 +48,7 @@ def parse_lexicon(path):
             if has_whitespace(ident):
                 raise ParseError(f"{path}: line {lineno}: sememe identifier "
                                  f"{ident!r} contains whitespace")
-            sememes.append(ident)
+            sememes.append(seen.setdefault(ident, ident))
         if not sememes:
             raise ParseError(f"{path}: line {lineno}: empty sememe list for {word!r}")
         lexicon.setdefault(word, sememes)

@@ -372,7 +372,7 @@ def save_tagger(model, path):
         for section, rows in (("weights", model.weights), ("bias", [model.bias])):
             fh.write(section + "\n")
             for row in rows:
-                fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+                fh.write(" ".join(f"{x:.17g}" for x in row.tolist()) + "\n")
 
 
 def load_tagger(path):

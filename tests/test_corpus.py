@@ -20,10 +20,10 @@ from sememevec.corpus import (
     save_tagged_corpus,
 )
 from sememevec.cli import build_parser
-from sememevec.embedding import EmbeddingSpace, save_space
+from sememevec.embedding import EmbeddingSpace, corpus_to_characters, save_space
 from sememevec.evaluate import load_judgements
 from sememevec.morphsim import SimilarityModel, load_thesaurus, save_similarity_model
-from sememevec.sememe import parse_lexicon
+from sememevec.sememe import generate_replacement_corpora, parse_lexicon
 from sememevec.tagger import FeatureSpec, LabelScheme, TaggerModel, save_tagger
 
 
@@ -370,3 +370,41 @@ class TestVocabulary:
         v = Vocabulary({})
         assert len(v) == 0
         assert list(v) == []
+
+
+# Each reader's strings, from a small file that repeats them. Single Latin-1
+# characters are left out: CPython keeps one object for each of those anyway.
+CORPUS_TEXT = "今天 开会 北京\n北京 今天\u3000开会 今天\n"
+TAGGED_TEXT = "今天/B-Date 开会/O-Tag 今天/B-Date\n开会/O-Tag 开会/B-Date\n"
+LEXICON_TEXT = "今天\tN\t时间,*现在\n北京\tN\t地方,首都,时间\n开会\tV\t*现在,地方\n"
+STRINGS_READ = {
+    "load_corpus tokens": (CORPUS_TEXT, lambda p: [t for s in load_corpus(p) for t in s]),
+    "load_tagged_corpus tokens":
+        (TAGGED_TEXT, lambda p: [t for s in load_tagged_corpus(p) for t in s.tokens]),
+    "load_tagged_corpus labels":
+        (TAGGED_TEXT, lambda p: [t for s in load_tagged_corpus(p) for t in s.labels]),
+    "corpus_to_characters":
+        (CORPUS_TEXT, lambda p: [c for s in corpus_to_characters(load_corpus(p)) for c in s]),
+    "parse_lexicon sememes":
+        (LEXICON_TEXT, lambda p: [m for ms in parse_lexicon(p).values() for m in ms]),
+}
+
+
+@pytest.mark.parametrize("reader", STRINGS_READ)
+def test_one_string_object_per_distinct_value(tmp_path, reader):
+    text, read = STRINGS_READ[reader]
+    path = write(tmp_path / "in.txt", text)
+    items = read(path)
+    assert len(set(items)) < len(items)
+    assert len({id(x) for x in items}) == len(set(items))
+    # the objects belong to one call's result: a second read shares none
+    again = read(path)
+    assert not {id(x) for x in items} & {id(x) for x in again}
+
+
+def test_replacement_corpora_reuse_corpus_and_lexicon_strings(tmp_path):
+    corpus = load_corpus(write(tmp_path / "c.txt", CORPUS_TEXT))
+    lexicon = parse_lexicon(write(tmp_path / "lex.tsv", LEXICON_TEXT))
+    expanded = generate_replacement_corpora(corpus, lexicon, max_rank=3)
+    owned = {id(t) for s in corpus for t in s} | {id(m) for ms in lexicon.values() for m in ms}
+    assert all(id(t) in owned for s in expanded for t in s)
