@@ -3,9 +3,11 @@
 import math
 import os
 import re
-from collections import Counter
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -162,26 +164,32 @@ def atomic_text_writer(path):
         raise
 
 
-@dataclass
 class Corpus:
-    """Pre-segmented sentences; tokens are opaque non-empty unicode strings."""
+    """Pre-segmented sentences of opaque non-empty unicode tokens, encoded once:
+    ``types`` holds each distinct token in first-seen order, ``ids`` one int32
+    index into ``types`` per token, and ``starts`` each sentence's first
+    position followed by the token count. Iteration decodes one sentence at a time."""
 
-    sentences: list
-
-    def __post_init__(self):
-        for sent in self.sentences:
-            for tok in sent:
-                if not tok:
-                    raise ValueError("corpus contains an empty token")
+    def __init__(self, sentences):
+        index, ids, starts = {}, array("i"), [0]
+        for sent in sentences:
+            ids.extend([index.setdefault(tok, len(index)) for tok in sent])
+            starts.append(len(ids))
+        self.types = list(index)
+        if not all(self.types):
+            raise ValueError("corpus contains an empty token")
+        self.ids, self.starts = np.frombuffer(ids, dtype=np.int32), np.array(starts)
 
     def __len__(self):
-        return len(self.sentences)
+        return len(self.starts) - 1
 
     def __iter__(self):
-        return iter(self.sentences)
+        types, starts = self.types, self.starts
+        for a, b in zip(starts, starts[1:]):
+            yield list(map(types.__getitem__, self.ids[a:b].tolist()))
 
     def total_tokens(self):
-        return sum(len(s) for s in self.sentences)
+        return len(self.ids)
 
 
 def load_corpus(path):
@@ -190,18 +198,8 @@ def load_corpus(path):
     Whitespace is every str.isspace() character (U+3000 and NBSP among them),
     the set load_space splits on and save_space rejects in a token. Blank
     lines are skipped. Raises ParseError on invalid UTF-8.
-
-    Equal tokens are one string object, so memory grows with the types and
-    one pointer per occurrence.
     """
-    seen = {}
-    sentences = []
-    for _, line in iter_utf8_lines(path):
-        tokens = line.split()
-        if tokens:
-            # map over setdefault runs faster than a comprehension
-            sentences.append(list(map(seen.setdefault, tokens, tokens)))
-    return Corpus(sentences)
+    return Corpus(filter(None, (line.split() for _, line in iter_utf8_lines(path))))
 
 
 @dataclass(slots=True)
@@ -308,7 +306,5 @@ def build_vocabulary(corpus, min_count=1):
     """Count tokens and keep those occurring at least min_count times."""
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
-    counts = Counter()
-    for sent in corpus:
-        counts.update(sent)
-    return Vocabulary({t: c for t, c in counts.items() if c >= min_count})
+    counts = np.bincount(corpus.ids, minlength=len(corpus.types)).tolist()
+    return Vocabulary({t: c for t, c in zip(corpus.types, counts) if c >= min_count})

@@ -136,10 +136,9 @@ def cosine(u, v):
 
 
 def corpus_to_characters(corpus):
-    """Split every token into its unicode scalar values, keeping sentence
-    bounds; equal characters are one string object."""
-    seen = {}
-    return Corpus([list(map(seen.setdefault, chars, chars)) for chars in map("".join, corpus)])
+    """Split every token into its unicode scalar values, keeping sentence bounds."""
+    # a joined sentence iterates over its characters
+    return Corpus(map("".join, corpus))
 
 
 def negative_sampling_loss_and_grads(hidden, outputs, valid):
@@ -225,10 +224,11 @@ def train_embeddings(corpus, config, name="original"):
     noise_cum = np.cumsum(counts ** 0.75)
     noise_cum /= noise_cum[-1]
 
-    # the corpus as one id array, with the sentence of every position
+    # the corpus as one vocabulary id array, with the sentence of every position
     ids = {t: i for i, t in enumerate(vocab)}
-    pairs = ((k, ids[t]) for k, s in enumerate(corpus) for t in s if t in ids)
-    sent_of, flat = np.fromiter(pairs, np.dtype((np.intp, 2))).T
+    flat = np.array([ids.get(t, -1) for t in corpus.types], dtype=np.intp)[corpus.ids]
+    sent_of = np.repeat(np.arange(len(corpus)), np.diff(corpus.starts))[flat >= 0]
+    flat = flat[flat >= 0]
     n = len(flat)
     total = n * config.epochs
 

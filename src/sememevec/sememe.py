@@ -60,19 +60,22 @@ def generate_replacement_corpora(corpus, lexicon, max_rank=3):
 
     In the rank-r copy every token with at least r sememes is replaced by its
     rank-r sememe; other tokens pass through. Output sentence count is
-    (max_rank + 1) times the input's.
+    (max_rank + 1) times the input's. A sememe spelled like a corpus token
+    shares its type.
     """
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
-    sentences = [list(sent) for sent in corpus]
-    for rank in range(1, max_rank + 1):
-        for sent in corpus:
-            replaced = []
-            for tok in sent:
-                sememes = lexicon.get(tok, ())
-                replaced.append(sememes[rank - 1] if len(sememes) >= rank else tok)
-            sentences.append(replaced)
-    return Corpus(sentences)
+    index = dict(zip(corpus.types, range(len(corpus.types))))
+    senses = [lexicon.get(t, ()) for t in corpus.types]
+    # each type's id in the rank-r copy: its rank-r sememe's, or its own
+    remap = np.array([[index.setdefault(s[r - 1], len(index)) if 0 < r <= len(s) else i
+                       for i, s in enumerate(senses)] for r in range(max_rank + 1)], np.int32)
+    # the type table read as one sentence gets a corpus's checks; the copies replace it
+    expanded = Corpus([list(index)])
+    expanded.ids = remap[:, corpus.ids].ravel()
+    copies = corpus.starts[:-1] + corpus.total_tokens() * np.arange(max_rank + 1)[:, None]
+    expanded.starts = np.append(copies, expanded.total_tokens())
+    return expanded
 
 
 def build_sememe_space(corpus, lexicon, config, max_rank=3):

@@ -6,6 +6,7 @@ import math
 import os
 import string
 import tempfile
+from collections import Counter
 
 from hypothesis import strategies as st
 
@@ -94,6 +95,30 @@ def descriptor_oracle(descriptor):
     return s[i:]
 
 
+def vocabulary_oracle(sentences, min_count):
+    """(token, count) of each token seen at least min_count times, by
+    descending count, then token."""
+    counts = Counter()
+    for sent in sentences:
+        counts.update(sent)
+    kept = [(t, c) for t, c in counts.items() if c >= min_count]
+    return sorted(kept, key=lambda tc: (-tc[1], tc[0]))
+
+
+def replacement_corpora_oracle(sentences, lexicon, max_rank):
+    """The sentences, then one copy per rank r in which each token with at
+    least r sememes is its rank-r sememe, built token by token."""
+    out = [list(sent) for sent in sentences]
+    for rank in range(1, max_rank + 1):
+        for sent in sentences:
+            replaced = []
+            for tok in sent:
+                sememes = lexicon.get(tok, ())
+                replaced.append(sememes[rank - 1] if len(sememes) >= rank else tok)
+            out.append(replaced)
+    return out
+
+
 def all_strings(alphabet, max_len):
     out = []
     frontier = [""]
@@ -111,6 +136,23 @@ tokens = st.text(
     min_size=1, max_size=5,
 ).filter(lambda t: not any(map(str.isspace, t)))
 entity_types = tokens.filter(lambda t: "/" not in t)
+
+
+@st.composite
+def corpora(draw):
+    """Sentences, empty ones among them, over a pool of at most 7 tokens that
+    always holds a non-BMP one, so tokens repeat."""
+    pool = draw(st.lists(tokens, min_size=1, max_size=6)) + ["\U00020000字"]
+    return draw(st.lists(st.lists(st.sampled_from(pool), max_size=8), max_size=6))
+
+
+@st.composite
+def lexicons(draw, sentences):
+    """A lexicon of 1-4 sememes per word, its words and sememes drawn from the
+    sentences' tokens and fresh ones alike."""
+    words = sorted({t for sent in sentences for t in sent})
+    names = st.sampled_from(words) | tokens if words else tokens
+    return draw(st.dictionaries(names, st.lists(names, min_size=1, max_size=4), max_size=6))
 finite_values = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -302,7 +302,7 @@ class TestArtifacts:
         from sememevec.corpus import load_corpus
 
         sents = load_tagged_corpus(artifacts["tagged"])
-        assert len(sents) == len(load_corpus(data("corpus.txt")).sentences)
+        assert len(sents) == len(load_corpus(data("corpus.txt")))
         model = load_tagger(artifacts["tagger"])
         for s in sents:
             for lab in s.labels:

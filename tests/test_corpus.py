@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sememevec.cli
-from conftest import entity_types, round_trip, tokens
+from conftest import corpora, entity_types, round_trip, tokens, vocabulary_oracle
 from sememevec.corpus import (
     Corpus,
     ParseError,
@@ -36,26 +36,26 @@ class TestCorpus:
     def test_load_basic(self, tmp_path):
         p = write(tmp_path / "c.txt", "我 爱 北京\n他 去 上海\n")
         c = load_corpus(p)
-        assert c.sentences == [["我", "爱", "北京"], ["他", "去", "上海"]]
+        assert list(c) == [["我", "爱", "北京"], ["他", "去", "上海"]]
         assert len(c) == 2
         assert c.total_tokens() == 6
 
     def test_blank_lines_skipped(self, tmp_path):
         p = write(tmp_path / "c.txt", "a b\n\n   \nc\n")
-        assert load_corpus(p).sentences == [["a", "b"], ["c"]]
+        assert list(load_corpus(p)) == [["a", "b"], ["c"]]
 
     def test_separators_collapse(self, tmp_path):
         p = write(tmp_path / "c.txt", "a\t\tb   c\t d\n")
-        assert load_corpus(p).sentences == [["a", "b", "c", "d"]]
+        assert list(load_corpus(p)) == [["a", "b", "c", "d"]]
 
     def test_unicode_whitespace_separates(self, tmp_path):
         # the str.isspace() set, as load_space splits on
         p = write(tmp_path / "c.txt", "房\u3000租 a\u00a0b\u2003c\n")
-        assert load_corpus(p).sentences == [["房", "租", "a", "b", "c"]]
+        assert list(load_corpus(p)) == [["房", "租", "a", "b", "c"]]
 
     def test_crlf(self, tmp_path):
         p = write(tmp_path / "c.txt", "a b\r\nc d\r\n")
-        assert load_corpus(p).sentences == [["a", "b"], ["c", "d"]]
+        assert list(load_corpus(p)) == [["a", "b"], ["c", "d"]]
 
     def test_bad_utf8_names_line(self, tmp_path):
         p = tmp_path / "c.txt"
@@ -66,11 +66,29 @@ class TestCorpus:
     def test_byte_order_mark_stripped(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_bytes("\ufeff房租 上涨\n房租 下降\n".encode("utf-8"))
-        assert load_corpus(str(p)).sentences == [["房租", "上涨"], ["房租", "下降"]]
+        assert list(load_corpus(str(p))) == [["房租", "上涨"], ["房租", "下降"]]
 
     def test_empty_token_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="corpus contains an empty token"):
             Corpus([["a", ""]])
+
+    def test_encoded_once(self):
+        c = Corpus([["猫", "追", "狗"], [], ["狗", "叫"]])
+        assert c.types == ["猫", "追", "狗", "叫"]
+        assert c.ids.dtype == np.int32 and c.ids.tolist() == [0, 1, 2, 2, 3]
+        assert c.starts.tolist() == [0, 3, 3, 5]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sents=corpora(), min_count=st.integers(1, 3))
+def test_corpus_and_vocabulary_match_oracles(sents, min_count):
+    c = Corpus(sents)
+    assert list(c) == sents
+    assert len(c) == len(sents) and c.total_tokens() == sum(map(len, sents))
+    assert c.types == list(dict.fromkeys(t for sent in sents for t in sent))
+    v = build_vocabulary(c, min_count)
+    assert [(t, v.tf(t)) for t in v] == vocabulary_oracle(sents, min_count)
+    assert list(corpus_to_characters(c)) == [list("".join(sent)) for sent in sents]
 
 
 class _Revised(Exception):
@@ -342,7 +360,7 @@ class TestVocabulary:
         c = Corpus([["x", "y", "x", "z"], ["y", "x"]])
         v = build_vocabulary(c)
         counts = {}
-        for sent in c.sentences:
+        for sent in c:
             for tok in sent:
                 counts[tok] = counts.get(tok, 0) + 1
         assert {t: v.tf(t) for t in v} == counts

@@ -164,7 +164,7 @@ class TestTraining:
         cfg = TrainConfig(dim=9, window=2, negative=3, epochs=1, seed=2)
         s = train_embeddings(c, cfg)
         assert s.dim == 9
-        assert set(s.tokens) == {t for sent in c.sentences for t in sent}
+        assert set(s.tokens) == {t for sent in c for t in sent}
 
     def test_deterministic_rerun(self):
         c = small_corpus()
@@ -504,7 +504,7 @@ class TestCharacterCorpus:
     def test_split(self):
         c = Corpus([["早上", "好"], ["晚安"]])
         cc = corpus_to_characters(c)
-        assert cc.sentences == [["早", "上", "好"], ["晚", "安"]]
+        assert list(cc) == [["早", "上", "好"], ["晚", "安"]]
 
 
 class TestSerialization:

@@ -1,11 +1,18 @@
 import hashlib
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import descriptor_oracle, round_trip
+from conftest import (
+    corpora,
+    descriptor_oracle,
+    lexicons,
+    replacement_corpora_oracle,
+    round_trip,
+)
 from sememevec.corpus import Corpus, ParseError
 from sememevec.embedding import EmbeddingSpace, TrainConfig, cosine
 from sememevec.sememe import (
@@ -145,7 +152,7 @@ class TestReplacementCorpora:
     def test_rank_substitution(self):
         c = Corpus([["猫", "追", "狗"]])
         reps = generate_replacement_corpora(c, self.lexicon(), max_rank=2)
-        sents = reps.sentences
+        sents = list(reps)
         assert sents[0] == ["猫", "追", "狗"]
         # rank 1 substitutes every covered word's first sememe
         assert ["动物", "追", "动物"] in sents
@@ -155,11 +162,61 @@ class TestReplacementCorpora:
     def test_uncovered_words_unchanged(self):
         c = Corpus([["追", "叫"]])
         reps = generate_replacement_corpora(c, self.lexicon(), max_rank=3)
-        assert all(s == ["追", "叫"] for s in reps.sentences)
+        assert all(s == ["追", "叫"] for s in reps)
 
     def test_max_rank_below_1_rejected(self):
         with pytest.raises(ValueError, match="max_rank must be at least 1"):
             generate_replacement_corpora(Corpus([["猫"]]), self.lexicon(), max_rank=0)
+
+    def test_empty_sememe_rejected(self):
+        with pytest.raises(ValueError, match="corpus contains an empty token"):
+            generate_replacement_corpora(Corpus([["猫"]]), {"猫": [""]}, max_rank=1)
+
+    def test_sememe_named_like_a_word_shares_its_type(self):
+        c = Corpus([["猫", "追", "狗"], ["动物"]])
+        reps = generate_replacement_corpora(c, self.lexicon(), max_rank=1)
+        assert reps.types == ["猫", "追", "狗", "动物"]
+        assert list(reps)[2:] == [["动物", "追", "动物"], ["动物"]]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_replacement_corpora_match_oracle(data):
+    sents = data.draw(corpora())
+    lexicon = data.draw(lexicons(sents))
+    max_rank = data.draw(st.integers(1, 4))
+    c = Corpus(sents)
+    reps = generate_replacement_corpora(c, lexicon, max_rank)
+    assert list(reps) == replacement_corpora_oracle(sents, lexicon, max_rank)
+    assert reps.total_tokens() == (max_rank + 1) * c.total_tokens()
+    # a sememe spelled like a corpus word, or like another rank's sememe, is one type
+    assert reps.types[:len(c.types)] == c.types
+    assert len(set(reps.types)) == len(reps.types)
+
+
+def traced_peak(fn, *args):
+    """The most bytes tracemalloc saw allocated while fn(*args) ran."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_replacement_copies_cost_ids_not_token_lists():
+    rng = np.random.default_rng(5)
+    words = [f"词{i}" for i in range(300)]
+    lexicon = {w: [f"义{j}" for j in rng.integers(0, 80, rng.integers(1, 5))]
+               for w in words[::3] + words[1::3]}
+    base = [[words[i] for i in rng.integers(0, len(words), rng.integers(1, 20))]
+            for _ in range(500)]
+    added = 7 * sum(map(len, base)) * 4  # expanded tokens that 8 copies of base add
+    small, large = Corpus(base), Corpus(base * 8)
+    growth = (traced_peak(generate_replacement_corpora, large, lexicon, 3)
+              - traced_peak(generate_replacement_corpora, small, lexicon, 3))
+    # int32 ids and the gather's index copy read 8 bytes per expanded token, token lists 16
+    assert growth / added < 12
 
 
 class TestHownetVector:
