@@ -14,13 +14,13 @@ from .corpus import (
     ParseError,
     TaggedSentence,
     build_vocabulary,
-    format_tagged_corpus,
     iter_utf8_lines,
     load_corpus,
     load_tagged_corpus,
     plain_word,
     save_tagged_corpus,
     tab_fields,
+    write_tagged_corpus,
 )
 from .embedding import (
     ARCHITECTURES,
@@ -231,14 +231,13 @@ def _cmd_tag(args):
         raise ValueError(f"--word-space has dimension {word_space.dim}, "
                          f"but the model has {spec.dim}")
     corpus = load_corpus(args.corpus)
-    tagged = [TaggedSentence(s, tag_sentence(model, s, word_space, hownet_fn, char_space))
-              for s in corpus]
+    tagged = (TaggedSentence(s, tag_sentence(model, s, word_space, hownet_fn, char_space))
+              for s in corpus)
     if args.out is not None:
         save_tagged_corpus(tagged, args.out)
         _note(args.command, f"wrote {args.out}")
     else:
-        for line in format_tagged_corpus(tagged):
-            print(line)
+        write_tagged_corpus(tagged, sys.stdout)
 
 
 def _cmd_eval_sim(args):

@@ -245,31 +245,30 @@ def load_tagged_corpus(path):
     return sentences
 
 
-def format_tagged_corpus(sentences):
-    """The "token/LABEL" lines of tagged sentences, without line ends.
+def write_tagged_corpus(sentences, fh):
+    """Write one "token/LABEL" line per tagged sentence to the text file fh.
 
-    Raises ValueError, before any line is made, for what load_tagged_corpus
-    would read back differently: an empty sentence (a skipped blank line), an
-    empty token or label, whitespace in either, "/" in a label, or a byte
-    order mark opening the first token.
+    Each sentence is checked just before its line is written. ValueError is
+    raised for what load_tagged_corpus would read back differently: an empty
+    sentence (a skipped blank line), an empty token or label, whitespace in
+    either, "/" in a label, or a byte order mark opening the first token.
+    The lines before the failing sentence stay written.
     """
-    sentences = list(sentences)
     for k, sent in enumerate(sentences, start=1):
         if not sent.tokens:
             raise ValueError(f"sentence {k} is empty and cannot be saved")
         for tok, label in zip(sent.tokens, sent.labels):
             if not (tok and label) or "/" in label or has_whitespace(tok + label):
                 raise ValueError(f"sentence {k}: {tok!r}/{label!r} would not load back")
-    if sentences and sentences[0].tokens[0].startswith("\ufeff"):
-        raise ValueError("sentence 1 starts with a byte order mark, which loading drops")
-    return (" ".join(f"{t}/{l}" for t, l in zip(s.tokens, s.labels)) for s in sentences)
+        if k == 1 and sent.tokens[0].startswith("\ufeff"):
+            raise ValueError("sentence 1 starts with a byte order mark, which loading drops")
+        fh.write(" ".join(f"{t}/{l}" for t, l in zip(sent.tokens, sent.labels)) + "\n")
 
 
 def save_tagged_corpus(sentences, path):
-    """Write the lines of format_tagged_corpus; nothing is written if it raises."""
-    lines = format_tagged_corpus(sentences)
+    """write_tagged_corpus to path; nothing is written if it raises."""
     with atomic_text_writer(path) as fh:
-        fh.writelines(line + "\n" for line in lines)
+        write_tagged_corpus(sentences, fh)
 
 
 class Vocabulary:

@@ -1,11 +1,13 @@
 """Shared brute-force oracles, written independently of the library code,
-and the strategies and file helper of the round-trip property tests."""
+the strategies and file helper of the round-trip property tests, and the
+tracemalloc helper of the memory guards."""
 
 import functools
 import math
 import os
 import string
 import tempfile
+import tracemalloc
 from collections import Counter
 
 from hypothesis import strategies as st
@@ -162,3 +164,13 @@ def round_trip(save, load, value):
         path = os.path.join(d, "artifact")
         save(value, path)
         return load(path)
+
+
+def traced_peak(fn, *args):
+    """The most bytes tracemalloc saw allocated while fn(*args) ran."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

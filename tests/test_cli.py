@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import sememevec.cli
+from conftest import traced_peak
 from sememevec.cli import main
-from sememevec.corpus import load_tagged_corpus
+from sememevec.corpus import load_corpus, load_tagged_corpus
 from sememevec.embedding import format_vector, load_space
 from sememevec.morphsim import load_similarity_model
 from sememevec.sememe import hownet_space, parse_lexicon
@@ -19,6 +20,13 @@ DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data", "toy")
 
 def data(name):
     return os.path.join(DATA, name)
+
+
+def tag_argv(artifacts, corpus):
+    """sememevec tag over corpus with the artifacts' model and sources, to stdout."""
+    return ["tag", "--model", artifacts["tagger"], "--word-space", artifacts["combined"],
+            "--char-space", artifacts["chars"], "--lexicon", data("lexicon.tsv"),
+            "--sememe-space", artifacts["sememe"], "--corpus", corpus]
 
 
 @pytest.fixture(scope="module")
@@ -299,8 +307,6 @@ class TestArtifacts:
         assert model.spec.use_hownet and model.spec.use_char
 
     def test_tagged_output_well_formed(self, artifacts):
-        from sememevec.corpus import load_corpus
-
         sents = load_tagged_corpus(artifacts["tagged"])
         assert len(sents) == len(load_corpus(data("corpus.txt")))
         model = load_tagger(artifacts["tagger"])
@@ -310,12 +316,43 @@ class TestArtifacts:
 
     def test_tag_stdout_equals_out_file(self, artifacts, capsys):
         capsys.readouterr()
-        assert main(["tag", "--model", artifacts["tagger"],
-                     "--word-space", artifacts["combined"], "--char-space", artifacts["chars"],
-                     "--lexicon", data("lexicon.tsv"), "--sememe-space", artifacts["sememe"],
-                     "--corpus", data("corpus.txt")]) == 0
+        assert main(tag_argv(artifacts, data("corpus.txt"))) == 0
         with open(artifacts["tagged"], encoding="utf-8") as fh:
             assert capsys.readouterr().out == fh.read()
+
+    def test_tag_corpus_error_prints_nothing(self, artifacts, tmp_path, capsys):
+        # the whole corpus is read before the first line is written
+        corpus = tmp_path / "corpus.txt"
+        with open(data("corpus.txt"), "rb") as fh:
+            corpus.write_bytes(fh.read() + b"\xff\n")
+        out = tmp_path / "tagged.txt"
+        out.write_bytes(b"earlier\n")
+        capsys.readouterr()
+        assert main(tag_argv(artifacts, str(corpus))) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid UTF-8" in captured.err
+        assert main([*tag_argv(artifacts, str(corpus)), "--out", str(out)]) == 1
+        assert "invalid UTF-8" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier\n"
+        assert sorted(os.listdir(tmp_path)) == ["corpus.txt", "tagged.txt"]
+
+    def test_tag_memory_does_not_grow_with_its_output(self, artifacts, tmp_path):
+        with open(data("corpus.txt"), encoding="utf-8") as fh:
+            text = fh.read()
+        base = load_corpus(data("corpus.txt"))
+
+        def tag_peak(copies):
+            corpus, out = tmp_path / f"corpus{copies}.txt", tmp_path / f"tagged{copies}.txt"
+            corpus.write_text(text * copies, encoding="utf-8")
+            peak = traced_peak(main, [*tag_argv(artifacts, str(corpus)), "--out", str(out)])
+            assert len(load_tagged_corpus(str(out))) == len(base) * copies
+            return peak
+
+        tag_peak(1)  # first-call allocations, such as caches, are not growth
+        added = 28 * base.total_tokens()
+        # the corpus ids cost 4 bytes a token; tagged sentences held to the
+        # end, or their lines, cost many times that
+        assert (tag_peak(32) - tag_peak(4)) / added < 16
 
     def test_hownet_vector_prints_numbers(self, artifacts, capsys):
         rc = main(["hownet-vector", "--word", "房租", "--lexicon", data("lexicon.tsv"),

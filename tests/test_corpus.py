@@ -1,3 +1,4 @@
+import io
 import os
 import pathlib
 from unittest import mock
@@ -18,6 +19,7 @@ from sememevec.corpus import (
     load_corpus,
     load_tagged_corpus,
     save_tagged_corpus,
+    write_tagged_corpus,
 )
 from sememevec.cli import build_parser
 from sememevec.embedding import EmbeddingSpace, corpus_to_characters, save_space
@@ -248,6 +250,11 @@ class TestTaggedCorpus:
         with pytest.raises(ValueError, match="sentence 2: .* would not load back"):
             save_tagged_corpus(sents, str(p))
         assert os.listdir(tmp_path) == []
+        # each sentence is checked just before its line is written
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="sentence 2: .* would not load back"):
+            write_tagged_corpus(sents, buf)
+        assert buf.getvalue() == "今天/B-Date\n"
 
     def test_slash_in_token_round_trips(self, tmp_path):
         sents = [TaggedSentence(["1/2", "a/"], ["O", "B-X"])]
@@ -280,8 +287,10 @@ def test_tagged_corpus_round_trips(data):
     assert round_trip(save_tagged_corpus, load_tagged_corpus, sents) == sents
 
 
-def failing_sentences():
+def failing_sentences(directory):
     yield TaggedSentence(["今天"], ["B-Date"])
+    # the first line went to the temporary file before the source failed
+    assert any(name.endswith(".tmp") for name in os.listdir(directory))
     raise RuntimeError("source failed mid-write")
 
 
@@ -313,7 +322,7 @@ FAILING_SAVES = {
     "space": lambda path: save_space(space_with_bad_token(), path),
     "similarity": lambda path: save_similarity_model(similarity_with_bad_field(), path),
     "tagger": lambda path: save_tagger(tagger_with_bad_row(), path),
-    "tagged": lambda path: save_tagged_corpus(failing_sentences(), path),
+    "tagged": lambda path: save_tagged_corpus(failing_sentences(os.path.dirname(path)), path),
 }
 
 

@@ -1,6 +1,5 @@
 import hashlib
 import string
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from conftest import (
     lexicons,
     replacement_corpora_oracle,
     round_trip,
+    traced_peak,
 )
 from sememevec.corpus import Corpus, ParseError
 from sememevec.embedding import EmbeddingSpace, TrainConfig, cosine
@@ -192,16 +192,6 @@ def test_replacement_corpora_match_oracle(data):
     # a sememe spelled like a corpus word, or like another rank's sememe, is one type
     assert reps.types[:len(c.types)] == c.types
     assert len(set(reps.types)) == len(reps.types)
-
-
-def traced_peak(fn, *args):
-    """The most bytes tracemalloc saw allocated while fn(*args) ran."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_replacement_copies_cost_ids_not_token_lists():
