@@ -1,19 +1,21 @@
 """Distributional word and character embeddings trained with negative sampling.
 
 The trainer is a from-scratch skip-gram / CBOW implementation. Each epoch
-flattens the corpus into one id array and builds its (input ids, target)
-steps with array operations, one column per window offset, masked to the
-same sentence: skip-gram makes one step per (center, context) pair with the
-center as input, CBOW one per position with the mean of its context words as
-input. A step contrasts the target word against ``negative`` noise words
-drawn from the unigram distribution raised to the 0.75 power, with loss
+flattens the corpus into one id array and builds one step per center word
+with array operations: its context, one column per window offset masked to
+the same sentence. Skip-gram scores the center row against each live context
+word as a target, CBOW the mean of the context rows against the center. A
+step draws ``negative`` noise words from the unigram distribution raised to
+the 0.75 power and shares them among its targets (Ji et al., arXiv:1604.04661):
+a noise word counts once per live target it is not, so each (center, context)
+pair still sees ``negative`` noise draws. Per target the loss is
 
     L = -log s(x_pos) - sum_neg log s(-x_neg),    x = w_out . h
 
-where h is the input vector (the center row, or the context mean). Steps run
-in mini-batches that gather at most BATCH_VALUES parameter values: a batch's
-gradients are all taken from the parameters as they were before it, then
-applied at once with np.add.at, with a row's summed rate capped.
+where h is the input vector. Steps run in mini-batches that gather at most
+BATCH_VALUES parameter values: a batch's gradients are all taken from the
+parameters as they were before it, then applied at once with np.add.at, with
+a row's summed rate capped.
 
 Training is single-threaded and fully deterministic for a fixed seed: all
 randomness flows from one seeded generator, and batches are applied in
@@ -137,65 +139,75 @@ def cosine(u, v):
 
 def corpus_to_characters(corpus):
     """Split every token into its unicode scalar values, keeping sentence bounds."""
-    # a joined sentence iterates over its characters
-    return Corpus(map("".join, corpus))
+    # the type table encoded as a corpus, one sentence of characters per type,
+    # encodes each type once, in first-seen order; each token gathers its run
+    chars = Corpus(corpus.types)
+    size = np.diff(chars.starts)[corpus.ids]
+    ends = np.concatenate(([0], np.cumsum(size)))
+    take = np.repeat(chars.starts[corpus.ids] - ends[:-1], size) + np.arange(ends[-1])
+    chars.ids, chars.starts = chars.ids[take], ends[corpus.starts]
+    return chars
 
 
-def negative_sampling_loss_and_grads(hidden, outputs, valid):
+def negative_sampling_loss_and_grads(hidden, outputs, weight, targets):
     """Loss and analytic gradients of a batch of negative-sampling steps.
 
     ``hidden`` (B, d) holds each step's input vector and ``outputs`` (B, K, d)
-    its output rows: the target first, then K - 1 noise rows. A noise row
-    whose ``valid`` entry is False (it equals the target) adds neither loss
-    nor gradient. Returns (loss, grad wrt hidden, grad wrt outputs).
+    its output rows: ``targets`` target rows first, then noise rows. Each
+    row's term counts ``weight`` (B, K) times, so a weight of 0 adds neither
+    loss nor gradient. Returns (loss, grad wrt hidden, grad wrt outputs).
     """
-    # x = w_out . h; the target row scores softplus(-x), a noise row softplus(x)
+    # x = w_out . h; a target row scores softplus(-x), a noise row softplus(x)
     signed = np.einsum("bkd,bd->bk", outputs, hidden)
-    signed[:, 0] *= -1.0
+    signed[:, :targets] *= -1.0
     softplus = np.logaddexp(0.0, signed)
     # d softplus(z) / dz = sigmoid(z) = exp(z - softplus(z)), without overflow
-    residual = np.exp(signed - softplus) * valid
-    residual[:, 0] *= -1.0
-    loss = float(np.sum(softplus, where=valid))
+    residual = np.exp(signed - softplus) * weight
+    residual[:, :targets] *= -1.0
+    loss = float(np.sum(softplus * weight))
     grad_out = residual[:, :, None] * hidden[:, None, :]
     return loss, np.einsum("bk,bkd->bd", residual, outputs), grad_out
 
 
-def _descend(matrix, rows, grads, live, alpha):
+def _descend(matrix, rows, grads, hits, alpha):
     """matrix[rows] -= rate * grads, summing the steps of repeated rows.
 
     A batch's gradients all come from the parameters before it, so a row that
     many steps hit would overshoot: its rate is alpha, lowered so that its
-    ``live`` hits times its rate stay within ROW_RATE_CAP.
+    summed ``hits`` times its rate stay within ROW_RATE_CAP.
     """
     dim = matrix.shape[1]
     rows = rows.ravel()
-    hits = np.maximum(np.bincount(rows, weights=live.ravel())[rows], 1.0)
-    rate = np.minimum(alpha, ROW_RATE_CAP / hits)
+    count = np.maximum(np.bincount(rows, weights=hits.ravel())[rows], 1.0)
+    rate = np.minimum(alpha, ROW_RATE_CAP / count)
     steps = grads.reshape(-1, dim) * -rate[:, None]
     # np.add.at on the flat buffer takes numpy's fast one-dimensional path
     flat = (rows * dim)[:, None] + np.arange(dim)
     np.add.at(matrix.reshape(-1), flat.ravel(), steps.ravel())
 
 
-def _steps(ids, sents, center, offsets, skipgram):
-    """The (inputs, live, targets, at) steps centered on positions ``center``.
+def _outputs(targets, live, noise):
+    """A batch's output rows, its targets then its noise words, and how often
+    each counts: a target once if ``live``, a noise word once per live target
+    it is not."""
+    other = live[:, :, None] & (targets[:, :, None] != noise[:, None, :])
+    return np.column_stack((targets, noise)), np.column_stack((live, other.sum(axis=1)))
 
-    ``ids`` and ``sents`` give each position's word and sentence. Skip-gram
-    makes one step per (center, context) pair, the center its one input;
-    CBOW one per center with a context, whose ids are its inputs and
-    ``live`` masks their padding. ``at`` indexes each step's center.
+
+def _steps(ids, sents, center, offsets):
+    """The (context, live, centers, at) steps centered on positions ``center``.
+
+    ``ids`` and ``sents`` give each position's word and sentence. There is one
+    step per center with a context: its context ids, masked by ``live`` to
+    the same sentence, and its center id. ``at`` indexes each step's center.
     """
     # one column per window offset, masked to positions in the same sentence
     ctx = center[:, None] + offsets
     mask = (ctx >= 0) & (ctx < len(ids))
     ctx = np.clip(ctx, 0, len(ids) - 1)
     mask &= sents[ctx] == sents[center, None]
-    if skipgram:
-        at, cols = np.nonzero(mask)
-        return ids[center[at], None], np.ones((len(at), 1), bool), ids[ctx[at, cols]], at
     at = np.flatnonzero(mask.any(axis=1))
-    return ids[ctx[at]], mask[at], ids[center[at]], at
+    return ids[ctx[at]], mask[at], ids[center[at], None], at
 
 
 def train_embeddings(corpus, config, name="original"):
@@ -239,8 +251,7 @@ def train_embeddings(corpus, config, name="original"):
     neg = config.negative
     skipgram = config.architecture == "skipgram"
     offsets = np.array([o for o in range(-config.window, config.window + 1) if o])
-    rows_per_step = (1 if skipgram else len(offsets)) + 1 + neg
-    batch = max(1, BATCH_VALUES // (rows_per_step * dim))
+    batch = max(1, BATCH_VALUES // ((len(offsets) + 1 + neg) * dim))
 
     for epoch in range(config.epochs):
         pos = np.arange(n)
@@ -249,22 +260,24 @@ def train_embeddings(corpus, config, name="original"):
         ids, sents = flat[pos], sent_of[pos]
         for a in range(0, len(pos), SPAN_TOKENS):
             center = np.arange(a, min(len(pos), a + SPAN_TOKENS))
-            inputs, live, targets, at = _steps(ids, sents, center, offsets, skipgram)
-            step_pos = pos[center[at]]
-            for s in range(0, len(targets), batch):
-                processed = epoch * n + step_pos[s]
+            ctx, live, center_ids, at = _steps(ids, sents, center, offsets)
+            # (input, hits, targets, live targets): skip-gram's center row is hit
+            # once per live context word, each live context row of CBOW's mean once
+            sides = ((center_ids, live.sum(axis=1, keepdims=True), ctx, live) if skipgram
+                     else (ctx, live, center_ids, np.ones_like(center_ids, bool)))
+            for s in range(0, len(at), batch):
+                processed = epoch * n + pos[center[at[s]]]
                 alpha = max(lr0 * (1.0 - processed / total), lr0 * LR_FLOOR_FRACTION)
-                inp, used = inputs[s:s + batch], live[s:s + batch]
-                wts = used / used.sum(axis=1, keepdims=True)
-                rows = np.column_stack((targets[s:s + batch], np.searchsorted(
-                    noise_cum, rng.random((len(inp), neg)), side="left")))
-                valid = (rows != rows[:, :1]) | (np.arange(neg + 1) == 0)
+                inp, hits, targets, t_live = (x[s:s + batch] for x in sides)
+                noise = np.searchsorted(noise_cum, rng.random((len(inp), neg)), side="left")
+                rows, weight = _outputs(targets, t_live, noise)
+                wts = hits / hits.sum(axis=1, keepdims=True)
                 hidden = np.einsum("bw,bwd->bd", wts, w_in[inp])
                 _, g_hidden, g_out = negative_sampling_loss_and_grads(
-                    hidden, w_out[rows], valid
+                    hidden, w_out[rows], weight, targets.shape[1]
                 )
-                _descend(w_out, rows, g_out, valid, alpha)
-                _descend(w_in, inp, wts[:, :, None] * g_hidden[:, None, :], used, alpha)
+                _descend(w_out, rows, g_out, weight, alpha)
+                _descend(w_in, inp, wts[:, :, None] * g_hidden[:, None, :], hits, alpha)
         if not (np.all(np.isfinite(w_in)) and np.all(np.isfinite(w_out))):
             raise FloatingPointError(f"non-finite parameters after epoch {epoch + 1}")
 

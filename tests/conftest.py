@@ -1,6 +1,7 @@
-"""Shared brute-force oracles, written independently of the library code,
-the strategies and file helper of the round-trip property tests, and the
-tracemalloc helper of the memory guards."""
+"""Shared brute-force oracles, written independently of the library code
+or kept from the simpler code a faster path replaced, the strategies and file
+helper of the round-trip property tests, and the tracemalloc helper of the
+memory guards."""
 
 import functools
 import math
@@ -11,6 +12,8 @@ import tracemalloc
 from collections import Counter
 
 from hypothesis import strategies as st
+
+from sememevec.corpus import Corpus
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,6 +122,12 @@ def replacement_corpora_oracle(sentences, lexicon, max_rank):
                 replaced.append(sememes[rank - 1] if len(sememes) >= rank else tok)
             out.append(replaced)
     return out
+
+
+def character_corpus_oracle(corpus):
+    """The character corpus as the sentences' joined tokens, each decoded and
+    re-encoded character by character."""
+    return Corpus(map("".join, corpus))
 
 
 def all_strings(alphabet, max_len):

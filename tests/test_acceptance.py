@@ -121,29 +121,34 @@ def test_c04_gradient_checks():
     rng = np.random.default_rng(61)
     h = 1e-6
 
-    # batched negative-sampling loss wrt input vectors and output rows; the
-    # last noise row of the first step is masked
+    # batched negative-sampling loss wrt input vectors and output rows: 1-3
+    # targets per step, the last of the first step dead, and noise rows that
+    # count 0 up to the step's live targets
     for _ in range(10):
         b = int(rng.integers(1, 4))
+        t = int(rng.integers(1, 4))
         k = int(rng.integers(2, 7))
         d = int(rng.integers(3, 9))
         hidden = rng.normal(0, 1, (b, d))
-        outputs = rng.normal(0, 1, (b, k, d))
-        valid = np.ones((b, k), dtype=bool)
-        valid[0, -1] = False
-        _, g_hidden, g_out = negative_sampling_loss_and_grads(hidden, outputs, valid)
+        outputs = rng.normal(0, 1, (b, t + k, d))
+        live = np.ones((b, t), dtype=int)
+        live[0, -1] = 0
+        n_live = live.sum(axis=1, keepdims=True)
+        weight = np.column_stack((live, rng.integers(0, n_live + 1, (b, k))))
+        weight[0, t], weight[0, -1] = 0, n_live[0, 0]
+        _, g_hidden, g_out = negative_sampling_loss_and_grads(hidden, outputs, weight, t)
         for j in range(d):
             hp = hidden.copy(); hp[0, j] += h
             hm = hidden.copy(); hm[0, j] -= h
-            num = (negative_sampling_loss_and_grads(hp, outputs, valid)[0]
-                   - negative_sampling_loss_and_grads(hm, outputs, valid)[0]) / (2 * h)
+            num = (negative_sampling_loss_and_grads(hp, outputs, weight, t)[0]
+                   - negative_sampling_loss_and_grads(hm, outputs, weight, t)[0]) / (2 * h)
             assert abs(num - g_hidden[0, j]) <= 1e-4 * max(1.0, abs(num))
-        for r in (int(rng.integers(k)), k - 1):
+        for r in (int(rng.integers(t + k)), t - 1, t, t + k - 1):
             for j in range(d):
                 op = outputs.copy(); op[0, r, j] += h
                 om = outputs.copy(); om[0, r, j] -= h
-                num = (negative_sampling_loss_and_grads(hidden, op, valid)[0]
-                       - negative_sampling_loss_and_grads(hidden, om, valid)[0]) / (2 * h)
+                num = (negative_sampling_loss_and_grads(hidden, op, weight, t)[0]
+                       - negative_sampling_loss_and_grads(hidden, om, weight, t)[0]) / (2 * h)
                 assert abs(num - g_out[0, r, j]) <= 1e-4 * max(1.0, abs(num))
 
     # multiclass L2 logistic loss wrt weights and biases
@@ -177,6 +182,9 @@ def test_c05_two_cluster_embedding_sanity():
         for _ in range(2000):
             pool = a_words if rng.random() < 0.5 else b_words
             sents.append([pool[int(rng.integers(15))] for _ in range(8)])
+        # mean within / cross cosines over seeds 1-3: 0.976-0.985 / 0.058-0.061
+        # with one skip-gram step per (center, context) pair, 0.988-0.990 /
+        # 0.148-0.172 with one step per center and shared noise words
         cfg = TrainConfig(dim=25, window=3, negative=5, epochs=5, seed=seed)
         space = train_embeddings(Corpus(sents), cfg)
         within, cross = [], []

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sememevec.cli
-from conftest import corpora, entity_types, round_trip, tokens, vocabulary_oracle
+from conftest import (
+    character_corpus_oracle,
+    corpora,
+    entity_types,
+    round_trip,
+    tokens,
+    vocabulary_oracle,
+)
 from sememevec.corpus import (
     Corpus,
     ParseError,
@@ -90,7 +97,12 @@ def test_corpus_and_vocabulary_match_oracles(sents, min_count):
     assert c.types == list(dict.fromkeys(t for sent in sents for t in sent))
     v = build_vocabulary(c, min_count)
     assert [(t, v.tf(t)) for t in v] == vocabulary_oracle(sents, min_count)
-    assert list(corpus_to_characters(c)) == [list("".join(sent)) for sent in sents]
+    chars, joined = corpus_to_characters(c), character_corpus_oracle(c)
+    assert list(chars) == [list("".join(sent)) for sent in sents]
+    # the per-type character table encodes what joining each sentence does
+    assert chars.types == joined.types
+    for a, b in ((chars.ids, joined.ids), (chars.starts, joined.starts)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class _Revised(Exception):

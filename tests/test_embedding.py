@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import finite_values, round_trip, tokens
+from sememevec import embedding
 from sememevec.corpus import Corpus, ParseError
 from sememevec.embedding import (
     ARCHITECTURES,
+    BATCH_VALUES,
+    SPAN_TOKENS,
     EmbeddingSpace,
     TrainConfig,
+    _outputs,
     _steps,
     corpus_to_characters,
     cosine,
@@ -114,21 +118,26 @@ class TestCosine:
 
 class TestNegativeSamplingGradients:
     def test_matches_finite_differences(self):
-        # central differences at 10 random batches of 1-3 steps; the last
-        # noise row of the first step is masked, so its gradient must be 0
+        # central differences at 10 random batches of 1-3 steps with 1-3
+        # targets and 2-3 noise rows each. The last target of the first step
+        # is dead and its first noise row weighs 0, so their gradients must
+        # be 0; the other noise rows weigh 0 up to the step's live targets
         rng = np.random.default_rng(11)
         h = 1e-6
         for _ in range(10):
-            b, k = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+            b, t, k = (int(rng.integers(lo, 4)) for lo in (1, 1, 2))
             hidden = rng.normal(0, 1, (b, 8))
-            outputs = rng.normal(0, 1, (b, k, 8))
-            valid = np.ones((b, k), dtype=bool)
-            valid[0, -1] = False
+            outputs = rng.normal(0, 1, (b, t + k, 8))
+            live = np.ones((b, t), dtype=int)
+            live[0, -1] = 0
+            n_live = live.sum(axis=1, keepdims=True)
+            weight = np.column_stack((live, rng.integers(0, n_live + 1, (b, k))))
+            weight[0, t], weight[-1, -1] = 0, n_live[-1, 0]
 
             def loss(hd, out):
-                return negative_sampling_loss_and_grads(hd, out, valid)[0]
+                return negative_sampling_loss_and_grads(hd, out, weight, t)[0]
 
-            _, g_hidden, g_out = negative_sampling_loss_and_grads(hidden, outputs, valid)
+            _, g_hidden, g_out = negative_sampling_loss_and_grads(hidden, outputs, weight, t)
             for idx in np.ndindex(hidden.shape):
                 hp = hidden.copy(); hp[idx] += h
                 hm = hidden.copy(); hm[idx] -= h
@@ -139,23 +148,68 @@ class TestNegativeSamplingGradients:
                 om = outputs.copy(); om[idx] -= h
                 num = (loss(hidden, op) - loss(hidden, om)) / (2 * h)
                 assert abs(num - g_out[idx]) <= 1e-4 * max(1.0, abs(num))
-            assert not np.any(g_out[0, -1])
+            assert not np.any(g_out[0, t - 1]) and not np.any(g_out[0, t])
+
+    def test_count_weight_equals_repeated_rows(self):
+        # a noise row that weighs 3 scores as three copies of it that weigh 1
+        rng = np.random.default_rng(13)
+        hidden = rng.normal(0, 1, (1, 5))
+        outputs = rng.normal(0, 1, (1, 3, 5))
+        loss, g_hidden, g_out = negative_sampling_loss_and_grads(
+            hidden, outputs, np.array([[1, 1, 3]]), 2)
+        copies = outputs[:, [0, 1, 2, 2, 2]]
+        loss3, g_hidden3, g_out3 = negative_sampling_loss_and_grads(
+            hidden, copies, np.ones((1, 5)), 2)
+        assert loss == pytest.approx(loss3, rel=1e-12)
+        assert np.allclose(g_hidden, g_hidden3, rtol=1e-12, atol=0.0)
+        assert np.allclose(g_out[0, 2], g_out3[0, 2:].sum(axis=0), rtol=1e-12, atol=0.0)
 
     def test_loss_positive(self):
         rng = np.random.default_rng(12)
         hidden = rng.normal(0, 1, (1, 4))
         outputs = rng.normal(0, 1, (1, 3, 4))
-        valid = np.ones((1, 3), dtype=bool)
-        assert negative_sampling_loss_and_grads(hidden, outputs, valid)[0] > 0.0
+        assert negative_sampling_loss_and_grads(hidden, outputs, np.ones((1, 3)), 1)[0] > 0.0
 
     def test_extreme_scores_stay_finite(self):
         hidden = np.full((1, 2), 1e3)
         outputs = np.array([[[-1e3, -1e3], [1e3, 1e3]]])
         loss, g_hidden, g_out = negative_sampling_loss_and_grads(
-            hidden, outputs, np.ones((1, 2), dtype=bool)
+            hidden, outputs, np.ones((1, 2)), 1
         )
         assert loss == pytest.approx(4e6)
         assert np.all(np.isfinite(g_hidden)) and np.all(np.isfinite(g_out))
+
+
+class TestSharedNoise:
+    def test_weight_rule(self):
+        # live targets a, b, c and a dead fourth slot that holds x; the noise
+        # words a, d and x count once per live target they are not
+        a, b, c, d, x = range(5)
+        rows, weight = _outputs(np.array([[a, b, c, x]]),
+                                np.array([[True, True, True, False]]), np.array([[a, d, x]]))
+        assert rows.tolist() == [[a, b, c, x, a, d, x]]
+        assert weight.tolist() == [[1, 1, 1, 0, 2, 3, 3]]
+
+    def test_skipgram_scatters_one_step_per_center(self, monkeypatch):
+        # one epoch at window 5 and k = 5 scatters at most 2w + 1 + k output
+        # rows per center. One step per (center, context) pair scattered
+        # 1 + k per pair, about 3.5 times this bound on 40-word sentences
+        window, negative = 5, 5
+        corpus = small_corpus(n=100, vocab=50, length=40)
+        scattered = []
+
+        def counting(matrix, rows, grads, hits, alpha):
+            # each batch descends w_out first, then w_in
+            scattered.append((matrix, rows.size))
+            descend(matrix, rows, grads, hits, alpha)
+
+        descend = embedding._descend
+        monkeypatch.setattr(embedding, "_descend", counting)
+        train_embeddings(corpus, TrainConfig(dim=8, window=window, negative=negative,
+                                             epochs=1, seed=1))
+        w_out = scattered[0][0]
+        rows = sum(size for matrix, size in scattered if matrix is w_out)
+        assert rows <= corpus.total_tokens() * (2 * window + 1 + negative)
 
 
 class TestTraining:
@@ -254,25 +308,22 @@ class TestTraining:
             cfg.dim = 0
 
 
-def loop_steps(sentences, window, skipgram):
+def loop_steps(sentences, window):
     """The steps of the per-sentence loops the array code replaced, in
-    corpus order: (input ids, target) per step."""
+    corpus order: (live context ids, center) per center with a context."""
     steps = []
     for sent in sentences:
         m = len(sent)
         for i in range(m):
-            left, right = sent[max(0, i - window):i], sent[i + 1:i + window + 1]
-            if skipgram:
-                steps += [((sent[i],), t) for t in left + right]
-            elif left + right:
-                steps.append((tuple(left + right), sent[i]))
+            context = sent[max(0, i - window):i] + sent[i + 1:i + window + 1]
+            if context:
+                steps.append((tuple(context), sent[i]))
     return steps
 
 
 class TestStepBuilding:
-    @pytest.mark.parametrize("skipgram", [True, False])
     @pytest.mark.parametrize("span", [1, 7, 1000])
-    def test_matches_per_sentence_loops(self, skipgram, span):
+    def test_matches_per_sentence_loops(self, span):
         rng = np.random.default_rng(3)
         sentences = [list(rng.integers(0, 20, rng.integers(1, 9))) for _ in range(40)]
         ids = np.array([t for sent in sentences for t in sent])
@@ -281,11 +332,10 @@ class TestStepBuilding:
         got = []
         for a in range(0, len(ids), span):
             center = np.arange(a, min(len(ids), a + span))
-            inputs, live, targets, at = _steps(ids, sents, center, offsets, skipgram)
-            center_ids = inputs[:, 0] if skipgram else targets
-            assert np.array_equal(center_ids, ids[center[at]])
-            got += [(tuple(i[m]), t) for i, m, t in zip(inputs, live, targets)]
-        assert got == loop_steps(sentences, 3, skipgram)
+            context, live, centers, at = _steps(ids, sents, center, offsets)
+            assert np.array_equal(centers[:, 0], ids[center[at]])
+            got += [(tuple(c[m]), w) for c, m, (w,) in zip(context, live, centers)]
+        assert got == loop_steps(sentences, 3)
 
 
 class TestSmallestVocabulary:
@@ -314,14 +364,16 @@ PLANTED = {f"族{f}词{i}": f for f in range(FAMILIES) for i in range(FAMILY_SIZ
 # gate on Spearman's rho between cosines and the planted grade. With these
 # ties rho cannot exceed about 0.725. At seed 1 the one-step-per-pair
 # trainer scored 0.724 (skip-gram), 0.695 (CBOW) and 0.724 (sememe), the
-# mini-batch trainer 0.724 / 0.682 / 0.724; over seeds 1-5 the lowest were
-# 0.723 / 0.650 / 0.723 and 0.723 / 0.627 / 0.723. Random vectors score
-# within +-0.04 of 0
+# mini-batch trainer 0.724 / 0.682 / 0.724, and with one skip-gram step per
+# center 0.725 / 0.682 / 0.724; over seeds 1-5 the lowest were 0.723 / 0.650
+# / 0.723, then 0.723 / 0.627 / 0.723 for both mini-batch trainers. Random
+# vectors score within +-0.04 of 0
 PLANTED_RHO_MIN = 0.6
 PLANTED_MARGIN = 0.5
 # planted character families: CHAR_FAMILIES families of CHAR_FAMILY_SIZE
 # characters, drawn as the words above are, two to a word. The character
-# space scored 0.81 at seeds 1-5; random vectors within +-0.11 of 0
+# space scored 0.81 at seeds 1-5, and 0.802-0.808 with one skip-gram step
+# per center; random vectors within +-0.11 of 0
 CHAR_FAMILIES, CHAR_FAMILY_SIZE = 6, 4
 PLANTED_CHARS = {ch: i // CHAR_FAMILY_SIZE
                  for i, ch in enumerate("甲乙丙丁戊己庚辛壬癸子丑寅卯辰巳午未申酉戌亥日月")}
@@ -469,16 +521,25 @@ def space_digest(space):
 
 
 # sha256 of token order plus row bytes, recorded from the mini-batch
-# trainer under one and two BLAS threads
+# trainer under one and two BLAS threads; skip-gram's with one step per
+# center and shared noise words
 TRAINING_DIGESTS = {
     ("skipgram", 0.0):
-        "166979abc4f72cb08b7e2c82d87cf1f3a7fd701bdffd482cee03a18c55cd3fcf",
+        "cac49c50870308987774279c0c0b68349251161111da472151f7d65d4b195333",
     ("skipgram", 1e-3):
-        "fb41f7a86a28806db18b0fe0a49efe8b2eac978e9ccc60ced82a4a010c58b77d",
+        "8c798b59a2b65572ca1b27f805b3626deaa959e63569d6b7be1b4797497ee028",
     ("cbow", 0.0):
         "06997c7181fad7aad8a5fac1a2eeba5c2b12c77632a81d0c0bcc49c632dedcf7",
     ("cbow", 1e-3):
         "1bb8cc14d9526d3ef85e9d7e538ca76d61c18fa796f0d99e0752cc0d119c83da",
+}
+
+
+# ragged_corpus yields fewer CBOW steps than one batch; this pin's corpus
+# spans several batches and more than one SPAN_TOKENS span
+MULTI_BATCH_DIGESTS = {
+    "skipgram": "a93bf506b071f90d4a8fc84831d16901d43551828998477efeb4f60d33a97a22",
+    "cbow": "1a0516bbccc25928b7f10fead509a5a0c02cce9af97749e408c223cf3f0858a5",
 }
 
 
@@ -498,6 +559,18 @@ class TestTrainingDigest:
         )
         digest = space_digest(train_embeddings(ragged_corpus(), cfg))
         assert digest == TRAINING_DIGESTS[architecture, subsample]
+
+    @pytest.mark.parametrize("architecture", list(MULTI_BATCH_DIGESTS))
+    def test_multi_batch_output_pinned(self, architecture):
+        corpus = ragged_corpus(seed=29, n=600, vocab=40)
+        # three spans, and a full span holds more CBOW steps than one batch
+        # of 2 * 3 + 1 + 3 rows of dim 8, so batch boundaries show
+        assert corpus.total_tokens() > 2 * SPAN_TOKENS
+        assert SPAN_TOKENS > 2 * BATCH_VALUES // (10 * 8)
+        cfg = TrainConfig(dim=8, window=3, negative=3, epochs=2, seed=4,
+                          architecture=architecture)
+        digest = space_digest(train_embeddings(corpus, cfg))
+        assert digest == MULTI_BATCH_DIGESTS[architecture]
 
 
 class TestCharacterCorpus:

@@ -304,12 +304,13 @@ def digest_corpus(seed=17, n=60):
 
 
 # sha256 of the sememe space (token order plus row bytes) and of every
-# word's hownet_space row, recorded from the mini-batch trainer
+# word's hownet_space row, recorded from the mini-batch trainer with one
+# skip-gram step per center and shared noise words
 SEMEME_SPACE_DIGEST = (
-    "8f5ba788dfd1ddc3ae8fb2cb3d251620f710367f6eda449740ba42ade1f6d95f"
+    "df5b81c8da9f322c5b9bdf4d775caca98fe95ad02200dca180d71fbdeb50f38c"
 )
 HOWNET_DIGEST = (
-    "271244219a10ac1fa21aef72142d0ee3d313ad47b9e1c7daa19b479e0f2147cf"
+    "3697640ad71c919a69193a3d4903b2764278dda47ca127bd0d00d087ef4f72b1"
 )
 
 
