@@ -199,7 +199,7 @@ def _cmd_train_tagger(args):
     features = [row for sent in tagged for row in sentence_features(
         sent.tokens, word_space, hownet_fn, char_space, spec)]
     labels = [scheme.index(lab) for sent in tagged for lab in sent.labels]
-    _note(args.command, f"{len(features)} examples, {len(scheme)} labels")
+    _note(args.command, f"{len(features)} examples, labels {' '.join(scheme.labels)}")
     model = train_logreg(
         features, labels, lam=args.lam, tol=args.tol, max_iter=args.max_iter,
         scheme=scheme, spec=spec,

@@ -27,10 +27,23 @@ from .corpus import (
 )
 
 
-class LabelScheme:
-    """B-t/I-t labels for each entity type plus O, densely indexed from 0."""
+def _entity_type(label):
+    """t of a "B-t" or "I-t" label; ValueError for any other label."""
+    if len(label) <= 2 or label[:2] not in ("B-", "I-"):
+        raise ValueError(f"unrecognised label {label!r}")
+    return label[2:]
 
-    def __init__(self, entity_types):
+
+class LabelScheme:
+    """O, then the B-t and I-t labels of each entity type in turn, densely
+    indexed from 0.
+
+    LabelScheme(types) holds both labels of every type; with `observed`, it
+    holds only the B-/I- labels in it. A label that no training row holds
+    cannot be fitted: its unregularized bias has no minimiser.
+    """
+
+    def __init__(self, entity_types, observed=None):
         types = list(entity_types)
         if len(set(types)) != len(types):
             raise ValueError("duplicate entity types")
@@ -38,24 +51,16 @@ class LabelScheme:
             # "/" would split a saved token/LABEL item at the wrong place
             if not t or "/" in t or has_whitespace(t):
                 raise ValueError(f"invalid entity type {t!r}")
-        self.entity_types = types
-        self.labels = ["O"]
-        for t in types:
-            self.labels.append("B-" + t)
-            self.labels.append("I-" + t)
+        self.labels = ["O"] + [p + t for t in types for p in ("B-", "I-")
+                               if observed is None or p + t in observed]
+        self.entity_types = list(dict.fromkeys(map(_entity_type, self.labels[1:])))
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     @classmethod
     def from_labels(cls, label_sequences):
-        """Derive the scheme from observed labels, types sorted for determinism."""
-        types = set()
-        for labels in label_sequences:
-            for lab in labels:
-                if lab != "O":
-                    if len(lab) <= 2 or lab[:2] not in ("B-", "I-"):
-                        raise ValueError(f"unrecognised label {lab!r}")
-                    types.add(lab[2:])
-        return cls(sorted(types))
+        """O and each label that occurs, types sorted for determinism."""
+        observed = {lab for labels in label_sequences for lab in labels}
+        return cls(sorted({_entity_type(lab) for lab in observed - {"O"}}), observed)
 
     def index(self, label):
         try:
@@ -67,7 +72,7 @@ class LabelScheme:
         return len(self.labels)
 
     def __eq__(self, other):
-        return isinstance(other, LabelScheme) and self.entity_types == other.entity_types
+        return isinstance(other, LabelScheme) and self.labels == other.labels
 
 
 @dataclass(frozen=True)
@@ -219,7 +224,8 @@ def _lbfgs_direction(grad, pairs):
 
 def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500, *, scheme, spec):
     """Full-batch L-BFGS with backtracking (Armijo) line search, fitting rows
-    of spec.feature_length features to label indices of scheme.
+    of spec.feature_length features to label indices of scheme; every label
+    of the scheme must hold a row.
 
     Zero initialization. The direction comes from the last LBFGS_MEMORY
     curvature pairs; the first step, and any step whose direction is not a
@@ -250,6 +256,12 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500, *, scheme, s
     n_classes = len(scheme)
     if int(y.max()) >= n_classes or int(y.min()) < 0:
         raise ValueError("label index out of range for the scheme")
+    # the bias of a label with no row would fall for as long as the fit ran
+    rows = np.bincount(y, minlength=n_classes)
+    missing = [scheme.labels[k] for k in np.flatnonzero(rows == 0)]
+    if missing:
+        raise ValueError(f"no training row holds scheme label(s) {' '.join(missing)}; "
+                         "a label without rows cannot be fitted")
 
     # weights and biases as one flat vector: W row-major, then b
     split = n_classes * X.shape[1]
@@ -344,20 +356,33 @@ def _flag(text):
     return text == "1"
 
 
-TAGGER_MAGIC = "tagger-model v1"
+TAGGER_MAGIC = "tagger-model v2"
+
+
+def _scheme(text):
+    """The LabelScheme whose labels, in index order, text lists."""
+    labels = text.split(" ")
+    if labels[0] != "O":
+        raise ValueError(f"the first label is {labels[0]!r}, not 'O'")
+    if len(set(labels)) != len(labels):
+        raise ValueError("a label repeats")
+    scheme = LabelScheme(dict.fromkeys(map(_entity_type, labels[1:])), labels)
+    if scheme.labels != labels:
+        raise ValueError("labels out of scheme order: each type's B- then I- label, "
+                         "the types one after another")
+    return scheme
+
 
 # The header lines of a tagger file after TAGGER_MAGIC, in file order: the
 # key, the fields written after it, and the parser of the text after it.
 _HEADER = (
-    ("entity-types", lambda m: m.scheme.entity_types,
-     lambda s: LabelScheme(s.split(" ") if s else [])),
+    ("labels", lambda m: m.scheme.labels, _scheme),
     ("window-radius", lambda m: [m.spec.window_radius], ascii_int),
     ("use-context", lambda m: [int(m.spec.use_context)], _flag),
     ("use-hownet", lambda m: [int(m.spec.use_hownet)], _flag),
     ("use-char", lambda m: [int(m.spec.use_char)], _flag),
     ("dim", lambda m: [m.spec.dim], ascii_int),
     ("lambda", lambda m: [f"{m.lam:.17g}"], written_float),
-    ("classes", lambda m: [m.weights.shape[0]], ascii_int),
     ("features", lambda m: [m.weights.shape[1]], ascii_int),
 )
 
@@ -379,7 +404,11 @@ def load_tagger(path):
     """Read a file written by save_tagger, in one pass; ParseError names the
     line of anything save_tagger could not have written."""
     lines = iter_utf8_lines(path)
-    if next(lines, (1, ""))[1] != TAGGER_MAGIC:
+    magic = next(lines, (1, ""))[1]
+    if magic == "tagger-model v1":
+        raise ParseError(f"{path}: line 1: a tagger-model v1 file, which lists entity "
+                         "types, not labels; retrain it with train-tagger")
+    if magic != TAGGER_MAGIC:
         raise ParseError(f"{path}: line 1: not a tagger model file")
 
     def section(name, n_rows, width, what):
@@ -392,19 +421,19 @@ def load_tagger(path):
             rows.append(written_floats(split_fields(line, lineno, path, width), lineno, path))
         return np.array(rows, dtype=np.float64)
 
-    scheme, radius, use_context, use_hownet, use_char, dim, lam, n_classes, n_features = (
+    scheme, radius, use_context, use_hownet, use_char, dim, lam, n_features = (
         header_value(lines, path, key, parse) for key, _, parse in _HEADER)
     try:
         spec = FeatureSpec(dim=dim, window_radius=radius, use_context=use_context,
                            use_hownet=use_hownet, use_char=use_char)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    weights = section("weights", n_classes, n_features, "weights")
-    bias = section("bias", 1, n_classes, "biases")[0]
+    weights = section("weights", len(scheme), n_features, "weights")
+    bias = section("bias", 1, len(scheme), "biases")[0]
     for lineno, _ in lines:
         raise ParseError(f"{path}: line {lineno}: unexpected line after the bias row")
     try:
-        # the classes and features counts must fit the scheme and the spec
+        # the features count must fit the spec
         return TaggerModel(weights, bias, lam, spec=spec, scheme=scheme)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None

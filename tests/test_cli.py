@@ -624,6 +624,22 @@ class TestEvaluationCommands:
         # one evaluation at the start and at least one per accepted step
         assert int(found[2]) > int(found[1])
 
+    def test_model_of_b_labels_only_tags_every_line(self, artifacts, tmp_path, capsys):
+        # the model holds no I- label; rebuilding both labels of each entity
+        # type on load would expect five weight rows, not three
+        tagged = tmp_path / "b_only.txt"
+        with open(data("tagged_train.txt"), encoding="utf-8") as fh:
+            tagged.write_text(fh.read().replace("/I-", "/B-"), encoding="utf-8")
+        model_path, out = str(tmp_path / "t.model"), tmp_path / "tagged.txt"
+        sources = ["--word-space", artifacts["combined"], "--char-space", artifacts["chars"]]
+        assert main(["train-tagger", "--tagged", str(tagged), "--out", model_path,
+                     "--lam", "1e-2", *sources]) == 0
+        assert "examples, labels O B-Date B-Time\n" in capsys.readouterr().err
+        assert main(["tag", "--model", model_path, "--corpus", data("corpus.txt"),
+                     "--out", str(out), *sources]) == 0
+        assert len(load_tagged_corpus(str(out))) == len(load_corpus(data("corpus.txt")))
+        assert load_tagger(model_path).scheme.labels == ["O", "B-Date", "B-Time"]
+
     def test_eval_ner_mismatched_tokens(self, tmp_path, capsys):
         gold = tmp_path / "gold.txt"
         gold.write_text("今天/O\n甲/B-X 乙/O\n", encoding="utf-8")

@@ -36,6 +36,25 @@ class TestLabelScheme:
         s = LabelScheme.from_labels([["O", "B-Time"], ["I-Date", "O"]])
         assert s.entity_types == ["Date", "Time"]
 
+    @pytest.mark.parametrize("sequences, labels", [
+        ([["B-Date", "O", "B-Date"]], ["O", "B-Date"]),
+        ([["B-Time", "I-Time"], ["O", "B-Date"]], ["O", "B-Date", "B-Time", "I-Time"]),
+        ([["I-Time", "B-Date"], ["I-Date", "O", "B-Time"]],
+         ["O", "B-Date", "I-Date", "B-Time", "I-Time"]),
+        ([["O"]], ["O"]),
+        ([["B-Date"]], ["O", "B-Date"]),
+    ])
+    def test_from_labels_keeps_only_the_labels_that_occur(self, sequences, labels):
+        # an I- label with no row has no fit, so the scheme must not hold it
+        assert LabelScheme.from_labels(sequences).labels == labels
+
+    def test_equal_when_labels_are(self):
+        full = LabelScheme(["Date"])
+        assert full == LabelScheme.from_labels([["B-Date", "I-Date", "O"]])
+        only_b = LabelScheme.from_labels([["B-Date", "O"]])
+        assert only_b.entity_types == full.entity_types
+        assert only_b != full
+
     def test_from_labels_rejects_garbage(self):
         with pytest.raises(ValueError):
             LabelScheme.from_labels([["B-Date", "WAT"]])
@@ -160,18 +179,16 @@ class TestFeatureAssembly:
 
 def random_problem(seed=23, n=40, d=6, classes=3):
     """Random features and labels, with a scheme of `classes` labels and a
-    spec of width d to fit them under.
-
-    A LabelScheme always holds an odd number of labels; the fit reads only
-    the scheme's length, so an even count gets a plain list of labels.
+    spec of width d to fit them under; labels are drawn until every class
+    has a row, as train_logreg requires.
     """
     rng = np.random.default_rng(seed)
     X = rng.normal(0, 1, (n, d))
     y = rng.integers(0, classes, n)
-    while len(np.unique(y)) < 2:
+    while len(np.unique(y)) < classes:
         y = rng.integers(0, classes, n)
-    types = ["Date", "Time", "Place"][:classes // 2]
-    scheme = LabelScheme(types) if classes % 2 else [f"L{k}" for k in range(classes)]
+    labels = LabelScheme(["Date", "Time", "Place"]).labels[:classes]
+    scheme = LabelScheme.from_labels([labels])
     spec = FeatureSpec(dim=d, window_radius=0, use_hownet=False, use_char=False)
     return X, y, scheme, spec
 
@@ -181,9 +198,9 @@ def random_problem(seed=23, n=40, d=6, classes=3):
 AWKWARD = [0.0, -0.0, 5e-324, 1e300, -1e300, 1.0 / 3.0]
 
 
-def fixed_model(entity_types, spec, lam=0.25):
+def fixed_model(entity_types, spec, lam=0.25, observed=None):
     """A model with fixed weights; the first values are the AWKWARD ones."""
-    scheme = LabelScheme(entity_types)
+    scheme = LabelScheme(entity_types, observed)
     n_classes, n_features = len(scheme), spec.feature_length
     values = np.arange(n_classes * (n_features + 1), dtype=np.float64) / 7.0 - 1.5
     values[:len(AWKWARD)] = AWKWARD
@@ -253,7 +270,7 @@ class TestLogreg:
         rng = np.random.default_rng(31)
         X = np.vstack([rng.normal(0, 0.5, (20, 4)) + 4, rng.normal(0, 0.5, (20, 4)) - 4])
         y = np.array([0] * 20 + [1] * 20)
-        _, _, scheme, spec = random_problem(d=4)
+        _, _, scheme, spec = random_problem(d=4, classes=2)
         m = train_logreg(X, y, lam=1e-4, max_iter=300, scheme=scheme, spec=spec)
         assert np.mean(predict(m, X) == y) == 1.0
 
@@ -277,6 +294,21 @@ class TestLogreg:
         _, _, scheme, spec = random_problem(d=3)
         with pytest.raises(ValueError, match=message):
             train_logreg(np.ones((rows, 3)), labels, scheme=scheme, spec=spec)
+
+    @pytest.mark.parametrize("labels, missing", [
+        ([0, 1, 1, 0], "I-Date"),
+        ([0, 2, 0, 2], "B-Date"),
+        ([1, 2, 1, 2], "O"),
+    ])
+    def test_scheme_label_without_a_row_rejected_before_fitting(self, labels, missing,
+                                                               monkeypatch):
+        # the bias of a label with no row has no minimiser; a fit would push
+        # it down until the gradient fell below tol
+        import sememevec.tagger as tagger_module
+        _, _, _, spec = random_problem(d=3)
+        monkeypatch.setattr(tagger_module, "softmax_loss_and_grads", None)
+        with pytest.raises(ValueError, match=f"no training row holds scheme label.*{missing}"):
+            train_logreg(np.ones((4, 3)), labels, scheme=LabelScheme(["Date"]), spec=spec)
 
     def test_width_other_than_spec_length_rejected(self):
         # a model fitted to these rows would save a file that load_tagger refuses
@@ -494,9 +526,9 @@ class TestTagSentence:
     def trained(self):
         words, chars, hownet_fn = toy_spaces()
         spec = FeatureSpec(dim=4, window_radius=1, use_hownet=False, use_char=True)
-        scheme = LabelScheme(["Date"])
         sents = [(["甲日", "乙山"], ["B-Date", "O"]), (["丙日", "乙山"], ["B-Date", "O"]),
                  (["乙山", "甲日"], ["O", "B-Date"])]
+        scheme = LabelScheme.from_labels(labs for _, labs in sents)
         X = np.concatenate([sentence_features(toks, words, hownet_fn, chars, spec)
                             for toks, _ in sents])
         y = [scheme.index(lab) for _, labs in sents for lab in labs]
@@ -573,6 +605,17 @@ class TestSerialization:
         assert back.scheme == m.scheme
         assert back.spec == m.spec
 
+    def test_v1_file_rejected_with_a_call_to_retrain(self, tmp_path):
+        p = tmp_path / "t.model"
+        save_tagger(fixed_model(["Date"], FeatureSpec(dim=2, window_radius=1)), str(p))
+        lines = p.read_text(encoding="utf-8").splitlines()
+        lines[:2] = ["tagger-model v1", "entity-types Date"]
+        lines.insert(8, "classes 3")
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 1: a tagger-model v1 file, .*"
+                                             "retrain it with train-tagger"):
+            load_tagger(str(p))
+
     def test_unspecced_model_rejected(self):
         with pytest.raises(TypeError):
             TaggerModel(np.zeros((3, 6)), np.zeros(3), 0.1)
@@ -601,16 +644,20 @@ class TestSerialization:
         lines = p.read_text(encoding="utf-8").splitlines()[:8]
         assert lines[-1].startswith("lambda ")
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="unexpected end of file, expected 'classes'"):
+        with pytest.raises(ParseError, match="unexpected end of file, expected 'features'"):
             load_tagger(str(p))
 
     @pytest.mark.parametrize("line, text, message", [
-        (2, "entity-types Date Date", "duplicate entity types"),
-        (2, "entity-types A/B", "invalid entity type 'A/B'"),
+        (2, "labels O B-Date B-Date", "line 2: a label repeats"),
+        (2, "labels O B-A/B I-A/B", "line 2: invalid entity type 'A/B'"),
+        (2, "labels B-Date O I-Date", "line 2: the first label is 'B-Date', not 'O'"),
+        (2, "labels O I-Date B-Date", "line 2: labels out of scheme order"),
+        (2, "labels O B-Date X-Date", "line 2: unrecognised label 'X-Date'"),
+        (2, "labels O B-Date I-Date O", "line 2: a label repeats"),
         (3, "window-radius -1", "window_radius cannot be negative"),
         (7, "dim 0", "dim must be positive"),
-        (11, "weight", "line 11: expected 'weights', got 'weight'"),
-        (12, "1 2 3", "line 12: expected 6 fields, got 3"),
+        (10, "weight", "line 10: expected 'weights', got 'weight'"),
+        (11, "1 2 3", "line 11: expected 6 fields, got 3"),
     ])
     def test_header_no_writer_produces_rejected(self, tmp_path, line, text, message):
         X, y, scheme, spec = random_problem()
@@ -621,26 +668,28 @@ class TestSerialization:
         lines[line - 1] = text
         if text.startswith("dim"):
             # weight rows consistent with the declared spec length of 0
-            lines[11:14] = ["", "", ""]
-            lines[9] = "features 0"
+            lines[10:13] = ["", "", ""]
+            lines[8] = "features 0"
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match=message):
             load_tagger(str(p))
 
-    # the header's classes and features counts fit the rows but not the
-    # scheme or the spec
-    @pytest.mark.parametrize("types, line, text", [
-        (["Date", "Time"], 2, "entity-types Date"),
-        (["Date"], 3, "window-radius 0"),
+    # the labels line fixes the count of weight rows and biases, and the
+    # features count, which fits the rows, must fit the spec
+    @pytest.mark.parametrize("types, line, text, message", [
+        (["Date", "Time"], 2, "labels O B-Date I-Date", "line 14: expected 'bias', got '"),
+        (["Date"], 2, "labels O B-Date I-Date B-Time", "line 14: expected 6 fields, got 1"),
+        (["Date"], 3, "window-radius 0", "t.model: weights .* do not match"),
     ])
-    def test_counts_other_than_scheme_and_spec_rejected(self, tmp_path, types, line, text):
+    def test_counts_other_than_rows_and_spec_rejected(self, tmp_path, types, line, text,
+                                                      message):
         p = tmp_path / "t.model"
         spec = FeatureSpec(dim=2, window_radius=1, use_hownet=False, use_char=False)
         save_tagger(fixed_model(types, spec), str(p))
         lines = p.read_text(encoding="utf-8").splitlines()
         lines[line - 1] = text
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="t.model: weights .* do not match"):
+        with pytest.raises(ParseError, match=message):
             load_tagger(str(p))
 
     def test_trailing_line_rejected(self, tmp_path):
@@ -671,8 +720,8 @@ class TestSerialization:
         (3, "window-radius +1"),
         (3, "window-radius  1"),
         (7, "dim \u0662"),
-        (9, "classes +3"),
-        (10, "features 1_0"),
+        (9, "features +10"),
+        (9, "features 1_0"),
     ])
     def test_integer_other_than_ascii_digits_rejected(self, tmp_path, line, text):
         p = tmp_path / "t.model"
@@ -685,7 +734,7 @@ class TestSerialization:
             load_tagger(str(p))
 
     # save_tagger joins every field with one space; split() read all of these
-    @pytest.mark.parametrize("line", [2, 12, 18])
+    @pytest.mark.parametrize("line", [2, 11, 17])
     @pytest.mark.parametrize("respace", [
         lambda s: "\t".join(s.rsplit(" ", 1)),
         lambda s: "  ".join(s.rsplit(" ", 1)),
@@ -698,18 +747,19 @@ class TestSerialization:
         spec = FeatureSpec(dim=2, window_radius=1, use_hownet=False, use_char=False)
         save_tagger(fixed_model(["Date", "Time"], spec), str(p))
         lines = p.read_text(encoding="utf-8").splitlines()
-        assert lines[1] == "entity-types Date Time" and lines[16] == "bias"
+        assert lines[1] == "labels O B-Date I-Date B-Time I-Time" and lines[15] == "bias"
         lines[line - 1] = respace(lines[line - 1])
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match=f"line {line}: "):
             load_tagger(str(p))
 
-    def test_entity_types_line_with_trailing_space_and_no_types_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", ["labels O ", "labels ", "labels"])
+    def test_labels_line_without_o_or_with_trailing_space_rejected(self, tmp_path, text):
         p = tmp_path / "t.model"
         save_tagger(fixed_model([], FeatureSpec(dim=2, window_radius=1)), str(p))
         lines = p.read_text(encoding="utf-8").splitlines()
-        assert lines[1] == "entity-types"
-        lines[1] = "entity-types "
+        assert lines[1] == "labels O"
+        lines[1] = text
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match="line 2: "):
             load_tagger(str(p))
@@ -751,23 +801,27 @@ class TestSerialization:
 class TestTaggerFileDigest:
     """Pins the bytes save_tagger writes for fixed models.
 
-    The digests were recorded before the loader and writer were rewritten to
-    share one key table; a change to the file format must update them and
-    say so.
+    The first four digests were recorded for tagger-model v2. Those files,
+    given back v1's magic line, entity-types line and classes line, hash to
+    the digests recorded for v1, so the format change left every other byte
+    as it was. The fifth model, without I-Date, has no v1 file. A change to
+    the file format must update them and say so.
     """
 
-    @pytest.mark.parametrize("types, spec, expected", [
-        ([], FeatureSpec(dim=2, window_radius=1),
-         "f46aba0ba91fbc0ebc8266e2846f8e4c0fb2523172e3100d6f1f692ea7444108"),
-        (["Date"], FeatureSpec(dim=2, window_radius=0, use_hownet=False),
-         "d3f829784be0ee6aa576de38c780e1d15ff3f0aeec166fd3fc42676700b69c23"),
-        (["Date", "Time"], FeatureSpec(dim=3, window_radius=2),
-         "153fb2db9f77c8814dc7c083de56f006342cf09fff4363356b0cd856bae2d4e8"),
-        (["Time"], FeatureSpec(dim=2, use_context=False, use_char=False),
-         "cd2e07134f5dae71bb59b22da8c043c89a379165ce0fcc07444192c656208be6"),
+    @pytest.mark.parametrize("types, observed, spec, expected", [
+        ([], None, FeatureSpec(dim=2, window_radius=1),
+         "1ff6b96744f0d4ba2d6fb61b4924ae35fa2efdf1b49472d9fcc821e0371bfa04"),
+        (["Date"], None, FeatureSpec(dim=2, window_radius=0, use_hownet=False),
+         "2a6ab8889622959e6387ba806beb2b02fad6d6aa41ad51b7a3243da059f11b63"),
+        (["Date", "Time"], None, FeatureSpec(dim=3, window_radius=2),
+         "f685d2821514f18adf5cd36676b06e9a9b09facf3d4e82ad24ebec3ed4ae21dd"),
+        (["Time"], None, FeatureSpec(dim=2, use_context=False, use_char=False),
+         "7b5d4dbb096bdb98ff2eda47964c026ed26f9fda768c0143cfcde6100ffda48c"),
+        (["Date", "Time"], {"B-Date", "B-Time", "I-Time"}, FeatureSpec(dim=2, window_radius=1),
+         "9c9263b109f3c7a71d9b75a0ebf13aea0cc3bbf06d3b8dc1d5f2d98589356862"),
     ])
-    def test_digest(self, tmp_path, types, spec, expected):
-        model = fixed_model(types, spec)
+    def test_digest(self, tmp_path, types, observed, spec, expected):
+        model = fixed_model(types, spec, observed=observed)
         p = tmp_path / "t.model"
         save_tagger(model, str(p))
         assert hashlib.sha256(p.read_bytes()).hexdigest() == expected
@@ -779,7 +833,8 @@ class TestTaggerFileDigest:
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_tagger_file_round_trips_exactly(data):
-    scheme = LabelScheme(data.draw(st.lists(entity_types, unique=True, max_size=3)))
+    types = data.draw(st.lists(entity_types, unique=True, max_size=3))
+    scheme = LabelScheme(types, data.draw(st.sets(st.sampled_from(LabelScheme(types).labels))))
     spec = FeatureSpec(
         dim=data.draw(st.integers(1, 3)), window_radius=data.draw(st.integers(0, 2)),
         use_context=data.draw(st.booleans()), use_hownet=data.draw(st.booleans()),
