@@ -1,14 +1,14 @@
 """Distributional word and character embeddings trained with negative sampling.
 
-The trainer is a from-scratch skip-gram / CBOW implementation. Each epoch
-flattens the corpus into one id array and builds one step per center word
-with array operations: its context, one column per window offset masked to
-the same sentence. Skip-gram scores the center row against each live context
-word as a target, CBOW the mean of the context rows against the center. A
-step draws ``negative`` noise words from the unigram distribution raised to
-the 0.75 power and shares them among its targets (Ji et al., arXiv:1604.04661):
-a noise word counts once per live target it is not, so each (center, context)
-pair still sees ``negative`` noise draws. Per target the loss is
+The trainer is a from-scratch skip-gram / CBOW implementation over the corpus's
+int32 ids and sentence starts. Each epoch builds one step per center word with
+array operations: its context, one column per window offset, live within the
+center's sentence. Skip-gram scores the center row against each live context
+word as a target, CBOW the mean of the context rows against the center. A step
+draws ``negative`` noise words from the unigram distribution raised to the 0.75
+power and shares them among its targets (Ji et al., arXiv:1604.04661): a noise
+word counts once per live target it is not, so each (center, context) pair
+still sees ``negative`` noise draws. Per target the loss is
 
     L = -log s(x_pos) - sum_neg log s(-x_neg),    x = w_out . h
 
@@ -181,8 +181,8 @@ def _descend(matrix, rows, grads, hits, alpha):
     count = np.maximum(np.bincount(rows, weights=hits.ravel())[rows], 1.0)
     rate = np.minimum(alpha, ROW_RATE_CAP / count)
     steps = grads.reshape(-1, dim) * -rate[:, None]
-    # np.add.at on the flat buffer takes numpy's fast one-dimensional path
-    flat = (rows * dim)[:, None] + np.arange(dim)
+    # intp indices into the flat buffer, where np.add.at takes its fast 1-d path
+    flat = (rows.astype(np.intp) * dim)[:, None] + np.arange(dim)
     np.add.at(matrix.reshape(-1), flat.ravel(), steps.ravel())
 
 
@@ -194,20 +194,26 @@ def _outputs(targets, live, noise):
     return np.column_stack((targets, noise)), np.column_stack((live, other.sum(axis=1)))
 
 
-def _steps(ids, sents, center, offsets):
+def _steps(ids, starts, center, offsets):
     """The (context, live, centers, at) steps centered on positions ``center``.
 
-    ``ids`` and ``sents`` give each position's word and sentence. There is one
-    step per center with a context: its context ids, masked by ``live`` to
-    the same sentence, and its center id. ``at`` indexes each step's center.
+    ``ids`` holds each position's word, ``starts`` each sentence's first
+    position, then len(ids). Each center with a context makes one step: its
+    context ids, masked by ``live`` to its sentence, its center id and ``at``.
     """
-    # one column per window offset, masked to positions in the same sentence
+    # one column per window offset, live between the bounds of the center's sentence
+    sent = np.searchsorted(starts, center, side="right")
     ctx = center[:, None] + offsets
-    mask = (ctx >= 0) & (ctx < len(ids))
+    mask = (ctx >= starts[sent - 1, None]) & (ctx < starts[sent, None])
     ctx = np.clip(ctx, 0, len(ids) - 1)
-    mask &= sents[ctx] == sents[center, None]
     at = np.flatnonzero(mask.any(axis=1))
     return ids[ctx[at]], mask[at], ids[center[at], None], at
+
+
+def _kept(ids, starts, keep):
+    """The ids ``keep`` marks, the starts renumbered to them, and their positions."""
+    pos = np.flatnonzero(keep)
+    return ids[pos], np.searchsorted(pos, starts), pos
 
 
 def train_embeddings(corpus, config, name="original"):
@@ -216,16 +222,13 @@ def train_embeddings(corpus, config, name="original"):
     Input vectors start uniform in [-0.5/dim, 0.5/dim] from the seeded rng,
     output vectors start at zero. The learning rate decays linearly with the
     number of processed tokens, set once per batch, down to LR_FLOOR_FRACTION
-    of its initial value. Deterministic for a fixed (corpus, config) in this
-    single-threaded implementation.
+    of its initial value.
     """
     if corpus.total_tokens() == 0:
         raise ValueError("cannot train on an empty corpus")
     vocab = build_vocabulary(corpus, config.min_count)
     if len(vocab) == 0:
-        raise ValueError(
-            f"vocabulary is empty after applying min_count={config.min_count}"
-        )
+        raise ValueError(f"vocabulary is empty after applying min_count={config.min_count}")
 
     rng = np.random.default_rng(config.seed)
     dim = config.dim
@@ -236,16 +239,14 @@ def train_embeddings(corpus, config, name="original"):
     noise_cum = np.cumsum(counts ** 0.75)
     noise_cum /= noise_cum[-1]
 
-    # the corpus as one vocabulary id array, with the sentence of every position
-    ids = {t: i for i, t in enumerate(vocab)}
-    flat = np.array([ids.get(t, -1) for t in corpus.types], dtype=np.intp)[corpus.ids]
-    sent_of = np.repeat(np.arange(len(corpus)), np.diff(corpus.starts))[flat >= 0]
-    flat = flat[flat >= 0]
+    # the corpus in int32 vocabulary ids, without the tokens min_count drops;
+    # with subsampling an epoch keeps a token with probability sqrt(threshold / freq)
+    index = {t: i for i, t in enumerate(vocab)}
+    flat = np.array([index.get(t, -1) for t in corpus.types], dtype=np.int32)[corpus.ids]
+    flat, sent_starts = _kept(flat, corpus.starts, flat >= 0)[:2]
+    keep_prob = np.sqrt(config.subsample * counts.sum() / counts)
     n = len(flat)
     total = n * config.epochs
-
-    # with subsampling a token is kept with probability sqrt(threshold / freq)
-    keep_prob = np.sqrt(config.subsample * counts.sum() / counts)
 
     lr0 = config.learning_rate
     neg = config.negative
@@ -254,13 +255,12 @@ def train_embeddings(corpus, config, name="original"):
     batch = max(1, BATCH_VALUES // ((len(offsets) + 1 + neg) * dim))
 
     for epoch in range(config.epochs):
-        pos = np.arange(n)
+        ids, starts, pos = flat, sent_starts, range(n)
         if config.subsample > 0:
-            pos = pos[rng.random(n) < keep_prob[flat]]
-        ids, sents = flat[pos], sent_of[pos]
-        for a in range(0, len(pos), SPAN_TOKENS):
-            center = np.arange(a, min(len(pos), a + SPAN_TOKENS))
-            ctx, live, center_ids, at = _steps(ids, sents, center, offsets)
+            ids, starts, pos = _kept(flat, sent_starts, rng.random(n) < keep_prob[flat])
+        for a in range(0, len(ids), SPAN_TOKENS):
+            center = np.arange(a, min(len(ids), a + SPAN_TOKENS))
+            ctx, live, center_ids, at = _steps(ids, starts, center, offsets)
             # (input, hits, targets, live targets): skip-gram's center row is hit
             # once per live context word, each live context row of CBOW's mean once
             sides = ((center_ids, live.sum(axis=1, keepdims=True), ctx, live) if skipgram

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import finite_values, round_trip, tokens
+from conftest import finite_values, round_trip, tokens, traced_peak
 from sememevec import embedding
 from sememevec.corpus import Corpus, ParseError
 from sememevec.embedding import (
@@ -325,17 +325,38 @@ class TestStepBuilding:
     @pytest.mark.parametrize("span", [1, 7, 1000])
     def test_matches_per_sentence_loops(self, span):
         rng = np.random.default_rng(3)
-        sentences = [list(rng.integers(0, 20, rng.integers(1, 9))) for _ in range(40)]
-        ids = np.array([t for sent in sentences for t in sent])
-        sents = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
+        # zero-length and one-token sentences among them, the first and last too
+        sentences = [[], [5]] + [list(rng.integers(0, 20, rng.integers(0, 9)))
+                                 for _ in range(40)] + [[], [7], []]
+        ids = np.array([t for sent in sentences for t in sent], dtype=np.int32)
+        starts = np.cumsum([0] + [len(s) for s in sentences])
         offsets = np.array([-3, -2, -1, 1, 2, 3])
         got = []
         for a in range(0, len(ids), span):
             center = np.arange(a, min(len(ids), a + span))
-            context, live, centers, at = _steps(ids, sents, center, offsets)
+            context, live, centers, at = _steps(ids, starts, center, offsets)
             assert np.array_equal(centers[:, 0], ids[center[at]])
             got += [(tuple(c[m]), w) for c, m, (w,) in zip(context, live, centers)]
         assert got == loop_steps(sentences, 3)
+
+
+@pytest.mark.parametrize("subsample, bound", [(0.0, 20), (1e-3, 24)])
+def test_training_memory_per_token(subsample, bound):
+    # a Zipf corpus tiled 4 times: the vocabulary and so the parameters stay
+    # the same size, and each span's and batch's arrays stay bounded
+    rng = np.random.default_rng(7)
+    words = [f"w{i}" for i in range(400)]
+    base = [[words[min(k, 400) - 1] for k in rng.zipf(1.2, rng.integers(1, 20))]
+            for _ in range(5000)]
+    small, large = Corpus(base), Corpus(base * 4)
+    cfg = TrainConfig(dim=1, window=1, negative=1, epochs=1, subsample=subsample)
+    growth = (traced_peak(train_embeddings, large, cfg)
+              - traced_peak(train_embeddings, small, cfg))
+    # int32 ids, and while tokens are dropped a keep mark, the kept positions
+    # (8 bytes) and the kept ids; subsampling's draws and keep probabilities
+    # (8 bytes each) come on top of the ids. A per-position sentence array or
+    # a per-epoch copy of the ids would pass the bound
+    assert growth / (large.total_tokens() - small.total_tokens()) < bound
 
 
 class TestSmallestVocabulary:
@@ -512,6 +533,18 @@ def ragged_corpus(seed=13, n=50, vocab=15):
     return Corpus(sents + [["w0"], ["w1"], ["w2", "w3"]])
 
 
+def dropping_corpus():
+    # at min_count 2 every "u" word drops: the first and the last sentence
+    # and two sentences in a row after every ninth lose every token, and the
+    # others lose one, mid-sentence where they have two or more
+    sents = []
+    for i, sent in enumerate(ragged_corpus(seed=31, n=60, vocab=30)):
+        if i % 9 == 0:
+            sents += [[f"u{i}a", f"u{i}b"], [f"u{i}c"]]
+        sents.append(sent[:len(sent) // 2] + [f"u{i}"] + sent[len(sent) // 2:])
+    return Corpus(sents + [["uend"]])
+
+
 def space_digest(space):
     h = hashlib.sha256()
     for token in space.tokens:
@@ -543,6 +576,20 @@ MULTI_BATCH_DIGESTS = {
 }
 
 
+# the same trainer on dropping_corpus at min_count 2, so the pins cover the
+# tokens that min_count and subsampling drop
+DROPPING_DIGESTS = {
+    ("skipgram", 0.0):
+        "cd473963cf4e36125b70de647c179edd32976da5fcdb716cad0304e3c3b8f761",
+    ("skipgram", 1e-3):
+        "cc296795de690606397e540ee7cf1a6ff76ab05d749e72ada9ab3bc06d8a4498",
+    ("cbow", 0.0):
+        "7296c1c064818ea81f5ba78736b5fac9a2333bce1ef1f474eb39c4d529899a54",
+    ("cbow", 1e-3):
+        "1a7db492d935157bdad6e43fe48cf6ec38603d59d9193fa88615ffd3a18ec3e3",
+}
+
+
 @pytest.mark.two_blas_threads
 class TestTrainingDigest:
     """Pins the trainer's output bit for bit.
@@ -571,6 +618,17 @@ class TestTrainingDigest:
                           architecture=architecture)
         digest = space_digest(train_embeddings(corpus, cfg))
         assert digest == MULTI_BATCH_DIGESTS[architecture]
+
+    @pytest.mark.parametrize("architecture, subsample", list(DROPPING_DIGESTS))
+    def test_dropping_output_pinned(self, architecture, subsample):
+        corpus = dropping_corpus()
+        space = train_embeddings(corpus, TrainConfig(
+            dim=8, window=3, negative=3, epochs=2, seed=4, min_count=2,
+            subsample=subsample, architecture=architecture,
+        ))
+        assert not any(t.startswith("u") for t in space.tokens)
+        assert len(space) == 30 < len(corpus.types)
+        assert space_digest(space) == DROPPING_DIGESTS[architecture, subsample]
 
 
 class TestCharacterCorpus:
