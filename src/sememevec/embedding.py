@@ -12,14 +12,11 @@ still sees ``negative`` noise draws. Per target the loss is
 
     L = -log s(x_pos) - sum_neg log s(-x_neg),    x = w_out . h
 
-where h is the input vector. Steps run in mini-batches that gather at most
-BATCH_VALUES parameter values: a batch's gradients are all taken from the
-parameters as they were before it, then applied at once with np.add.at, with
-a row's summed rate capped.
-
-Training is single-threaded and fully deterministic for a fixed seed: all
-randomness flows from one seeded generator, and batches are applied in
-corpus order.
+where h is the input vector. Steps run in mini-batches of at most BATCH_VALUES
+slot values (d per slot), each worked by small matrix products over its
+distinct rows: its gradients all come from the parameters before it, and a
+row's summed rate is capped. Training is deterministic for a fixed seed: all
+randomness flows from one seeded generator, and batches run in corpus order.
 """
 
 import math
@@ -149,49 +146,58 @@ def corpus_to_characters(corpus):
     return chars
 
 
-def negative_sampling_loss_and_grads(hidden, outputs, weight, targets):
+def negative_sampling_loss_and_grads(hidden, table, index, weight, targets):
     """Loss and analytic gradients of a batch of negative-sampling steps.
 
-    ``hidden`` (B, d) holds each step's input vector and ``outputs`` (B, K, d)
-    its output rows: ``targets`` target rows first, then noise rows. Each
-    row's term counts ``weight`` (B, K) times, so a weight of 0 adds neither
-    loss nor gradient. Returns (loss, grad wrt hidden, grad wrt outputs).
+    ``hidden`` (B, d) holds each step's input vector, ``table`` (U, d) the
+    batch's distinct output rows and ``index`` (B, K) each step's output slots
+    in it, ``targets`` target slots first. A slot's term counts ``weight`` (B, K)
+    times. Returns (loss, grad wrt hidden, grad wrt table).
     """
-    # x = w_out . h; a target row scores softplus(-x), a noise row softplus(x)
-    signed = np.einsum("bkd,bd->bk", outputs, hidden)
+    # x = w_out . h; a target slot scores softplus(-x), a noise slot softplus(x)
+    signed = (hidden @ table.T)[np.arange(len(index))[:, None], index]
     signed[:, :targets] *= -1.0
     softplus = np.logaddexp(0.0, signed)
     # d softplus(z) / dz = sigmoid(z) = exp(z - softplus(z)), without overflow
     residual = np.exp(signed - softplus) * weight
     residual[:, :targets] *= -1.0
     loss = float(np.sum(softplus * weight))
-    grad_out = residual[:, :, None] * hidden[:, None, :]
-    return loss, np.einsum("bk,bkd->bd", residual, outputs), grad_out
+    g_scores = _summed(index, residual, len(table))
+    return loss, g_scores @ table, g_scores.T @ hidden
 
 
-def _descend(matrix, rows, grads, hits, alpha):
-    """matrix[rows] -= rate * grads, summing the steps of repeated rows.
+def _distinct(ids, size):
+    """The distinct ids below ``size``, ascending, and each id's index among them."""
+    mark = np.zeros(size, bool)
+    mark[ids] = True
+    rows = np.flatnonzero(mark)
+    slot = np.empty(size, np.intp)
+    slot[rows] = np.arange(len(rows))
+    return rows, slot[ids]
 
-    A batch's gradients all come from the parameters before it, so a row that
-    many steps hit would overshoot: its rate is alpha, lowered so that its
-    summed ``hits`` times its rate stay within ROW_RATE_CAP.
+
+def _summed(index, values, size):
+    """The (B, size) matrix of each step's ``values`` (B, K) summed per ``index``."""
+    flat = index + size * np.arange(len(index))[:, None]
+    return np.bincount(flat.ravel(), values.ravel(), len(index) * size).reshape(-1, size)
+
+
+def _descend(matrix, rows, grads, slot, hits, alpha):
+    """matrix[rows] -= rate * grads, for distinct ``rows`` and their summed ``grads``.
+
+    Gradients come from the parameters before the batch, so a row that many
+    steps hit would overshoot: its rate is alpha, lowered to keep its rate
+    times the ``hits`` of its slots (``slot`` indexes ``rows``) within ROW_RATE_CAP.
     """
-    dim = matrix.shape[1]
-    rows = rows.ravel()
-    count = np.maximum(np.bincount(rows, weights=hits.ravel())[rows], 1.0)
-    rate = np.minimum(alpha, ROW_RATE_CAP / count)
-    steps = grads.reshape(-1, dim) * -rate[:, None]
-    # intp indices into the flat buffer, where np.add.at takes its fast 1-d path
-    flat = (rows.astype(np.intp) * dim)[:, None] + np.arange(dim)
-    np.add.at(matrix.reshape(-1), flat.ravel(), steps.ravel())
+    count = np.maximum(np.bincount(slot.ravel(), hits.ravel()), 1.0)
+    matrix[rows] -= np.minimum(alpha, ROW_RATE_CAP / count)[:, None] * grads
 
 
 def _outputs(targets, live, noise):
-    """A batch's output rows, its targets then its noise words, and how often
-    each counts: a target once if ``live``, a noise word once per live target
-    it is not."""
-    other = live[:, :, None] & (targets[:, :, None] != noise[:, None, :])
-    return np.column_stack((targets, noise)), np.column_stack((live, other.sum(axis=1)))
+    """Steps' output rows, their targets then their noise words, and how often each
+    counts: a target once if ``live``, a noise word once per live target it is not."""
+    other = sum(live[:, j, None] & (targets[:, j, None] != noise) for j in range(live.shape[1]))
+    return np.column_stack((targets, noise)), np.column_stack((live, other))
 
 
 def _steps(ids, starts, center, offsets):
@@ -243,41 +249,45 @@ def train_embeddings(corpus, config, name="original"):
     # with subsampling an epoch keeps a token with probability sqrt(threshold / freq)
     index = {t: i for i, t in enumerate(vocab)}
     flat = np.array([index.get(t, -1) for t in corpus.types], dtype=np.int32)[corpus.ids]
-    flat, sent_starts = _kept(flat, corpus.starts, flat >= 0)[:2]
+    flat, sent_starts = (_kept(flat, corpus.starts, flat >= 0)[:2]
+                         if len(vocab) < len(corpus.types) else (flat, corpus.starts))
     keep_prob = np.sqrt(config.subsample * counts.sum() / counts)
     n = len(flat)
-    total = n * config.epochs
 
     lr0 = config.learning_rate
-    neg = config.negative
     skipgram = config.architecture == "skipgram"
     offsets = np.array([o for o in range(-config.window, config.window + 1) if o])
-    batch = max(1, BATCH_VALUES // ((len(offsets) + 1 + neg) * dim))
+    batch = max(1, BATCH_VALUES // ((len(offsets) + 1 + config.negative) * dim))
 
     for epoch in range(config.epochs):
         ids, starts, pos = flat, sent_starts, range(n)
         if config.subsample > 0:
-            ids, starts, pos = _kept(flat, sent_starts, rng.random(n) < keep_prob[flat])
+            # marked span by span, so no float array of n is held
+            keep = np.concatenate([rng.random(len(c)) < keep_prob[c]
+                                   for c in np.split(flat, range(SPAN_TOKENS, n, SPAN_TOKENS))])
+            ids, starts, pos = _kept(flat, sent_starts, keep)
         for a in range(0, len(ids), SPAN_TOKENS):
             center = np.arange(a, min(len(ids), a + SPAN_TOKENS))
             ctx, live, center_ids, at = _steps(ids, starts, center, offsets)
             # (input, hits, targets, live targets): skip-gram's center row is hit
             # once per live context word, each live context row of CBOW's mean once
-            sides = ((center_ids, live.sum(axis=1, keepdims=True), ctx, live) if skipgram
-                     else (ctx, live, center_ids, np.ones_like(center_ids, bool)))
+            inp, hits, targets, t_live = (
+                (center_ids, live.sum(axis=1, keepdims=True), ctx, live) if skipgram
+                else (ctx, live, center_ids, np.ones_like(center_ids, bool)))
+            noise = np.searchsorted(noise_cum, rng.random((len(at), config.negative)))
+            out, weight = _outputs(targets, t_live, noise)
+            wts = hits / hits.sum(axis=1, keepdims=True)
             for s in range(0, len(at), batch):
-                processed = epoch * n + pos[center[at[s]]]
-                alpha = max(lr0 * (1.0 - processed / total), lr0 * LR_FLOOR_FRACTION)
-                inp, hits, targets, t_live = (x[s:s + batch] for x in sides)
-                noise = np.searchsorted(noise_cum, rng.random((len(inp), neg)), side="left")
-                rows, weight = _outputs(targets, t_live, noise)
-                wts = hits / hits.sum(axis=1, keepdims=True)
-                hidden = np.einsum("bw,bwd->bd", wts, w_in[inp])
-                _, g_hidden, g_out = negative_sampling_loss_and_grads(
-                    hidden, w_out[rows], weight, targets.shape[1]
-                )
-                _descend(w_out, rows, g_out, weight, alpha)
-                _descend(w_in, inp, wts[:, :, None] * g_hidden[:, None, :], hits, alpha)
+                done = (epoch * n + pos[center[at[s]]]) / (n * config.epochs)
+                alpha = max(lr0 * (1.0 - done), lr0 * LR_FLOOR_FRACTION)
+                b = slice(s, s + batch)
+                in_rows, in_slot = _distinct(inp[b], len(vocab))
+                out_rows, out_slot = _distinct(out[b], len(vocab))
+                mix = _summed(in_slot, wts[b], len(in_rows))
+                _, g_hidden, g_table = negative_sampling_loss_and_grads(
+                    mix @ w_in[in_rows], w_out[out_rows], out_slot, weight[b], targets.shape[1])
+                _descend(w_out, out_rows, g_table, out_slot, weight[b], alpha)
+                _descend(w_in, in_rows, mix.T @ g_hidden, in_slot, hits[b], alpha)
         if not (np.all(np.isfinite(w_in)) and np.all(np.isfinite(w_out))):
             raise FloatingPointError(f"non-finite parameters after epoch {epoch + 1}")
 

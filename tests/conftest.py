@@ -11,9 +11,11 @@ import tempfile
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 from hypothesis import strategies as st
 
 from sememevec.corpus import Corpus
+from sememevec.embedding import ROW_RATE_CAP
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,6 +130,30 @@ def character_corpus_oracle(corpus):
     """The character corpus as the sentences' joined tokens, each decoded and
     re-encoded character by character."""
     return Corpus(map("".join, corpus))
+
+
+def per_slot_loss_and_grads_oracle(hidden, outputs, weight, targets):
+    """The negative-sampling batch kernel with one d-vector per output slot:
+    ``outputs`` (B, K, d) holds each step's target rows, then its noise rows.
+    Returns (loss, grad wrt hidden, grad wrt each slot's row (B, K, d))."""
+    signed = np.einsum("bkd,bd->bk", outputs, hidden)
+    signed[:, :targets] *= -1.0
+    softplus = np.logaddexp(0.0, signed)
+    residual = np.exp(signed - softplus) * weight
+    residual[:, :targets] *= -1.0
+    loss = float(np.sum(softplus * weight))
+    grad_out = residual[:, :, None] * hidden[:, None, :]
+    return loss, np.einsum("bk,bkd->bd", residual, outputs), grad_out
+
+
+def per_slot_descend_oracle(matrix, rows, grads, hits, alpha):
+    """matrix[rows] -= rate * grads slot by slot, repeated rows summed by
+    np.add.at, each row's rate capped by its summed hits."""
+    dim = matrix.shape[1]
+    rows = rows.ravel()
+    count = np.maximum(np.bincount(rows, weights=hits.ravel())[rows], 1.0)
+    rate = np.minimum(alpha, ROW_RATE_CAP / count)
+    np.add.at(matrix, rows, grads.reshape(-1, dim) * -rate[:, None])
 
 
 def all_strings(alphabet, max_len):

@@ -121,35 +121,40 @@ def test_c04_gradient_checks():
     rng = np.random.default_rng(61)
     h = 1e-6
 
-    # batched negative-sampling loss wrt input vectors and output rows: 1-3
-    # targets per step, the last of the first step dead, and noise rows that
-    # count 0 up to the step's live targets
+    # batched negative-sampling loss wrt input vectors and the batch's
+    # distinct output rows: 1-3 targets per step, the last of the first step
+    # dead, and noise slots that count 0 up to the step's live targets, over
+    # a table of 2-5 rows, so slots share rows
     for _ in range(10):
         b = int(rng.integers(1, 4))
         t = int(rng.integers(1, 4))
         k = int(rng.integers(2, 7))
         d = int(rng.integers(3, 9))
+        u = int(rng.integers(2, 6))
         hidden = rng.normal(0, 1, (b, d))
-        outputs = rng.normal(0, 1, (b, t + k, d))
+        table = rng.normal(0, 1, (u, d))
+        index = rng.integers(0, u, (b, t + k))
         live = np.ones((b, t), dtype=int)
         live[0, -1] = 0
         n_live = live.sum(axis=1, keepdims=True)
         weight = np.column_stack((live, rng.integers(0, n_live + 1, (b, k))))
         weight[0, t], weight[0, -1] = 0, n_live[0, 0]
-        _, g_hidden, g_out = negative_sampling_loss_and_grads(hidden, outputs, weight, t)
+
+        def loss(hd, tb):
+            return negative_sampling_loss_and_grads(hd, tb, index, weight, t)[0]
+
+        _, g_hidden, g_table = negative_sampling_loss_and_grads(hidden, table, index, weight, t)
         for j in range(d):
             hp = hidden.copy(); hp[0, j] += h
             hm = hidden.copy(); hm[0, j] -= h
-            num = (negative_sampling_loss_and_grads(hp, outputs, weight, t)[0]
-                   - negative_sampling_loss_and_grads(hm, outputs, weight, t)[0]) / (2 * h)
+            num = (loss(hp, table) - loss(hm, table)) / (2 * h)
             assert abs(num - g_hidden[0, j]) <= 1e-4 * max(1.0, abs(num))
-        for r in (int(rng.integers(t + k)), t - 1, t, t + k - 1):
+        for r in range(u):
             for j in range(d):
-                op = outputs.copy(); op[0, r, j] += h
-                om = outputs.copy(); om[0, r, j] -= h
-                num = (negative_sampling_loss_and_grads(hidden, op, weight, t)[0]
-                       - negative_sampling_loss_and_grads(hidden, om, weight, t)[0]) / (2 * h)
-                assert abs(num - g_out[0, r, j]) <= 1e-4 * max(1.0, abs(num))
+                tp = table.copy(); tp[r, j] += h
+                tm = table.copy(); tm[r, j] -= h
+                num = (loss(hidden, tp) - loss(hidden, tm)) / (2 * h)
+                assert abs(num - g_table[r, j]) <= 1e-4 * max(1.0, abs(num))
 
     # multiclass L2 logistic loss wrt weights and biases
     X = rng.normal(0, 1, (20, 5))
@@ -173,6 +178,7 @@ def test_c04_gradient_checks():
             assert abs(num - gb[i]) <= 1e-5 * max(1.0, abs(num))
 
 
+@pytest.mark.two_blas_threads
 def test_c05_two_cluster_embedding_sanity():
     a_words = [f"侧{i}" for i in range(15)]
     b_words = [f"另{i}" for i in range(15)]

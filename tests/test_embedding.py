@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import finite_values, round_trip, tokens, traced_peak
+from conftest import (
+    finite_values,
+    per_slot_descend_oracle,
+    per_slot_loss_and_grads_oracle,
+    round_trip,
+    tokens,
+    traced_peak,
+)
 from sememevec import embedding
 from sememevec.corpus import Corpus, ParseError
 from sememevec.embedding import (
@@ -15,8 +22,11 @@ from sememevec.embedding import (
     SPAN_TOKENS,
     EmbeddingSpace,
     TrainConfig,
+    _descend,
+    _distinct,
     _outputs,
     _steps,
+    _summed,
     corpus_to_characters,
     cosine,
     load_space,
@@ -119,65 +129,134 @@ class TestCosine:
 class TestNegativeSamplingGradients:
     def test_matches_finite_differences(self):
         # central differences at 10 random batches of 1-3 steps with 1-3
-        # targets and 2-3 noise rows each. The last target of the first step
-        # is dead and its first noise row weighs 0, so their gradients must
-        # be 0; the other noise rows weigh 0 up to the step's live targets
+        # target and 2-3 noise slots each over a table of 2-4 rows, so rows
+        # repeat within and across steps. The last target of the first step
+        # is dead and its first noise slot weighs 0; both point at an extra
+        # row that no other slot uses, whose gradient must be 0. The other
+        # noise slots weigh 0 up to the step's live targets
         rng = np.random.default_rng(11)
         h = 1e-6
         for _ in range(10):
-            b, t, k = (int(rng.integers(lo, 4)) for lo in (1, 1, 2))
+            b, t, k, u = (int(rng.integers(lo, hi))
+                          for lo, hi in ((1, 4), (1, 4), (2, 4), (2, 5)))
             hidden = rng.normal(0, 1, (b, 8))
-            outputs = rng.normal(0, 1, (b, t + k, 8))
+            table = rng.normal(0, 1, (u + 1, 8))
+            index = rng.integers(0, u, (b, t + k))
+            index[0, t - 1] = index[0, t] = u
             live = np.ones((b, t), dtype=int)
             live[0, -1] = 0
             n_live = live.sum(axis=1, keepdims=True)
             weight = np.column_stack((live, rng.integers(0, n_live + 1, (b, k))))
             weight[0, t], weight[-1, -1] = 0, n_live[-1, 0]
 
-            def loss(hd, out):
-                return negative_sampling_loss_and_grads(hd, out, weight, t)[0]
+            def loss(hd, tb):
+                return negative_sampling_loss_and_grads(hd, tb, index, weight, t)[0]
 
-            _, g_hidden, g_out = negative_sampling_loss_and_grads(hidden, outputs, weight, t)
+            _, g_hidden, g_table = negative_sampling_loss_and_grads(
+                hidden, table, index, weight, t)
             for idx in np.ndindex(hidden.shape):
                 hp = hidden.copy(); hp[idx] += h
                 hm = hidden.copy(); hm[idx] -= h
-                num = (loss(hp, outputs) - loss(hm, outputs)) / (2 * h)
+                num = (loss(hp, table) - loss(hm, table)) / (2 * h)
                 assert abs(num - g_hidden[idx]) <= 1e-4 * max(1.0, abs(num))
-            for idx in np.ndindex(outputs.shape):
-                op = outputs.copy(); op[idx] += h
-                om = outputs.copy(); om[idx] -= h
-                num = (loss(hidden, op) - loss(hidden, om)) / (2 * h)
-                assert abs(num - g_out[idx]) <= 1e-4 * max(1.0, abs(num))
-            assert not np.any(g_out[0, t - 1]) and not np.any(g_out[0, t])
+            for idx in np.ndindex(table.shape):
+                tp = table.copy(); tp[idx] += h
+                tm = table.copy(); tm[idx] -= h
+                num = (loss(hidden, tp) - loss(hidden, tm)) / (2 * h)
+                assert abs(num - g_table[idx]) <= 1e-4 * max(1.0, abs(num))
+            assert not np.any(g_table[u])
 
     def test_count_weight_equals_repeated_rows(self):
-        # a noise row that weighs 3 scores as three copies of it that weigh 1
+        # a noise slot that weighs 3 scores as three slots of its row that weigh 1
         rng = np.random.default_rng(13)
         hidden = rng.normal(0, 1, (1, 5))
-        outputs = rng.normal(0, 1, (1, 3, 5))
-        loss, g_hidden, g_out = negative_sampling_loss_and_grads(
-            hidden, outputs, np.array([[1, 1, 3]]), 2)
-        copies = outputs[:, [0, 1, 2, 2, 2]]
-        loss3, g_hidden3, g_out3 = negative_sampling_loss_and_grads(
-            hidden, copies, np.ones((1, 5)), 2)
+        table = rng.normal(0, 1, (3, 5))
+        loss, g_hidden, g_table = negative_sampling_loss_and_grads(
+            hidden, table, np.array([[0, 1, 2]]), np.array([[1, 1, 3]]), 2)
+        loss3, g_hidden3, g_table3 = negative_sampling_loss_and_grads(
+            hidden, table, np.array([[0, 1, 2, 2, 2]]), np.ones((1, 5)), 2)
         assert loss == pytest.approx(loss3, rel=1e-12)
         assert np.allclose(g_hidden, g_hidden3, rtol=1e-12, atol=0.0)
-        assert np.allclose(g_out[0, 2], g_out3[0, 2:].sum(axis=0), rtol=1e-12, atol=0.0)
+        assert np.allclose(g_table, g_table3, rtol=1e-12, atol=0.0)
 
     def test_loss_positive(self):
         rng = np.random.default_rng(12)
         hidden = rng.normal(0, 1, (1, 4))
-        outputs = rng.normal(0, 1, (1, 3, 4))
-        assert negative_sampling_loss_and_grads(hidden, outputs, np.ones((1, 3)), 1)[0] > 0.0
+        table = rng.normal(0, 1, (3, 4))
+        assert negative_sampling_loss_and_grads(
+            hidden, table, np.array([[0, 1, 2]]), np.ones((1, 3)), 1)[0] > 0.0
 
     def test_extreme_scores_stay_finite(self):
         hidden = np.full((1, 2), 1e3)
-        outputs = np.array([[[-1e3, -1e3], [1e3, 1e3]]])
-        loss, g_hidden, g_out = negative_sampling_loss_and_grads(
-            hidden, outputs, np.ones((1, 2)), 1
+        table = np.array([[-1e3, -1e3], [1e3, 1e3]])
+        loss, g_hidden, g_table = negative_sampling_loss_and_grads(
+            hidden, table, np.array([[0, 1]]), np.ones((1, 2)), 1
         )
         assert loss == pytest.approx(4e6)
-        assert np.all(np.isfinite(g_hidden)) and np.all(np.isfinite(g_out))
+        assert np.all(np.isfinite(g_hidden)) and np.all(np.isfinite(g_table))
+
+
+@pytest.mark.two_blas_threads
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_batch_kernel_matches_per_slot_oracle(data):
+    # one batch over a vocabulary of 1-6 rows, so rows repeat within and
+    # across steps, with dead target slots, a first noise word equal to the
+    # first target and noise weights from 0 up to the step's live targets,
+    # against the per-slot kernel and its np.add.at descent. The sums run in
+    # another order, so each value agrees within 1e-12 of the summed
+    # magnitudes of its terms, a sigmoid counted as its bound 1
+    b, t, k, w, d, v = (data.draw(st.integers(1, hi)) for hi in (5, 4, 4, 3, 6, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    w_in, w_out = rng.normal(0, 1, (2, v, d))
+    targets, noise = rng.integers(0, v, (b, t)), rng.integers(0, v, (b, k))
+    noise[0, 0] = targets[0, 0]
+    rows = np.column_stack((targets, noise))
+    live = np.array([[data.draw(st.booleans()) for _ in range(t)] for _ in range(b)])
+    weight = np.column_stack((live, [[data.draw(st.integers(0, int(n))) for _ in range(k)]
+                                     for n in live.sum(axis=1)]))
+    inp, hits = rng.integers(0, v, (b, w)), rng.integers(0, 3, (b, w))
+    hits[:, 0] += 1
+    wts = hits / hits.sum(axis=1, keepdims=True)
+    alpha = data.draw(st.sampled_from([1e-3, 0.025, 1.0]))
+
+    def per_row(slots, values):
+        summed = np.zeros((v, d))
+        np.add.at(summed, slots.ravel(), values.reshape(-1, d))
+        return summed
+
+    hidden = np.einsum("bw,bwd->bd", wts, w_in[inp])
+    want_loss, want_hidden, g_out = per_slot_loss_and_grads_oracle(
+        hidden, w_out[rows], weight, t)
+    g_in = wts[:, :, None] * want_hidden[:, None, :]
+    want_in, want_out = w_in.copy(), w_out.copy()
+    per_slot_descend_oracle(want_out, rows, g_out, weight, alpha)
+    per_slot_descend_oracle(want_in, inp, g_in, hits, alpha)
+
+    in_rows, in_slot = _distinct(inp, v)
+    out_rows, out_slot = _distinct(rows, v)
+    assert np.array_equal(in_rows, np.unique(inp)) and np.array_equal(out_rows, np.unique(rows))
+    assert np.array_equal(in_rows[in_slot], inp) and np.array_equal(out_rows[out_slot], rows)
+    mix = _summed(in_slot, wts, len(in_rows))
+    loss, g_hidden, g_table = negative_sampling_loss_and_grads(
+        mix @ w_in[in_rows], w_out[out_rows], out_slot, weight, t)
+    g_rows_in = mix.T @ g_hidden
+    got_in, got_out = w_in.copy(), w_out.copy()
+    _descend(got_out, out_rows, g_table, out_slot, weight, alpha)
+    _descend(got_in, in_rows, g_rows_in, in_slot, hits, alpha)
+
+    mag_hidden = np.einsum("bk,bkd->bd", weight, np.abs(w_out[rows]))
+    mag_out = per_row(rows, weight[:, :, None] * np.abs(hidden)[:, None, :])
+    mag_in = per_row(inp, wts[:, :, None] * mag_hidden[:, None, :])
+    for got, want, mag in (
+            (g_hidden, want_hidden, mag_hidden),
+            (g_table, per_row(rows, g_out)[out_rows], mag_out[out_rows]),
+            (g_rows_in, per_row(inp, g_in)[in_rows], mag_in[in_rows]),
+            (got_out, want_out, np.abs(w_out) + alpha * mag_out),
+            (got_in, want_in, np.abs(w_in) + alpha * mag_in)):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * mag)
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
 
 
 class TestSharedNoise:
@@ -190,26 +269,25 @@ class TestSharedNoise:
         assert rows.tolist() == [[a, b, c, x, a, d, x]]
         assert weight.tolist() == [[1, 1, 1, 0, 2, 3, 3]]
 
-    def test_skipgram_scatters_one_step_per_center(self, monkeypatch):
-        # one epoch at window 5 and k = 5 scatters at most 2w + 1 + k output
-        # rows per center. One step per (center, context) pair scattered
-        # 1 + k per pair, about 3.5 times this bound on 40-word sentences
+    def test_descent_updates_distinct_rows(self, monkeypatch):
+        # every _descend call takes each row once, with one summed gradient
+        # per row, and one epoch at window 5 and k = 5 updates at most
+        # 2w + 1 + k rows per step over both matrices. 40-word sentences give
+        # every position a context, so there are as many steps as tokens
         window, negative = 5, 5
         corpus = small_corpus(n=100, vocab=50, length=40)
-        scattered = []
+        updated = []
 
-        def counting(matrix, rows, grads, hits, alpha):
-            # each batch descends w_out first, then w_in
-            scattered.append((matrix, rows.size))
-            descend(matrix, rows, grads, hits, alpha)
+        def counting(matrix, rows, grads, slot, hits, alpha):
+            assert len(np.unique(rows)) == len(rows) and grads.shape == (len(rows), 8)
+            updated.append(len(rows))
+            descend(matrix, rows, grads, slot, hits, alpha)
 
         descend = embedding._descend
         monkeypatch.setattr(embedding, "_descend", counting)
         train_embeddings(corpus, TrainConfig(dim=8, window=window, negative=negative,
                                              epochs=1, seed=1))
-        w_out = scattered[0][0]
-        rows = sum(size for matrix, size in scattered if matrix is w_out)
-        assert rows <= corpus.total_tokens() * (2 * window + 1 + negative)
+        assert updated and sum(updated) <= corpus.total_tokens() * (2 * window + 1 + negative)
 
 
 class TestTraining:
@@ -340,7 +418,7 @@ class TestStepBuilding:
         assert got == loop_steps(sentences, 3)
 
 
-@pytest.mark.parametrize("subsample, bound", [(0.0, 20), (1e-3, 24)])
+@pytest.mark.parametrize("subsample, bound", [(0.0, 6), (1e-3, 12)])
 def test_training_memory_per_token(subsample, bound):
     # a Zipf corpus tiled 4 times: the vocabulary and so the parameters stay
     # the same size, and each span's and batch's arrays stay bounded
@@ -352,10 +430,12 @@ def test_training_memory_per_token(subsample, bound):
     cfg = TrainConfig(dim=1, window=1, negative=1, epochs=1, subsample=subsample)
     growth = (traced_peak(train_embeddings, large, cfg)
               - traced_peak(train_embeddings, small, cfg))
-    # int32 ids, and while tokens are dropped a keep mark, the kept positions
-    # (8 bytes) and the kept ids; subsampling's draws and keep probabilities
-    # (8 bytes each) come on top of the ids. A per-position sentence array or
-    # a per-epoch copy of the ids would pass the bound
+    # int32 ids: 4.2 bytes per token at subsample 0, where min_count drops
+    # nothing and so takes no copy. Subsampling adds its keep marks, then the
+    # kept positions (8 bytes) and the kept ids: 10.1 bytes per token. Its
+    # draws and keep probabilities come a span at a time. The trainer that
+    # copied the ids for min_count read 18.0 and 21.7, and a per-position
+    # sentence array or a float array of n would exceed these bounds
     assert growth / (large.total_tokens() - small.total_tokens()) < bound
 
 
@@ -555,24 +635,24 @@ def space_digest(space):
 
 # sha256 of token order plus row bytes, recorded from the mini-batch
 # trainer under one and two BLAS threads; skip-gram's with one step per
-# center and shared noise words
+# center and shared noise words, and every batch worked on its distinct rows
 TRAINING_DIGESTS = {
     ("skipgram", 0.0):
-        "cac49c50870308987774279c0c0b68349251161111da472151f7d65d4b195333",
+        "53ceaf1c4ff076295d257cde4c50d6c79555c842d8603443cf1b43a60d51550d",
     ("skipgram", 1e-3):
-        "8c798b59a2b65572ca1b27f805b3626deaa959e63569d6b7be1b4797497ee028",
+        "bdacbb7e856b136e9db4823f6bec30038889192ac07437dcde8ecbf2ea1b7397",
     ("cbow", 0.0):
-        "06997c7181fad7aad8a5fac1a2eeba5c2b12c77632a81d0c0bcc49c632dedcf7",
+        "f0869859f11823350743c4a876f5fdf8b840da0ffa04784a0f3ed8e674cb2d5e",
     ("cbow", 1e-3):
-        "1bb8cc14d9526d3ef85e9d7e538ca76d61c18fa796f0d99e0752cc0d119c83da",
+        "bacf55e81d9cb103a350c9e74c6672e41d0ae07fcb2e9a930b99feabecca9142",
 }
 
 
 # ragged_corpus yields fewer CBOW steps than one batch; this pin's corpus
 # spans several batches and more than one SPAN_TOKENS span
 MULTI_BATCH_DIGESTS = {
-    "skipgram": "a93bf506b071f90d4a8fc84831d16901d43551828998477efeb4f60d33a97a22",
-    "cbow": "1a0516bbccc25928b7f10fead509a5a0c02cce9af97749e408c223cf3f0858a5",
+    "skipgram": "02682a95d41f9672fa08985a4be590f52b20c670ecd21dd2afc563558dd3f836",
+    "cbow": "e3cee0f6291225961218ab7ff6c44f5c8353d94be5a9297df87b6d4b18e17482",
 }
 
 
@@ -580,13 +660,13 @@ MULTI_BATCH_DIGESTS = {
 # tokens that min_count and subsampling drop
 DROPPING_DIGESTS = {
     ("skipgram", 0.0):
-        "cd473963cf4e36125b70de647c179edd32976da5fcdb716cad0304e3c3b8f761",
+        "15e53cdfdab797ed4f98877d2587e62e8fd1a93ce5b880d9df9f83e322b9227b",
     ("skipgram", 1e-3):
-        "cc296795de690606397e540ee7cf1a6ff76ab05d749e72ada9ab3bc06d8a4498",
+        "637747a41d76c48a9e331b97aafb389933db8ae945b1de207247b9b8b374375c",
     ("cbow", 0.0):
-        "7296c1c064818ea81f5ba78736b5fac9a2333bce1ef1f474eb39c4d529899a54",
+        "d1ec837c562f114225582aa089e378c3406199dae916cfe0f797a4c0aaf999c7",
     ("cbow", 1e-3):
-        "1a7db492d935157bdad6e43fe48cf6ec38603d59d9193fa88615ffd3a18ec3e3",
+        "ca80fbdac3d9118cf3f33b88e837c9d70eb61db9620c380f26d578c585eefabd",
 }
 
 

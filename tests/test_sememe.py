@@ -305,12 +305,13 @@ def digest_corpus(seed=17, n=60):
 
 # sha256 of the sememe space (token order plus row bytes) and of every
 # word's hownet_space row, recorded from the mini-batch trainer with one
-# skip-gram step per center and shared noise words
+# skip-gram step per center and shared noise words, every batch worked on
+# its distinct rows, under one and two BLAS threads
 SEMEME_SPACE_DIGEST = (
-    "df5b81c8da9f322c5b9bdf4d775caca98fe95ad02200dca180d71fbdeb50f38c"
+    "93d91ee31b5c808a3beff3d9955bcee515aeb06a9fb7f4670b3a662b87033268"
 )
 HOWNET_DIGEST = (
-    "3697640ad71c919a69193a3d4903b2764278dda47ca127bd0d00d087ef4f72b1"
+    "28a46192add5bcf98bf27890f551c7fc9241227851c66146016d860c1c133630"
 )
 
 
