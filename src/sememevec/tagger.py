@@ -10,6 +10,7 @@ I-label appears without a same-type predecessor.
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,23 +185,94 @@ class TaggerModel:
             raise ValueError("weights, bias and lam must be finite")
 
 
-def softmax_loss_and_grads(weights, bias, features, labels, lam):
-    """Mean cross entropy plus (lam/2)*||W||^2, with analytic gradients wrt
-    weights and biases; biases are unregularized."""
-    logits = features @ weights.T + bias
-    peak = logits.max(axis=1, keepdims=True)
-    lse = peak[:, 0] + np.log(np.exp(logits - peak).sum(axis=1))
+class _Block(NamedTuple):
+    """A column block of feature rows as a table of its distinct rows.
+
+    ``table[inverse]`` is ``features[:, columns]`` bit for bit. ``order``
+    lists the rows grouped by table entry, in row order within an entry,
+    and ``starts[j]`` is where entry j's group begins in it.
+    """
+
+    columns: slice
+    table: np.ndarray
+    inverse: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+
+
+def _row_keys(blocks):
+    """A uint64 hash of the bits of each row of each block of the (n, B, d)
+    blocks. Integer sums wrap exactly, so bitwise-equal rows get equal keys
+    in any summation order."""
+    multipliers = np.arange(1, blocks.shape[2] + 1, dtype=np.uint64) * np.uint64(
+        0x9E3779B97F4A7C15) | np.uint64(1)
+    return blocks.view(np.uint64) @ multipliers
+
+
+def _distinct_rows(block, keys):
+    """(table, inverse, order, starts) of an _Block over the rows of block.
+
+    Rows are grouped by their keys. If two distinct rows share a key, as
+    rows that differ only in the signs of an even number of values do, every
+    row keeps its own entry, which is always exact.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(len(keys), bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    inverse = np.empty(len(keys), np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    table = block[order[starts]]
+    if np.array_equal(table[inverse].view(np.uint64), block.view(np.uint64)):
+        return table, inverse, order, starts
+    every = np.arange(len(block))
+    return block, every, every, every
+
+
+def _distinct_blocks(features, width):
+    """The _Block of each width-column block of the (n, F) features."""
+    keys = _row_keys(features.reshape(len(features), -1, width))
+    return [_Block(slice(c, c + width), *_distinct_rows(features[:, c:c + width], keys[:, j]))
+            for j, c in enumerate(range(0, features.shape[1], width))]
+
+
+def _blocked_loss_and_grads(weights, bias, blocks, labels, lam):
+    """softmax_loss_and_grads of the features the blocks tabulate.
+
+    Each block's table rows are scored once, and the class-major (K, n)
+    logits gather them per row; the residuals are summed per table entry
+    before they meet the table, so nothing (n, F)-sized is multiplied.
+    """
     n = len(labels)
-    idx = np.arange(n)
-    loss = float((lse - logits[idx, labels]).mean()) + 0.5 * lam * float(
+    logits = np.repeat(bias[:, None], n, axis=1)
+    for columns, table, inverse, _, _ in blocks:
+        logits += (weights[:, columns] @ table.T).take(inverse, axis=1)
+    peak = logits.max(axis=0)
+    lse = peak + np.log(np.exp(logits - peak).sum(axis=0))
+    # each row's label logit, in the flat (K, n) logits
+    picks = labels * n + np.arange(n)
+    loss = float((lse - logits.take(picks)).mean()) + 0.5 * lam * float(
         np.sum(weights * weights)
     )
-    probs = np.exp(logits - lse[:, None])
-    probs[idx, labels] -= 1.0
+    probs = np.exp(logits - lse)
+    probs.ravel()[picks] -= 1.0
     probs /= n
-    grad_w = probs.T @ features + lam * weights
-    grad_b = probs.sum(axis=0)
-    return loss, grad_w, grad_b
+    grad_w = lam * weights
+    for columns, table, _, order, starts in blocks:
+        grad_w[:, columns] += np.add.reduceat(probs.take(order, axis=1), starts, axis=1) @ table
+    return loss, grad_w, probs.sum(axis=1)
+
+
+def softmax_loss_and_grads(weights, bias, features, labels, lam):
+    """Mean cross entropy plus (lam/2)*||W||^2, with analytic gradients wrt
+    weights and biases; biases are unregularized. The features are one
+    block whose rows are all their own entries."""
+    features = np.asarray(features)
+    every = np.arange(len(features))
+    whole = _Block(slice(None), features, every, every, every)
+    return _blocked_loss_and_grads(weights, bias, [whole], np.asarray(labels), lam)
 
 
 LBFGS_MEMORY = 30  # curvature pairs kept by train_logreg
@@ -224,8 +296,13 @@ def _lbfgs_direction(grad, pairs):
 
 def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500, *, scheme, spec):
     """Full-batch L-BFGS with backtracking (Armijo) line search, fitting rows
-    of spec.feature_length features to label indices of scheme; every label
-    of the scheme must hold a row.
+    of spec.feature_length finite features to label indices of scheme; every
+    label of the scheme must hold a row.
+
+    Each spec.dim-column block of the rows is tabulated once, as its distinct
+    rows and each row's entry among them, and every evaluation works on
+    those tables: the loss and gradients of softmax_loss_and_grads on the
+    rows, summed in another order.
 
     Zero initialization. The direction comes from the last LBFGS_MEMORY
     curvature pairs; the first step, and any step whose direction is not a
@@ -245,6 +322,9 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500, *, scheme, s
         raise ValueError("features must be a non-empty 2-d array matching labels")
     if X.shape[1] != spec.feature_length:
         raise ValueError(f"feature width {X.shape[1]} != spec length {spec.feature_length}")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"feature row {int(finite.argmin())} is not finite")
     if not 0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
     if not 0 < tol < np.inf:
@@ -269,8 +349,10 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500, *, scheme, s
     def unpack(theta):
         return theta[:split].reshape(n_classes, X.shape[1]), theta[split:]
 
+    blocks = _distinct_blocks(X, spec.dim)
+
     def evaluate(theta):
-        loss, grad_w, grad_b = softmax_loss_and_grads(*unpack(theta), X, y, lam)
+        loss, grad_w, grad_b = _blocked_loss_and_grads(*unpack(theta), blocks, y, lam)
         return loss, np.concatenate((grad_w.ravel(), grad_b))
 
     theta = np.zeros(split + n_classes)

@@ -156,6 +156,26 @@ def per_slot_descend_oracle(matrix, rows, grads, hits, alpha):
     np.add.at(matrix, rows, grads.reshape(-1, dim) * -rate[:, None])
 
 
+def dense_softmax_loss_and_grads_oracle(weights, bias, features, labels, lam):
+    """softmax_loss_and_grads as one (n, F) product each way: mean cross
+    entropy plus (lam/2)*||W||^2, and its gradients wrt W and the
+    unregularized biases."""
+    logits = features @ weights.T + bias
+    peak = logits.max(axis=1, keepdims=True)
+    lse = peak[:, 0] + np.log(np.exp(logits - peak).sum(axis=1))
+    n = len(labels)
+    idx = np.arange(n)
+    loss = float((lse - logits[idx, labels]).mean()) + 0.5 * lam * float(
+        np.sum(weights * weights)
+    )
+    probs = np.exp(logits - lse[:, None])
+    probs[idx, labels] -= 1.0
+    probs /= n
+    grad_w = probs.T @ features + lam * weights
+    grad_b = probs.sum(axis=0)
+    return loss, grad_w, grad_b
+
+
 def all_strings(alphabet, max_len):
     out = []
     frontier = [""]

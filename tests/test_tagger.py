@@ -5,13 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import entity_types, finite_values, round_trip
+from conftest import (
+    dense_softmax_loss_and_grads_oracle,
+    entity_types,
+    finite_values,
+    round_trip,
+    traced_peak,
+)
 from sememevec.corpus import ParseError
 from sememevec.embedding import EmbeddingSpace
 from sememevec.tagger import (
     FeatureSpec,
     LabelScheme,
     TaggerModel,
+    _blocked_loss_and_grads,
+    _distinct_blocks,
     assemble_features,
     load_tagger,
     predict,
@@ -306,7 +314,7 @@ class TestLogreg:
         # it down until the gradient fell below tol
         import sememevec.tagger as tagger_module
         _, _, _, spec = random_problem(d=3)
-        monkeypatch.setattr(tagger_module, "softmax_loss_and_grads", None)
+        monkeypatch.setattr(tagger_module, "_blocked_loss_and_grads", None)
         with pytest.raises(ValueError, match=f"no training row holds scheme label.*{missing}"):
             train_logreg(np.ones((4, 3)), labels, scheme=LabelScheme(["Date"]), spec=spec)
 
@@ -331,7 +339,7 @@ class TestLogreg:
         # ran to max_iter, and lam=nan failed only once the fit was done
         import sememevec.tagger as tagger_module
         X, y, scheme, spec = random_problem()
-        monkeypatch.setattr(tagger_module, "softmax_loss_and_grads", None)
+        monkeypatch.setattr(tagger_module, "_blocked_loss_and_grads", None)
         with pytest.raises(ValueError, match="must be positive and finite"):
             train_logreg(X, y, **{"lam": 0.1, **bad}, scheme=scheme, spec=spec)
 
@@ -354,6 +362,15 @@ class TestLogreg:
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected_before_fitting(self, bad):
+        # a NaN row ran 61 evaluations and returned the all-zero model as
+        # "no-descent", without an error
+        X, y, scheme, spec = random_problem()
+        X[12, 0] = X[7, 3] = bad
+        with pytest.raises(ValueError, match="feature row 7 is not finite"):
+            train_logreg(X, y, lam=0.1, scheme=scheme, spec=spec)
+
 
 def count_evaluations(monkeypatch):
     """Count the loss-and-gradient evaluations train_logreg makes."""
@@ -362,9 +379,9 @@ def count_evaluations(monkeypatch):
 
     def counted(*args):
         calls.append(1)
-        return softmax_loss_and_grads(*args)
+        return _blocked_loss_and_grads(*args)
 
-    monkeypatch.setattr(tagger_module, "softmax_loss_and_grads", counted)
+    monkeypatch.setattr(tagger_module, "_blocked_loss_and_grads", counted)
     return calls
 
 
@@ -390,10 +407,16 @@ class TestStopReason:
         assert len(m.history) < 501
 
     def test_final_gnorm_is_that_of_the_returned_model(self):
+        # bit for bit against the evaluation the fit makes, and within 1e-12
+        # relative of the dense (n, F) products, which sum in another order
         X, y, scheme, spec = random_problem(seed=29, n=30, d=12, classes=4)
         m = train_logreg(X, y, lam=1e-3, tol=1e-6, max_iter=20, scheme=scheme, spec=spec)
-        _, gw, gb = softmax_loss_and_grads(m.weights, m.bias, X, y, 1e-3)
+        _, gw, gb = _blocked_loss_and_grads(m.weights, m.bias, _distinct_blocks(X, spec.dim),
+                                            y, 1e-3)
         assert m.final_gnorm == max(np.abs(gw).max(), np.abs(gb).max())
+        _, gw, gb = dense_softmax_loss_and_grads_oracle(m.weights, m.bias, X, y, 1e-3)
+        assert m.final_gnorm == pytest.approx(max(np.abs(gw).max(), np.abs(gb).max()),
+                                              rel=1e-12, abs=0.0)
 
     def test_not_serialized(self, tmp_path):
         X, y, scheme, spec = random_problem()
@@ -456,7 +479,7 @@ class TestLogregDigest:
         _, gw, gb = softmax_loss_and_grads(m.weights, m.bias, X, y, 1e-3)
         assert max(np.abs(gw).max(), np.abs(gb).max()) > 1e-6
         assert self.digest(m) == (
-            "ddac9aeadb593cd2ba69cd49977043ec18da5368eed652e0e52b97a5231138b6"
+            "18251d904472c7967ffa2a46853f1a84d7c5966fa1f6963639db4ae996e5e8e0"
         )
 
     def test_stops_at_tol(self, monkeypatch):
@@ -469,8 +492,100 @@ class TestLogregDigest:
         _, gw, gb = softmax_loss_and_grads(m.weights, m.bias, X, y, 1.0)
         assert max(np.abs(gw).max(), np.abs(gb).max()) <= 1e-6
         assert self.digest(m) == (
-            "f6798405d73423d924aa5ce4148e9f357e94663b56d56a59958eec1c246d08e9"
+            "0badb204f64504305c8ede00e7e1f007222e913691cd965bcd0f8cabb8dedd8a"
         )
+
+
+def block_rows(rng, kind, n, d):
+    """n rows of width d: drawn from a pool of 1-3 random rows ("repeated"),
+    all random ("distinct"), all +0.0 ("zero"), or drawn from +0.0, -0.0, a
+    row of both and one random row ("signed zero")."""
+    if kind == "distinct":
+        return rng.normal(0, 1, (n, d))
+    if kind == "zero":
+        return np.zeros((n, d))
+    if kind == "repeated":
+        pool = rng.normal(0, 1, (rng.integers(1, 4), d))
+    else:
+        pool = np.array([np.zeros(d), np.full(d, -0.0), np.resize([0.0, -0.0], d),
+                         rng.normal(0, 1, d)])
+    return pool[rng.integers(0, len(pool), n)]
+
+
+@pytest.mark.two_blas_threads
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_blocked_evaluation_matches_dense_oracle(data):
+    # 1-4 blocks of width 1-4, each of one kind of block_rows, with or
+    # without every row key forced equal. Each block's table must give its
+    # rows back bit for bit, so a key shared by distinct rows never merges
+    # them, and must hold only distinct rows unless keys were forced or the
+    # block holds signed zeros. The sums run in another order than the
+    # dense products, so each value agrees within 1e-12 of the summed
+    # magnitudes of its terms, a residual counted as its bound 1
+    import sememevec.tagger as tagger_module
+    n, d, n_blocks, classes = (data.draw(st.integers(lo, hi))
+                               for lo, hi in ((1, 30), (1, 4), (1, 4), (2, 4)))
+    kinds = [data.draw(st.sampled_from(["repeated", "distinct", "zero", "signed zero"]))
+             for _ in range(n_blocks)]
+    collide = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    X = np.hstack([block_rows(rng, kind, n, d) for kind in kinds])
+    y = rng.integers(0, classes, n)
+    W, b = rng.normal(0, 1, (classes, n_blocks * d)), rng.normal(0, 1, classes)
+    lam = data.draw(st.sampled_from([1e-4, 0.1, 1.0]))
+
+    with pytest.MonkeyPatch.context() as mp:
+        if collide:
+            mp.setattr(tagger_module, "_row_keys",
+                       lambda blocks: np.zeros(blocks.shape[:2], np.uint64))
+        blocks = _distinct_blocks(X, d)
+    assert len(blocks) == n_blocks
+    for block, kind in zip(blocks, kinds):
+        rows = X[:, block.columns]
+        assert np.array_equal(block.table[block.inverse].view(np.uint64),
+                              rows.view(np.uint64))
+        if not collide and kind != "signed zero":
+            distinct = np.unique(rows.view(np.uint64), axis=0)
+            assert len(block.table) == len(distinct)
+
+    loss, gw, gb = _blocked_loss_and_grads(W, b, blocks, y, lam)
+    want_loss, want_w, want_b = dense_softmax_loss_and_grads_oracle(W, b, X, y, lam)
+    logits = np.abs(X) @ np.abs(W).T + np.abs(b)
+    mag_loss = float(np.mean(2 * logits.max(axis=1) + np.log(classes))) + 0.5 * lam * float(
+        np.sum(W * W))
+    for got, want, mag in ((gw, want_w, np.abs(X).mean(axis=0) + lam * np.abs(W)),
+                           (gb, want_b, np.ones(classes)), (loss, want_loss, mag_loss)):
+        assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * mag)
+
+
+def test_fit_on_c11_shaped_rows_allocates_less_than_the_rows():
+    # the pipeline's final ablation: 2920 rows, five context blocks over a
+    # vocabulary of 53 words and a zero row, a HowNet block over 8 rows and
+    # a character block over 20. Tabulating all blocks at once, as a
+    # deduplication of whole rows does, allocates about twice the rows
+    rng = np.random.default_rng(5)
+    dim, n = 25, 2920
+    words, hownet, chars = (rng.normal(0, 0.3, (k, dim)) for k in (54, 8, 20))
+    words[0] = 0.0
+    ids = rng.integers(1, 54, n)
+    # 20-token sentences; a window slot outside its sentence is the zero row
+    pos = np.arange(n)
+    context = []
+    for off in range(-2, 3):
+        inside = (pos + off) // 20 == pos // 20
+        context.append(words[np.where(inside, ids[(pos + off) % n], 0)])
+    X = np.hstack(context + [hownet[ids % 8], chars[ids % 20]])
+    y = (ids < 6).astype(int)
+    scheme = LabelScheme.from_labels([["O", "B-Date"]])
+    spec = FeatureSpec(dim=dim)
+    assert X.shape == (n, spec.feature_length)
+
+    def fit():
+        m = train_logreg(X, y, lam=1e-4, tol=1e-6, max_iter=1200, scheme=scheme, spec=spec)
+        assert m.stop_reason == "tol"
+
+    assert traced_peak(fit) < X.nbytes
 
 
 class TestPredict:
