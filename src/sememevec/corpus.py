@@ -123,6 +123,20 @@ def iter_utf8_lines(path):
             yield lineno, text.rstrip("\r\n")
 
 
+def iter_written_lines(path):
+    """iter_utf8_lines of a file one of this package's writers made, each of
+    whose lines ends in a newline. ParseError names a last line without one,
+    as a file cut short ends in, before any line is read; only the file's
+    last byte is checked."""
+    with open(path, "rb") as fh:
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+        if fh.read(1) not in (b"", b"\n"):
+            fh.seek(0)
+            raise ParseError(f"{path}: line {sum(1 for _ in fh)}: no newline at the end "
+                             "of the last line; the file may be cut short")
+    return iter_utf8_lines(path)
+
+
 def tab_fields(path, n):
     """(lineno, fields) of each non-blank line of a hand-written file, split at
     its first n - 1 tabs, so the last field keeps any further tabs, and stripped;

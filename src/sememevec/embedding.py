@@ -31,7 +31,7 @@ from .corpus import (
     atomic_text_writer,
     build_vocabulary,
     has_whitespace,
-    iter_utf8_lines,
+    iter_written_lines,
     split_fields,
     written_floats,
 )
@@ -317,7 +317,7 @@ def save_space(space, path):
 
 def load_space(path, name=""):
     """Read a space saved by save_space; ParseError names the offending line."""
-    lines = iter_utf8_lines(path)
+    lines = iter_written_lines(path)
     _, header = next(lines, (1, ""))
     try:
         size, dim = map(ascii_int, split_fields(header, 1, path, 2))

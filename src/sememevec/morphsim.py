@@ -19,7 +19,7 @@ from .corpus import (
     ParseError,
     atomic_text_writer,
     header_value,
-    iter_utf8_lines,
+    iter_written_lines,
     tab_fields,
     written_float,
 )
@@ -260,7 +260,10 @@ def top_k_similar(model, word, candidates, k=5):
     an iterable of words, which is indexed on each call.
 
     Only candidates that share a character with the query are scored by the
-    three measures, all of them in one feature_rows call. One that shares
+    three measures, in one feature_rows call per group of words whose
+    lengths round up to the same multiple of 8, each group padded to its own
+    longest word; pads match nothing, so a pair's values do not depend on
+    its group, and one long word does not widen every table. One that shares
     none has LCS 0, Levenshtein equal to the longer length (no aligned pair
     can match) and a zero count dot product, so its features are exactly
     (0, 0, 0) and its score is the floor sigmoid(bias), computed once by the
@@ -273,13 +276,19 @@ def top_k_similar(model, word, candidates, k=5):
         raise ValueError("k must be at least 1")
     if not isinstance(candidates, CandidateIndex):
         candidates = CandidateIndex(candidates)
-    words = candidates.words
+    words, lengths = candidates.words, candidates.lengths
     sharing = candidates.sharing(word)
-    ids = [i for i in sharing if words[i] != word]
-    width = candidates.lengths[ids].max(initial=0)
-    rows = feature_rows(pad_words([word]), (
-        candidates.codes[ids, :width], candidates.lengths[ids], candidates.norms[ids]))
-    scored = list(zip([words[i] for i in ids], score_rows(model, rows)))
+    groups = {}
+    for i in sharing:
+        if words[i] != word:
+            groups.setdefault((len(words[i]) + 7) // 8, []).append(i)
+    query = pad_words([word])
+    scored = []
+    for ids in groups.values():
+        width = lengths[ids].max()
+        rows = feature_rows(query, (
+            candidates.codes[ids, :width], lengths[ids], candidates.norms[ids]))
+        scored += zip([words[i] for i in ids], score_rows(model, rows))
     floor = score_rows(model, np.zeros((1, 3)))[0]
     # the query shares its own characters, so no floor word is the query
     floored = (w for i, w in enumerate(words) if i not in sharing)
@@ -297,7 +306,7 @@ def save_similarity_model(model, path):
 def load_similarity_model(path):
     """Read a file written by save_similarity_model, its fields in writer
     order; ParseError names the first line it could not have written."""
-    lines = iter_utf8_lines(path)
+    lines = iter_written_lines(path)
     model = SimilarityModel(*[header_value(lines, path, f.name, written_float)
                               for f in fields(SimilarityModel)])
     for lineno, _ in lines:

@@ -20,7 +20,7 @@ from .corpus import (
     atomic_text_writer,
     has_whitespace,
     header_value,
-    iter_utf8_lines,
+    iter_written_lines,
     next_line,
     split_fields,
     written_float,
@@ -200,42 +200,41 @@ class _Block(NamedTuple):
     starts: np.ndarray
 
 
-def _row_keys(blocks):
-    """A uint64 hash of the bits of each row of each block of the (n, B, d)
-    blocks. Integer sums wrap exactly, so bitwise-equal rows get equal keys
-    in any summation order."""
-    multipliers = np.arange(1, blocks.shape[2] + 1, dtype=np.uint64) * np.uint64(
+def _row_keys(block):
+    """A uint64 hash of the bits of each (contiguous) row of the (n, d)
+    block: its 32-bit halves summed with odd multipliers, wrapping exactly.
+    A sign bit, a half's top bit, reaches 33 bits of the key; in a sum of
+    whole values it reaches only the top bit, so two sign changes cancel."""
+    halves = block.view(np.uint32)
+    multipliers = np.arange(1, halves.shape[1] + 1, dtype=np.uint64) * np.uint64(
         0x9E3779B97F4A7C15) | np.uint64(1)
-    return blocks.view(np.uint64) @ multipliers
+    # einsum widens the halves a buffer at a time, where matmul copies them
+    return np.einsum("ij,j->i", halves, multipliers)
 
 
-def _distinct_rows(block, keys):
-    """(table, inverse, order, starts) of an _Block over the rows of block.
-
-    Rows are grouped by their keys. If two distinct rows share a key, as
-    rows that differ only in the signs of an even number of values do, every
-    row keeps its own entry, which is always exact.
-    """
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.empty(len(keys), bool)
+def _distinct_rows(block):
+    """(table, inverse, order, starts) of an _Block over the rows of block:
+    the rows stable-sorted by _row_keys, an entry starting wherever a row's
+    bits differ from the row before it. table[inverse] is block bit for bit
+    whatever the keys; a key shared by distinct rows only splits entries."""
+    order = np.argsort(_row_keys(block), kind="stable")
+    rows = block[order]
+    bits = rows.view(np.uint64)
+    first = np.zeros(len(rows), bool)
     first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    # the row of each value that differs, in one pass over all values
+    first[np.flatnonzero(bits[1:] != bits[:-1]) // block.shape[1] + 1] = True
     starts = np.flatnonzero(first)
-    inverse = np.empty(len(keys), np.intp)
+    inverse = np.empty(len(rows), np.intp)
     inverse[order] = np.cumsum(first) - 1
-    table = block[order[starts]]
-    if np.array_equal(table[inverse].view(np.uint64), block.view(np.uint64)):
-        return table, inverse, order, starts
-    every = np.arange(len(block))
-    return block, every, every, every
+    return rows[starts], inverse, order, starts
 
 
 def _distinct_blocks(features, width):
-    """The _Block of each width-column block of the (n, F) features."""
-    keys = _row_keys(features.reshape(len(features), -1, width))
-    return [_Block(slice(c, c + width), *_distinct_rows(features[:, c:c + width], keys[:, j]))
-            for j, c in enumerate(range(0, features.shape[1], width))]
+    """The _Block of each width-column block of the (n, F) features; each
+    block's temporaries are freed, in its own call, before the next's."""
+    return [_Block(slice(c, c + width), *_distinct_rows(features[:, c:c + width]))
+            for c in range(0, features.shape[1], width)]
 
 
 def _blocked_loss_and_grads(weights, bias, blocks, labels, lam):
@@ -316,7 +315,7 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500, *, scheme, s
     number of evaluations are kept on the model. The loss history is
     non-increasing.
     """
-    X = np.asarray(features, dtype=np.float64)
+    X = np.ascontiguousarray(features, dtype=np.float64)  # for _row_keys
     y = np.asarray(labels, dtype=np.intp)
     if X.ndim != 2 or len(X) != len(y) or len(X) == 0:
         raise ValueError("features must be a non-empty 2-d array matching labels")
@@ -485,7 +484,7 @@ def save_tagger(model, path):
 def load_tagger(path):
     """Read a file written by save_tagger, in one pass; ParseError names the
     line of anything save_tagger could not have written."""
-    lines = iter_utf8_lines(path)
+    lines = iter_written_lines(path)
     magic = next(lines, (1, ""))[1]
     if magic == "tagger-model v1":
         raise ParseError(f"{path}: line 1: a tagger-model v1 file, which lists entity "

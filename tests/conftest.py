@@ -9,13 +9,28 @@ import os
 import string
 import tempfile
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
 from hypothesis import strategies as st
 
-from sememevec.corpus import Corpus
+from sememevec.corpus import Corpus, ParseError
 from sememevec.embedding import ROW_RATE_CAP
+
+# A failing property makes hypothesis's pytest plugin import this module,
+# which imports libcst where it is installed, and libcst's imports raise a
+# DeprecationWarning. The "error" filter would turn that into a plugin
+# error that ends the run before the failure is reported, so it is imported
+# once here with that one category ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
+
+pytest_plugins = ["pytester"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,6 +234,27 @@ def round_trip(save, load, value):
         path = os.path.join(d, "artifact")
         save(value, path)
         return load(path)
+
+
+def assert_prefixes_refused_or_whole(save, load, value):
+    """Each proper prefix of the file save(value, path) writes, as a file cut
+    short leaves it, either raises ParseError on load or loads to an object
+    that save writes back as the whole file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "artifact")
+        save(value, path)
+        with open(path, "rb") as fh:
+            whole = fh.read()
+        for cut in range(len(whole)):
+            with open(path, "wb") as fh:
+                fh.write(whole[:cut])
+            try:
+                back = load(path)
+            except ParseError:
+                continue
+            save(back, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == whole, f"the first {cut} bytes loaded"
 
 
 def traced_peak(fn, *args):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    assert_prefixes_refused_or_whole,
     finite_values,
     per_slot_descend_oracle,
     per_slot_loss_and_grads_oracle,
@@ -840,6 +841,15 @@ class TestSerialization:
         with pytest.raises(ParseError, match=f"line {line}: "):
             load_space(str(p))
 
+    @pytest.mark.parametrize("text, line", [("1 2\na 1 2", 2), ("1 2", 1), ("1 2\r", 1)])
+    def test_last_line_without_newline_rejected(self, tmp_path, text, line):
+        # save_space ends every line in a newline, so a file without one at
+        # its end was cut short, or written by another program
+        p = tmp_path / "v.vec"
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ParseError, match=f"line {line}: no newline at the end"):
+            load_space(str(p))
+
     # float() reads each of these, "1_0" as 10 and "١" as 1
     @pytest.mark.parametrize("bad", ["1_0", "+1", "\u0661", ".5", "1.", "1e5", "1E+5"])
     def test_number_save_space_cannot_write_rejected(self, tmp_path, bad):
@@ -847,6 +857,17 @@ class TestSerialization:
         p.write_text(f"1 2\na 1 {bad}\n", encoding="utf-8")
         with pytest.raises(ParseError, match=f"line 2: malformed number '{re.escape(bad)}'"):
             load_space(str(p))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cut_short_space_file_is_refused(data):
+    # a cut inside the last value read "0.123456789" as "0.1234" before
+    dim = data.draw(st.integers(1, 3))
+    space = EmbeddingSpace(dim)
+    for tok in data.draw(st.lists(tokens, unique=True, max_size=3)):
+        space.add(tok, data.draw(st.lists(finite_values, min_size=dim, max_size=dim)))
+    assert_prefixes_refused_or_whole(save_space, load_space, space)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     all_strings,
+    assert_prefixes_refused_or_whole,
     char_cos_oracle,
     edit_distance_oracle,
     finite_values,
@@ -360,6 +361,43 @@ def test_top_k_equals_brute_force(data):
         )
 
 
+def unpruned_top_k(model, word, candidates, k):
+    # every other candidate scored alone, then sorted
+    scored = [(c, score_rows(model, feature_rows(pad_words([word]), pad_words([c])))[0])
+              for c in candidates if c != word]
+    return sorted(scored, key=lambda ts: (-ts[1], ts[0]))[:k]
+
+
+def test_one_long_candidate_widens_only_its_own_table(monkeypatch):
+    # 2-4 character words over 30 characters, and a 60-character word that
+    # holds each of them twice and so shares a character with every query.
+    # Its pairs are scored in a table of their own, so the tables of the
+    # short words' pairs stay as narrow as the short words
+    import sememevec.morphsim as morphsim_module
+    rng = np.random.default_rng(3)
+    alphabet = [chr(0x4E00 + i) for i in range(30)]
+    short = sorted({"".join(rng.choice(alphabet, rng.integers(2, 5))) for _ in range(150)})
+    long_word = "".join(alphabet * 2)
+    queries = short[:10] + ["".join(rng.choice(alphabet, 3)) for _ in range(10)]
+    model = SimilarityModel(w_lcs=1.5, w_edit=0.7, w_cos=2.0, bias=-1.0)
+    cells = []
+
+    def recording(a, b, feature_rows=feature_rows):
+        cells.append(len(b[1]) * (a[0].shape[1] + 1) * (b[0].shape[1] + 1))
+        return feature_rows(a, b)
+
+    def table_cells(candidates, q):
+        cells.clear()
+        top = top_k_similar(model, q, CandidateIndex(candidates), 5)
+        assert top == unpruned_top_k(model, q, candidates, 5)
+        return sum(cells)
+
+    monkeypatch.setattr(morphsim_module, "feature_rows", recording)
+    for q in queries:
+        assert table_cells(short + [long_word], q) == table_cells(short, q) + (
+            (len(q) + 1) * (len(long_word) + 1))
+
+
 def exact(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
@@ -399,6 +437,12 @@ def test_similarity_model_round_trips_exactly(model):
     back = round_trip(save_similarity_model, load_similarity_model, model)
     exact = [np.float64(v).tobytes() for v in dataclasses.astuple(model)]
     assert [np.float64(v).tobytes() for v in dataclasses.astuple(back)] == exact
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.builds(SimilarityModel, finite_values, finite_values, finite_values, finite_values))
+def test_cut_short_similarity_model_file_is_refused(model):
+    assert_prefixes_refused_or_whole(save_similarity_model, load_similarity_model, model)
 
 
 class TestModelSerialization:

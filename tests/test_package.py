@@ -36,3 +36,21 @@ def test_numpy_is_the_only_runtime_dependency():
     tops = {name.split(".")[0] for name in imported}
     assert "numpy" in tops
     assert tops - set(sys.stdlib_module_names) == {"numpy"}
+
+
+def test_failing_property_is_reported_with_warnings_as_errors(pytester, monkeypatch):
+    # on a failure hypothesis imports a module that, where libcst is
+    # installed, warns as it is imported; the run must still report it
+    tests = pathlib.Path(__file__).parent
+    pytester.makeconftest((tests / "conftest.py").read_text(encoding="utf-8"))
+    pytester.makepyfile("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 0
+    """)
+    monkeypatch.setenv("PYTHONPATH", str(pathlib.Path(sememevec.__file__).parents[1]))
+    result = pytester.runpytest_subprocess("-W", "error", "-p", "no:cacheprovider")
+    result.assert_outcomes(failed=1)
+    assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
