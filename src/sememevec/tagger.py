@@ -200,24 +200,13 @@ class _Block(NamedTuple):
     starts: np.ndarray
 
 
-def _row_keys(block):
-    """A uint64 hash of the bits of each (contiguous) row of the (n, d)
-    block: its 32-bit halves summed with odd multipliers, wrapping exactly.
-    A sign bit, a half's top bit, reaches 33 bits of the key; in a sum of
-    whole values it reaches only the top bit, so two sign changes cancel."""
-    halves = block.view(np.uint32)
-    multipliers = np.arange(1, halves.shape[1] + 1, dtype=np.uint64) * np.uint64(
-        0x9E3779B97F4A7C15) | np.uint64(1)
-    # einsum widens the halves a buffer at a time, where matmul copies them
-    return np.einsum("ij,j->i", halves, multipliers)
-
-
 def _distinct_rows(block):
     """(table, inverse, order, starts) of an _Block over the rows of block:
-    the rows stable-sorted by _row_keys, an entry starting wherever a row's
-    bits differ from the row before it. table[inverse] is block bit for bit
-    whatever the keys; a key shared by distinct rows only splits entries."""
-    order = np.argsort(_row_keys(block), kind="stable")
+    the rows stable-sorted by the bits of their first two values, an entry
+    starting wherever a row's bits differ from the row before it.
+    table[inverse] is block bit for bit whatever the order; distinct rows
+    that tie on those two values only split an entry."""
+    order = np.lexsort(block[:, 1::-1].view(np.uint64).T)
     rows = block[order]
     bits = rows.view(np.uint64)
     first = np.zeros(len(rows), bool)
@@ -315,7 +304,7 @@ def train_logreg(features, labels, lam=1.0, tol=1e-6, max_iter=500, *, scheme, s
     number of evaluations are kept on the model. The loss history is
     non-increasing.
     """
-    X = np.ascontiguousarray(features, dtype=np.float64)  # for _row_keys
+    X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.intp)
     if X.ndim != 2 or len(X) != len(y) or len(X) == 0:
         raise ValueError("features must be a non-empty 2-d array matching labels")

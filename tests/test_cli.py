@@ -306,6 +306,26 @@ class TestArtifacts:
         assert model.scheme.entity_types == ["Date", "Time"]
         assert model.spec.use_hownet and model.spec.use_char
 
+    def test_readme_quotes_the_walkthrough_fit_note(self, artifacts, tmp_path, capsys):
+        # the walkthrough's train-tagger, at the default --max-iter, on the
+        # sources it trains: its comment quotes the note this prints
+        with open(os.path.join(DATA, os.pardir, os.pardir, "README.md"),
+                  encoding="utf-8") as fh:
+            readme = re.sub(r"\n#\s+", " ", fh.read())
+        quote = re.search(r'"(\d+) iterations, stopped on tol, (\d+) loss-and-gradient '
+                          r'evaluations, \.\.\., gradient inf-norm (\S+)"', readme)
+        assert quote is not None
+        capsys.readouterr()
+        assert main(["train-tagger", "--tagged", data("tagged_train.txt"),
+                     "--word-space", artifacts["combined"], "--char-space", artifacts["chars"],
+                     "--lexicon", data("lexicon.tsv"), "--sememe-space", artifacts["sememe"],
+                     "--out", str(tmp_path / "t.model"), "--lam", "1e-6"]) == 0
+        note = re.search(r"\[train-tagger\] (\d+) iterations, stopped on tol, (\d+) "
+                         r"loss-and-gradient evaluations, final loss \S+, "
+                         r"gradient inf-norm (\S+)\n", capsys.readouterr().err)
+        assert note is not None
+        assert note.groups() == quote.groups()
+
     def test_tagged_output_well_formed(self, artifacts):
         sents = load_tagged_corpus(artifacts["tagged"])
         assert len(sents) == len(load_corpus(data("corpus.txt")))

@@ -488,7 +488,7 @@ class TestLogregDigest:
         _, gw, gb = softmax_loss_and_grads(m.weights, m.bias, X, y, 1e-3)
         assert max(np.abs(gw).max(), np.abs(gb).max()) > 1e-6
         assert self.digest(m) == (
-            "86a4f975833357b0df5f36cc13dd257a2000ba97685476c74e0763ccd25da9de"
+            "af7ee6ca06610295affe41cd3828c70d18de7ae983bd478a594dfe47bc47a665"
         )
 
     def test_stops_at_tol(self, monkeypatch):
@@ -501,18 +501,25 @@ class TestLogregDigest:
         _, gw, gb = softmax_loss_and_grads(m.weights, m.bias, X, y, 1.0)
         assert max(np.abs(gw).max(), np.abs(gb).max()) <= 1e-6
         assert self.digest(m) == (
-            "56ca57faa714091788f07c5cf7b9dc45120823292520d67a5298b726bde84977"
+            "18f115c4769134e6379663f64d88c080bb1adbc0d330a4af94f3700d89b95cf5"
         )
 
 
 def block_rows(rng, kind, n, d):
     """n rows of width d: drawn from a pool of 1-3 random rows ("repeated"),
-    all random ("distinct"), all +0.0 ("zero"), or drawn from +0.0, -0.0, a
-    row of both and one random row ("signed zero")."""
+    all random ("distinct"), all +0.0 ("zero"), drawn from +0.0, -0.0, a
+    row of both and one random row ("signed zero"), or cycling through 2-3
+    rows that share their first two values and differ after them ("tied
+    lead")."""
     if kind == "distinct":
         return rng.normal(0, 1, (n, d))
     if kind == "zero":
         return np.zeros((n, d))
+    if kind == "tied lead":
+        k = rng.integers(2, 4)
+        lead = np.broadcast_to(rng.normal(0, 1, min(d, 2)), (k, min(d, 2)))
+        pool = np.hstack([lead, rng.normal(0, 1, (k, d - min(d, 2)))])
+        return pool[np.arange(n) % k]
     if kind == "repeated":
         pool = rng.normal(0, 1, (rng.integers(1, 4), d))
     else:
@@ -521,40 +528,44 @@ def block_rows(rng, kind, n, d):
     return pool[rng.integers(0, len(pool), n)]
 
 
+def runs_of_equal_rows(rows):
+    """How many runs of bitwise-equal consecutive rows the rows hold."""
+    bits = rows.view(np.uint64)
+    return 1 + int(np.any(bits[1:] != bits[:-1], axis=1).sum())
+
+
 @pytest.mark.two_blas_threads
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_blocked_evaluation_matches_dense_oracle(data):
-    # 1-4 blocks of width 1-4, each of one kind of block_rows, with or
-    # without every row key forced equal. Each block's table must give its
-    # rows back bit for bit, so a key shared by distinct rows never merges
-    # them, and must hold only distinct rows unless keys were forced, signed
-    # zeros included. The sums run in another order than the dense
+    # 1-4 blocks of width 1-4, each of one kind of block_rows. Each block's
+    # table must give its rows back bit for bit. A block of any kind but
+    # "tied lead" must hold only its distinct rows, signed zeros included;
+    # a "tied lead" block ties every row on the sort key, so its rows keep
+    # row order and each run of equal rows is one entry, distinct rows
+    # never merged. The sums run in another order than the dense
     # products, so each value agrees within 1e-12 of the summed magnitudes
     # of its terms, a residual counted as its bound 1
-    import sememevec.tagger as tagger_module
     n, d, n_blocks, classes = (data.draw(st.integers(lo, hi))
                                for lo, hi in ((1, 30), (1, 4), (1, 4), (2, 4)))
-    kinds = [data.draw(st.sampled_from(["repeated", "distinct", "zero", "signed zero"]))
+    kinds = [data.draw(st.sampled_from(["repeated", "distinct", "zero", "signed zero",
+                                        "tied lead"]))
              for _ in range(n_blocks)]
-    collide = data.draw(st.booleans())
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     X = np.hstack([block_rows(rng, kind, n, d) for kind in kinds])
     y = rng.integers(0, classes, n)
     W, b = rng.normal(0, 1, (classes, n_blocks * d)), rng.normal(0, 1, classes)
     lam = data.draw(st.sampled_from([1e-4, 0.1, 1.0]))
 
-    with pytest.MonkeyPatch.context() as mp:
-        if collide:
-            mp.setattr(tagger_module, "_row_keys",
-                       lambda block: np.zeros(len(block), np.uint64))
-        blocks = _distinct_blocks(X, d)
+    blocks = _distinct_blocks(X, d)
     assert len(blocks) == n_blocks
-    for block in blocks:
+    for kind, block in zip(kinds, blocks):
         rows = X[:, block.columns]
         assert np.array_equal(block.table[block.inverse].view(np.uint64),
                               rows.view(np.uint64))
-        if not collide:
+        if kind == "tied lead":
+            assert len(block.table) == runs_of_equal_rows(rows)
+        else:
             distinct = np.unique(rows.view(np.uint64), axis=0)
             assert len(block.table) == len(distinct)
 
@@ -568,24 +579,36 @@ def test_blocked_evaluation_matches_dense_oracle(data):
         assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * mag)
 
 
-@pytest.mark.parametrize("collide, entries", [(False, 4), (True, 6)])
-def test_sign_flipped_rows_tabulate_exactly(monkeypatch, collide, entries):
-    # these rows differ in the signs of two values at a time, which a linear
-    # hash of the whole 64-bit values sees only through the parity of the
-    # sign bits: such keys tied, and the table kept all 6 rows. With every
-    # key forced equal, the stable sort keeps row order and only runs of
-    # equal rows share an entry
-    import sememevec.tagger as tagger_module
-    X = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [1, 2], [-1, -2], [1, 2]])
-    if collide:
-        monkeypatch.setattr(tagger_module, "_row_keys",
-                            lambda block: np.zeros(len(block), np.uint64))
-    (block,) = _distinct_blocks(X, 2)
+@pytest.mark.parametrize("X, entries", [
+    # rows that differ only in the signs of two values at a time, signed
+    # zeros among them
+    (np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [1, 2], [-1, -2], [1, 2]]), 4),
+    # rows tied on their first two values keep row order, so the distinct
+    # rows between two equal ones split them into two entries
+    (np.array([[0.0, 0, 1], [0, 0, 2], [0, 0, 1], [1, 2, 3]]), 4),
+], ids=["sign-flipped", "tied-lead"])
+def test_rows_tabulate_exactly(X, entries):
+    (block,) = _distinct_blocks(X, X.shape[1])
     assert np.array_equal(block.table[block.inverse].view(np.uint64), X.view(np.uint64))
     assert len(block.table) == entries
     ends = np.append(block.starts[1:], len(X))
     for j, (a, b) in enumerate(zip(block.starts, ends)):
         assert block.order[a:b].tolist() == np.flatnonzero(block.inverse == j).tolist()
+
+
+def test_six_decimal_rows_tabulate_to_their_distinct_rows():
+    # a space written with 6 decimals, as word2vec's text output is, ties
+    # rows on their first value but not on their first two; an order on the
+    # first value alone would split these rows' entries
+    rng = np.random.default_rng(37)
+    space = np.round(rng.normal(0, 0.3, (20000, 25)), 6)
+    X = space[rng.integers(0, len(space), 50000)]
+    distinct = np.unique(X.view(np.uint64), axis=0)
+    _, counts = np.unique(distinct[:, 0], return_counts=True)
+    assert counts[counts > 1].sum() >= 100
+    (block,) = _distinct_blocks(X, X.shape[1])
+    assert np.array_equal(block.table[block.inverse].view(np.uint64), X.view(np.uint64))
+    assert len(block.table) == len(distinct)
 
 
 def test_fit_on_c11_shaped_rows_allocates_less_than_the_rows():
