@@ -83,6 +83,9 @@ class EmbeddingSpace:
         self.dim = dim
         self.name = name
         self._vectors = {}
+        # the row dict's own lookups; a deep copy would still read the original's rows
+        self.get = self._vectors.get
+        self.items = self._vectors.items
 
     def add(self, token, vector):
         """Store a float64 copy of vector as token's row: the one way in."""
@@ -96,13 +99,6 @@ class EmbeddingSpace:
         if not np.isfinite(vec).all():
             raise ValueError(f"vector for {token!r} has non-finite components")
         self._vectors[token] = vec
-
-    def get(self, token):
-        """The stored vector, or None for an unknown token."""
-        return self._vectors.get(token)
-
-    def items(self):
-        return self._vectors.items()
 
     @property
     def tokens(self):

@@ -147,16 +147,14 @@ def build_pairs(thesaurus, n_pos, n_neg, seed=0):
     if n_neg > 0:
         if len(cats) < 2:
             raise SamplingError("negative pairs: need at least two categories")
-        produced = 0
         misses = 0
-        while produced < n_neg:
+        while len(pairs) < n_pos + n_neg:
             ca, cb = rnd.sample(cats, 2)
             a = rnd.choice(members[ca])
             b = rnd.choice(members[cb])
             # a word drawn twice shares both categories with itself
             if not word_cats[a] & word_cats[b]:
                 pairs.append(TrainingPair(a, b, 0))
-                produced += 1
                 misses = 0
             else:
                 misses += 1

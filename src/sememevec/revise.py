@@ -101,12 +101,9 @@ def build_combined_space(target_words, original, model, vocab,
     candidates = CandidateIndex(vocab)
     for word in sorted(set(target_words)):
         tf = vocab.tf(word)
-        if tf > config.rare_tf_threshold:
-            vec = original.get(word)
-            if vec is not None:
-                space.add(word, vec)
-            continue
-        neighbors = top_k_similar(model, word, candidates, config.k)
+        # a frequent word has no neighbours, so combine returns its stored row
+        neighbors = (top_k_similar(model, word, candidates, config.k)
+                     if tf <= config.rare_tf_threshold else ())
         similar = similar_word_vector(neighbors, original, vocab)
         stored = original.get(word)
         if stored is None and similar is None:

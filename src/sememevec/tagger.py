@@ -54,7 +54,6 @@ class LabelScheme:
                 raise ValueError(f"invalid entity type {t!r}")
         self.labels = ["O"] + [p + t for t in types for p in ("B-", "I-")
                                if observed is None or p + t in observed]
-        self.entity_types = list(dict.fromkeys(map(_entity_type, self.labels[1:])))
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     @classmethod

@@ -303,7 +303,7 @@ class TestArtifacts:
 
     def test_tagger_loadable(self, artifacts):
         model = load_tagger(artifacts["tagger"])
-        assert model.scheme.entity_types == ["Date", "Time"]
+        assert model.scheme.labels == ["O", "B-Date", "I-Date", "B-Time", "I-Time"]
         assert model.spec.use_hownet and model.spec.use_char
 
     def test_readme_quotes_the_walkthrough_fit_note(self, artifacts, tmp_path, capsys):

@@ -173,7 +173,7 @@ class TestBuildCombinedSpace:
         out = build_combined_space(["xx"], space, model, vocab)
         assert "xx" in out
 
-    def test_word_without_any_source_omitted(self):
+    def test_word_without_any_source_omitted(self, monkeypatch):
         space = EmbeddingSpace(2, name="original")
         space.add("有向量", np.array([1.0, 1.0]))
         # the only vocabulary word has no vector in the space
@@ -181,6 +181,20 @@ class TestBuildCombinedSpace:
         model = SimilarityModel(w_lcs=1.0, w_edit=1.0, w_cos=1.0)
         out = build_combined_space(["新词"], space, model, vocab)
         assert "新词" not in out and len(out) == 0
+        # a word above the rare threshold without a row: omitted, with no
+        # neighbour search for it
+        queries = []
+
+        def counted(model, word, *args):
+            queries.append(word)
+            return top_k_similar(model, word, *args)
+
+        monkeypatch.setattr(sememevec.revise, "top_k_similar", counted)
+        frequent = build_vocabulary(Corpus([["无向量"] * 3]))
+        assert frequent.tf("无向量") > CombinedSpaceConfig().rare_tf_threshold
+        out = build_combined_space(["无向量"], space, model, frequent)
+        assert "无向量" not in out and len(out) == 0
+        assert queries == []
 
     def test_rows_share_no_memory_with_the_source(self):
         # revision hands back source rows uncopied on these paths; add must

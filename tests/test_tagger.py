@@ -43,7 +43,7 @@ class TestLabelScheme:
 
     def test_from_labels_sorted(self):
         s = LabelScheme.from_labels([["O", "B-Time"], ["I-Date", "O"]])
-        assert s.entity_types == ["Date", "Time"]
+        assert s.labels == ["O", "I-Date", "B-Time"]
 
     @pytest.mark.parametrize("sequences, labels", [
         ([["B-Date", "O", "B-Date"]], ["O", "B-Date"]),
@@ -61,7 +61,7 @@ class TestLabelScheme:
         full = LabelScheme(["Date"])
         assert full == LabelScheme.from_labels([["B-Date", "I-Date", "O"]])
         only_b = LabelScheme.from_labels([["B-Date", "O"]])
-        assert only_b.entity_types == full.entity_types
+        assert only_b.labels == full.labels[:2] == ["O", "B-Date"]
         assert only_b != full
 
     def test_from_labels_rejects_garbage(self):
