@@ -30,6 +30,9 @@ def finite_floats(values, lineno, path):
 # give a finite float; re matches "(?:x|)" about a third faster than "(?:x)?"
 _DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+|)(?:e[-+][0-9]+|)")
 _DECIMALS = re.compile(rf"(?:{_DECIMAL.pattern}(?: {_DECIMAL.pattern})*)?")
+# a token, then written decimals, each after one space: a space row's spelling;
+# its fields are counted apart, as re refuses to compile a huge repeat count
+written_row = re.compile(rf"\S+(?: {_DECIMAL.pattern})+").fullmatch
 
 
 def written_float(text):

@@ -34,6 +34,7 @@ from .corpus import (
     iter_written_lines,
     split_fields,
     written_floats,
+    written_row,
 )
 
 LR_FLOOR_FRACTION = 1e-4
@@ -43,6 +44,8 @@ BATCH_VALUES = 1 << 15
 SPAN_TOKENS = 1 << 10
 # the most summed learning rate one row takes from one batch
 ROW_RATE_CAP = 1.0
+# the rows load_space reads, checks and converts at once, bounding its memory
+LOAD_ROWS = 1 << 10
 ARCHITECTURES = ("skipgram", "cbow")
 
 
@@ -87,18 +90,26 @@ class EmbeddingSpace:
         self.get = self._vectors.get
         self.items = self._vectors.items
 
-    def add(self, token, vector):
-        """Store a float64 copy of vector as token's row: the one way in."""
-        if not token:
+    def add_rows(self, tokens, rows):
+        """Store one float64 copy of rows, row i as tokens[i]'s: the one way in.
+
+        Each token's row is a view of that copy, so callers never write to
+        what ``get`` returns.
+        """
+        block = np.array(rows, dtype=np.float64)
+        if block.shape != (len(tokens), self.dim):
+            raise ValueError(f"rows of shape {block.shape}, expected ({len(tokens)}, {self.dim})")
+        if not all(tokens):
             raise ValueError("empty token")
-        vec = np.array(vector, dtype=np.float64)
-        if vec.shape != (self.dim,):
-            raise ValueError(
-                f"vector for {token!r} has shape {vec.shape}, expected ({self.dim},)"
-            )
-        if not np.isfinite(vec).all():
-            raise ValueError(f"vector for {token!r} has non-finite components")
-        self._vectors[token] = vec
+        finite = np.isfinite(block)
+        if not finite.all():
+            bad = tokens[finite.all(axis=1).argmin()]
+            raise ValueError(f"vector for {bad!r} has non-finite components")
+        self._vectors.update(zip(tokens, block))
+
+    def add(self, token, vector):
+        """add_rows of one token's vector."""
+        self.add_rows([token], [vector])
 
     @property
     def tokens(self):
@@ -288,8 +299,7 @@ def train_embeddings(corpus, config, name="original"):
             raise FloatingPointError(f"non-finite parameters after epoch {epoch + 1}")
 
     space = EmbeddingSpace(dim, name=name)
-    for token, vec in zip(vocab, w_in):
-        space.add(token, vec)
+    space.add_rows(list(vocab), w_in)
     return space
 
 
@@ -311,8 +321,53 @@ def save_space(space, path):
             fh.write(token + " " + format_vector(vec) + "\n")
 
 
+def _batches(lines, size):
+    """Lists of up to size items of lines. A ParseError while reading ends a
+    list, which is yielded before it is raised, so earlier lines' faults are
+    found first."""
+    batch = []
+    try:
+        for item in lines:
+            batch.append(item)
+            if len(batch) == size:
+                yield batch
+                batch = []
+    except ParseError:
+        if batch:
+            yield batch
+        raise
+    if batch:
+        yield batch
+
+
+def _add_batch(space, batch, path):
+    """Add a batch of (lineno, line) rows to space: at once if each is spelled
+    as save_space writes it, finite and a new token, else row by row, so that
+    ParseError names the first faulty line."""
+    texts = {}
+    for _, line in batch:
+        token, _, text = line.partition(" ")
+        if (token in texts or token in space or text.count(" ") != space.dim - 1
+                or not written_row(line)):
+            break
+        texts[token] = text
+    else:
+        try:
+            space.add_rows(list(texts), np.loadtxt(list(texts.values()), delimiter=" ",
+                                                   comments=None, ndmin=2))
+            return
+        except ValueError:  # a non-finite row
+            pass
+    for lineno, line in batch:
+        token, *values = split_fields(line, lineno, path, space.dim + 1)
+        if token in space:
+            raise ParseError(f"{path}: line {lineno}: duplicate token {token!r}")
+        space.add(token, written_floats(values, lineno, path))
+
+
 def load_space(path, name=""):
-    """Read a space saved by save_space; ParseError names the offending line."""
+    """Read a space saved by save_space, LOAD_ROWS rows at a time; ParseError
+    names the offending line."""
     lines = iter_written_lines(path)
     _, header = next(lines, (1, ""))
     try:
@@ -323,11 +378,8 @@ def load_space(path, name=""):
         raise ParseError(f"{path}: line 1: invalid sizes in header {header!r}")
 
     space = EmbeddingSpace(dim, name=name)
-    for lineno, line in lines:
-        token, *values = split_fields(line, lineno, path, dim + 1)
-        if token in space:
-            raise ParseError(f"{path}: line {lineno}: duplicate token {token!r}")
-        space.add(token, written_floats(values, lineno, path))
+    for batch in _batches(lines, LOAD_ROWS):
+        _add_batch(space, batch, path)
     if len(space) != size:
         raise ParseError(
             f"{path}: header declares {size} rows but {len(space)} were read"

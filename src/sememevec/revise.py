@@ -99,7 +99,9 @@ def build_combined_space(target_words, original, model, vocab,
         raise ValueError("no target words")
     space = EmbeddingSpace(original.dim, name="combined")
     candidates = CandidateIndex(vocab)
-    for word in sorted(set(target_words)):
+    targets = sorted(set(target_words))
+    words, rows = [], np.empty((len(targets), space.dim))
+    for word in targets:
         tf = vocab.tf(word)
         # a frequent word has no neighbours, so combine returns its stored row
         neighbors = (top_k_similar(model, word, candidates, config.k)
@@ -108,5 +110,7 @@ def build_combined_space(target_words, original, model, vocab,
         stored = original.get(word)
         if stored is None and similar is None:
             continue
-        space.add(word, combine(stored, similar, tf))
+        rows[len(words)] = combine(stored, similar, tf)
+        words.append(word)
+    space.add_rows(words, rows[:len(words)])
     return space

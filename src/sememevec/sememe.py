@@ -97,10 +97,13 @@ def hownet_space(lexicon, sememe_space):
     multisets produce bitwise-equal vectors.
     """
     space = EmbeddingSpace(sememe_space.dim, name="hownet")
+    words, sums = [], np.empty((len(lexicon), space.dim))
     for word, sememes in lexicon.items():
         present = [v for v in map(sememe_space.get, sorted(sememes)) if v is not None]
         if present:
-            space.add(word, sum(present, np.zeros(sememe_space.dim)))
+            sums[len(words)] = sum(present, np.zeros(space.dim))
+            words.append(word)
+    space.add_rows(words, sums[:len(words)])
     return space
 
 

@@ -15,8 +15,15 @@ from collections import Counter
 import numpy as np
 from hypothesis import strategies as st
 
-from sememevec.corpus import Corpus, ParseError
-from sememevec.embedding import ROW_RATE_CAP
+from sememevec.corpus import (
+    Corpus,
+    ParseError,
+    ascii_int,
+    iter_written_lines,
+    split_fields,
+    written_floats,
+)
+from sememevec.embedding import ROW_RATE_CAP, EmbeddingSpace
 
 # A failing property makes hypothesis's pytest plugin import this module,
 # which imports libcst where it is installed, and libcst's imports raise a
@@ -189,6 +196,29 @@ def dense_softmax_loss_and_grads_oracle(weights, bias, features, labels, lam):
     grad_w = probs.T @ features + lam * weights
     grad_b = probs.sum(axis=0)
     return loss, grad_w, grad_b
+
+
+def load_space_oracle(path, name=""):
+    """load_space before it read rows in batches: each row split, checked
+    for a duplicate token, parsed by float() and added on its own, so the
+    first faulty line raises."""
+    lines = iter_written_lines(path)
+    _, header = next(lines, (1, ""))
+    try:
+        size, dim = map(ascii_int, split_fields(header, 1, path, 2))
+    except ValueError:
+        raise ParseError(f"{path}: line 1: malformed header {header!r}") from None
+    if size < 0 or dim < 1:
+        raise ParseError(f"{path}: line 1: invalid sizes in header {header!r}")
+    space = EmbeddingSpace(dim, name=name)
+    for lineno, line in lines:
+        token, *values = split_fields(line, lineno, path, dim + 1)
+        if token in space:
+            raise ParseError(f"{path}: line {lineno}: duplicate token {token!r}")
+        space.add(token, written_floats(values, lineno, path))
+    if len(space) != size:
+        raise ParseError(f"{path}: header declares {size} rows but {len(space)} were read")
+    return space
 
 
 def all_strings(alphabet, max_len):

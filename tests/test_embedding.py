@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import os
 import re
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     assert_prefixes_refused_or_whole,
     finite_values,
+    load_space_oracle,
     per_slot_descend_oracle,
     per_slot_loss_and_grads_oracle,
     round_trip,
@@ -30,6 +34,7 @@ from sememevec.embedding import (
     _summed,
     corpus_to_characters,
     cosine,
+    format_vector,
     load_space,
     negative_sampling_loss_and_grads,
     save_space,
@@ -75,6 +80,27 @@ class TestEmbeddingSpace:
         s.add("a", v)
         v[0] = 99.0
         assert s.get("a")[0] == 1.0
+
+    def test_add_rows_stores_one_copy_of_the_block(self):
+        s = EmbeddingSpace(2)
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        s.add_rows(["a", "b"], rows)
+        rows[0, 0] = 99.0
+        assert s.tokens == ["a", "b"] and np.array_equal(s.get("a"), [1.0, 2.0])
+        assert s.get("a").base is s.get("b").base
+        s.add_rows([], np.empty((0, 2)))
+        assert len(s) == 2
+
+    @pytest.mark.parametrize("tokens, rows, message", [
+        (["a"], [[1.0, 2.0], [3.0, 4.0]], r"rows of shape \(2, 2\), expected \(1, 2\)"),
+        (["a", "b"], [[1.0, 2.0], [3.0, np.inf]], "vector for 'b' has non-finite components"),
+        (["a", ""], [[1.0, 2.0], [3.0, 4.0]], "empty token"),
+    ])
+    def test_add_rows_refuses_the_whole_block(self, tokens, rows, message):
+        s = EmbeddingSpace(2)
+        with pytest.raises(ValueError, match=message):
+            s.add_rows(tokens, rows)
+        assert len(s) == 0
 
 
 class TestCosine:
@@ -794,6 +820,22 @@ class TestSerialization:
         with pytest.raises(ParseError, match=f"line {line}: expected 3 fields, got 0"):
             load_space(str(p))
 
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_fault_before_an_undecodable_line_is_named_first(self, tmp_path, monkeypatch, rows):
+        # the undecodable line is read within the faulty row's batch or a later one
+        monkeypatch.setattr(embedding, "LOAD_ROWS", rows)
+        p = tmp_path / "v.vec"
+        p.write_bytes(b"3 2\na 1 2\nb 1 1_0\n\xff 1 2\n")
+        with pytest.raises(ParseError, match="line 3: malformed number '1_0'"):
+            load_space(str(p))
+
+    def test_huge_dimension_header_refused_at_the_first_row(self, tmp_path):
+        # a row pattern repeating its decimal dim times would not compile
+        p = tmp_path / "v.vec"
+        p.write_text("1 10000000000\na 1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: expected 10000000001 fields, got 2"):
+            load_space(str(p))
+
     def test_wrong_field_count(self, tmp_path):
         p = tmp_path / "v.vec"
         p.write_text("1 3\na 1.0 2.0\n", encoding="utf-8")
@@ -885,3 +927,119 @@ def test_space_round_trip_keeps_order_and_settles(data):
     for tok, vec in space.items():
         assert np.allclose(once.get(tok), vec, rtol=1e-8, atol=0.0)
         assert twice.get(tok).tobytes() == once.get(tok).tobytes()
+
+
+def _written(token, values, sep=" ", end="\n"):
+    return (token + sep + " ".join(values) + end).encode("utf-8")
+
+
+# each rewrites a well-written row, given its token, its values' texts and
+# the token of an earlier row, into the bytes of a line
+ROW_FAULTS = {
+    "underscore": lambda t, vs, e: _written(t, vs[:-1] + ["1_0"]),
+    "no leading digit": lambda t, vs, e: _written(t, vs[:-1] + [".5"]),
+    "capital exponent": lambda t, vs, e: _written(t, vs[:-1] + ["1E+5"]),
+    "nan": lambda t, vs, e: _written(t, vs[:-1] + ["nan"]),
+    "overflow": lambda t, vs, e: _written(t, vs[:-1] + ["1e+999"]),
+    "duplicate": lambda t, vs, e: _written(e, vs),
+    "missing field": lambda t, vs, e: _written(t, vs[:-1]),
+    "tab": lambda t, vs, e: _written(t, vs, sep="\t"),
+    "U+3000": lambda t, vs, e: _written(t, vs, sep="\u3000"),
+    "run of spaces": lambda t, vs, e: _written(t, vs, sep="  "),
+    "invalid UTF-8": lambda t, vs, e: b"\xff" + _written(t, vs),
+    "CRLF": lambda t, vs, e: _written(t, vs, end="\r\n"),
+}
+
+
+def _loaded_alike(path):
+    """load_space and load_space_oracle of path raise the same ParseError or
+    load the same tokens, in order, to bit-identical rows."""
+    try:
+        want = load_space_oracle(path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            load_space(path)
+        assert str(got.value) == str(exc)
+        return
+    back = load_space(path)
+    assert back.tokens == want.tokens and back.dim == want.dim
+    for tok, vec in want.items():
+        assert back.get(tok).tobytes() == vec.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_batched_load_matches_the_per_row_oracle_across_batches(data):
+    # one or two faults on the rows either side of a batch boundary: the
+    # first faulty line names the error, whichever batch holds it
+    batch = data.draw(st.integers(2, 5))
+    n = data.draw(st.integers(batch + 1, 4 * batch + 1))
+    dim = data.draw(st.integers(1, 3))
+    toks = data.draw(st.lists(tokens, min_size=n, max_size=n, unique=True))
+    rows = [format_vector(np.array(data.draw(st.lists(finite_values, min_size=dim,
+                                                          max_size=dim)))).split(" ")
+            for _ in range(n)]
+    near = sorted({i for k in range(batch, n + 1, batch) for i in (k - 1, k, k + 1) if i < n})
+    faults = data.draw(st.dictionaries(st.sampled_from(near), st.sampled_from(sorted(ROW_FAULTS)),
+                                       max_size=2))
+    lines = [f"{n} {dim}\n".encode("utf-8")]
+    for i, (tok, vals) in enumerate(zip(toks, rows)):
+        earlier = toks[data.draw(st.integers(0, i - 1))] if i else tok
+        lines.append(ROW_FAULTS[faults[i]](tok, vals, earlier) if i in faults
+                     else _written(tok, vals))
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedding, "LOAD_ROWS", batch)
+        path = os.path.join(d, "v.vec")
+        with open(path, "wb") as fh:
+            fh.write(b"".join(lines))
+        _loaded_alike(path)
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e308]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(finite_values, max_size=40), digits=st.sampled_from([9, 17]))
+def test_batched_parse_is_float_exact(values, digits):
+    # numpy's parse must round every written decimal as float() does; the
+    # per-row path, which parses by float(), must not be reached
+    texts = [f"{x:.{digits}g}" for x in values + EDGE_VALUES]
+    texts += ["0"] * (-len(texts) % 4)
+    rows = [texts[i:i + 4] for i in range(0, len(texts), 4)]
+
+    def per_row_path(*args):
+        raise AssertionError("a written row left the batched path")
+
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedding, "LOAD_ROWS", 3)
+        mp.setattr(embedding, "written_floats", per_row_path)
+        path = os.path.join(d, "v.vec")
+        with open(path, "wb") as fh:
+            fh.write(f"{len(rows)} 4\n".encode() + b"".join(
+                _written(f"w{i}", row) for i, row in enumerate(rows)))
+        space = load_space(path)
+    for i, row in enumerate(rows):
+        assert space.get(f"w{i}").tobytes() == np.array(list(map(float, row))).tobytes()
+
+
+def test_loading_holds_one_batch_at_a_time(tmp_path, monkeypatch):
+    # the memory a load holds beyond the space it returns is set by the
+    # batch, not by the file: 4x the rows may add at most a quarter
+    monkeypatch.setattr(embedding, "LOAD_ROWS", 64)
+    rng = np.random.default_rng(5)
+    path = str(tmp_path / "v.vec")
+    transient = []
+    for n in (256, 1024):
+        space = EmbeddingSpace(32)
+        space.add_rows([f"w{i}" for i in range(n)], rng.standard_normal((n, 32)))
+        save_space(space, path)
+        held = []
+
+        def load():
+            back = load_space(path)
+            held.append(tracemalloc.get_traced_memory()[0])
+            return back
+
+        transient.append(traced_peak(load) - held[0])
+    assert transient[1] < 1.25 * transient[0]
