@@ -821,12 +821,19 @@ class TestSerialization:
             load_space(str(p))
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
-    def test_fault_before_an_undecodable_line_is_named_first(self, tmp_path, monkeypatch, rows):
+    @pytest.mark.parametrize("text, fault", [
+        (b"3 2\na 1 2\nb 1 1_0\n\xff 1 2\n", "malformed number '1_0'"),
+        # an overflow matches the row pattern, so only its batch's parse finds it
+        (b"3 2\na 1 2\nb 1 1e+999\n\xff 1 2\n", "non-finite value"),
+        (b"4 2\na 1 2\nb 1 1e+999\nc 1 1_0\n\xff 1 2\n", "non-finite value"),
+    ], ids=["malformed", "overflow", "overflow-then-malformed"])
+    def test_fault_before_an_undecodable_line_is_named_first(self, tmp_path, monkeypatch,
+                                                             rows, text, fault):
         # the undecodable line is read within the faulty row's batch or a later one
         monkeypatch.setattr(embedding, "LOAD_ROWS", rows)
         p = tmp_path / "v.vec"
-        p.write_bytes(b"3 2\na 1 2\nb 1 1_0\n\xff 1 2\n")
-        with pytest.raises(ParseError, match="line 3: malformed number '1_0'"):
+        p.write_bytes(text)
+        with pytest.raises(ParseError, match=f"line 3: {fault}"):
             load_space(str(p))
 
     def test_huge_dimension_header_refused_at_the_first_row(self, tmp_path):
