@@ -1,10 +1,11 @@
 """Rank-correlation scoring for word similarity and span P/R/F for tagging."""
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import ParseError, finite_floats, plain_word, tab_fields
+from .corpus import ParseError, plain_word, tab_fields
 from .embedding import cosine
 from .tagger import repair_bi
 
@@ -45,8 +46,14 @@ def load_judgements(path):
     for lineno, (a, b, raw) in tab_fields(path, 3):
         if not b:
             raise ParseError(f"{path}: line {lineno}: empty word")
-        pairs.append((plain_word(a, lineno, path), plain_word(b, lineno, path),
-                      finite_floats([raw], lineno, path)[0]))
+        a, b = plain_word(a, lineno, path), plain_word(b, lineno, path)
+        try:
+            score = float(raw)
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: non-numeric value") from None
+        if not math.isfinite(score):
+            raise ParseError(f"{path}: line {lineno}: non-finite value")
+        pairs.append((a, b, score))
     return pairs
 
 

@@ -1,20 +1,28 @@
 """Shared brute-force oracles, written independently of the library code
 or kept from the simpler code a faster path replaced, the strategies and file
-helper of the round-trip property tests, and the tracemalloc helper of the
-memory guards."""
+helper of the round-trip property tests, the tracemalloc helper of the
+memory guards, and the run of the README's CLI walkthrough."""
 
 import functools
+import io
 import math
 import os
+import pathlib
+import re
+import shlex
 import string
+import subprocess
 import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from sememevec.cli import main
 from sememevec.corpus import (
     Corpus,
     ParseError,
@@ -38,6 +46,7 @@ with warnings.catch_warnings():
         pass
 
 pytest_plugins = ["pytester"]
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @functools.lru_cache(maxsize=None)
@@ -295,3 +304,37 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def readme_blocks(heading, lang):
+    """Every ```lang block of the README section under "## heading"."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{lang}\n(.*?)```", section, re.S)
+
+
+@pytest.fixture(scope="session")
+def walkthrough(tmp_path_factory):
+    """The README's CLI walkthrough, run once beside a link to data/: its out/
+    directory and [command, exit code, stdout, stderr] of each command. A
+    sememevec line runs in-process through cli.main, NAME=value sets $NAME
+    and bash -ec runs any other line, so no command is spelled here."""
+    directory = tmp_path_factory.mktemp("walkthrough")
+    (directory / "data").symlink_to(ROOT / "data")
+    variables, record = {}, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(directory)
+        for block in readme_blocks("CLI walkthrough", "sh"):
+            for line in re.sub(r"\\\n\s*", "", block).splitlines():
+                if re.match(r"\w+=", line):
+                    variables.update([shlex.split(line)[0].split("=", 1)])
+                elif line.startswith("sememevec "):
+                    out, err = io.StringIO(), io.StringIO()
+                    with redirect_stdout(out), redirect_stderr(err):
+                        code = main(shlex.split(string.Template(line).substitute(variables))[1:])
+                    record.append([line, code, out.getvalue(), err.getvalue()])
+                elif line and not line.startswith("#"):
+                    run = subprocess.run(["bash", "-ec", line], env={**os.environ, **variables},
+                                         capture_output=True, text=True)
+                    record.append([line, run.returncode, run.stdout, run.stderr])
+    return directory / "out", record

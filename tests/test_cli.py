@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sememevec.cli
-from conftest import traced_peak
+from conftest import ROOT, traced_peak
 from sememevec.cli import main
 from sememevec.corpus import load_corpus, load_tagged_corpus
 from sememevec.embedding import format_vector, load_space
@@ -29,40 +29,10 @@ def tag_argv(artifacts, corpus):
             "--sememe-space", artifacts["sememe"], "--corpus", corpus]
 
 
-@pytest.fixture(scope="module")
-def artifacts(tmp_path_factory):
-    """One small end-to-end run over the bundled toy dataset."""
-    d = tmp_path_factory.mktemp("toy-artifacts")
-    paths = {
-        "words": str(d / "words.vec"),
-        "chars": str(d / "chars.vec"),
-        "sememe": str(d / "sememe.vec"),
-        "sim": str(d / "sim.model"),
-        "combined": str(d / "combined.vec"),
-        "tagger": str(d / "tagger.model"),
-        "tagged": str(d / "tagged.txt"),
-    }
-    fast = ["--dim", "12", "--epochs", "2", "--seed", "11"]
-    assert main(["train-embeddings", "--corpus", data("corpus.txt"),
-                 "--out", paths["words"], *fast]) == 0
-    assert main(["train-char-embeddings", "--corpus", data("corpus.txt"),
-                 "--out", paths["chars"], *fast]) == 0
-    assert main(["build-sememe-space", "--corpus", data("corpus.txt"),
-                 "--lexicon", data("lexicon.tsv"), "--out", paths["sememe"], *fast]) == 0
-    assert main(["train-simmodel", "--thesaurus", data("thesaurus.tsv"),
-                 "--out", paths["sim"], "--positive", "25", "--negative", "25",
-                 "--epochs", "20", "--seed", "2"]) == 0
-    assert main(["revise", "--space", paths["words"], "--model", paths["sim"],
-                 "--corpus", data("corpus.txt"), "--out", paths["combined"]]) == 0
-    assert main(["train-tagger", "--tagged", data("tagged_train.txt"),
-                 "--word-space", paths["combined"], "--char-space", paths["chars"],
-                 "--lexicon", data("lexicon.tsv"), "--sememe-space", paths["sememe"],
-                 "--out", paths["tagger"], "--lam", "1e-6", "--max-iter", "3000"]) == 0
-    assert main(["tag", "--model", paths["tagger"], "--word-space", paths["combined"],
-                 "--char-space", paths["chars"], "--lexicon", data("lexicon.tsv"),
-                 "--sememe-space", paths["sememe"], "--corpus", data("corpus.txt"),
-                 "--out", paths["tagged"]]) == 0
-    return paths
+@pytest.fixture
+def artifacts(walkthrough):
+    """The README walkthrough's out/ files by stem: "words" for words.vec."""
+    return {path.stem: str(path) for path in walkthrough[0].iterdir()}
 
 
 class TestUsageErrors:
@@ -306,24 +276,15 @@ class TestArtifacts:
         assert model.scheme.labels == ["O", "B-Date", "I-Date", "B-Time", "I-Time"]
         assert model.spec.use_hownet and model.spec.use_char
 
-    def test_readme_quotes_the_walkthrough_fit_note(self, artifacts, tmp_path, capsys):
-        # the walkthrough's train-tagger, at the default --max-iter, on the
-        # sources it trains: its comment quotes the note this prints
-        with open(os.path.join(DATA, os.pardir, os.pardir, "README.md"),
-                  encoding="utf-8") as fh:
-            readme = re.sub(r"\n#\s+", " ", fh.read())
+    def test_readme_quotes_the_walkthrough_fit_note(self, walkthrough):
+        # the walkthrough's train-tagger comment quotes the note it prints
+        readme = re.sub(r"\n#\s+", " ", (ROOT / "README.md").read_text(encoding="utf-8"))
         quote = re.search(r'"(\d+) iterations, stopped on tol, (\d+) loss-and-gradient '
                           r'evaluations, \.\.\., gradient inf-norm (\S+)"', readme)
-        assert quote is not None
-        capsys.readouterr()
-        assert main(["train-tagger", "--tagged", data("tagged_train.txt"),
-                     "--word-space", artifacts["combined"], "--char-space", artifacts["chars"],
-                     "--lexicon", data("lexicon.tsv"), "--sememe-space", artifacts["sememe"],
-                     "--out", str(tmp_path / "t.model"), "--lam", "1e-6"]) == 0
+        [err] = [e[3] for e in walkthrough[1] if e[0].startswith("sememevec train-tagger ")]
         note = re.search(r"\[train-tagger\] (\d+) iterations, stopped on tol, (\d+) "
                          r"loss-and-gradient evaluations, final loss \S+, "
-                         r"gradient inf-norm (\S+)\n", capsys.readouterr().err)
-        assert note is not None
+                         r"gradient inf-norm (\S+)\n", err)
         assert note.groups() == quote.groups()
 
     def test_tagged_output_well_formed(self, artifacts):
@@ -409,7 +370,7 @@ class TestArtifacts:
 
 
 class TestConfigFile:
-    def test_file_sets_defaults_flags_override(self, tmp_path):
+    def test_file_sets_defaults_flags_override(self, tmp_path, artifacts):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# comment\ndim=7\nepochs=1\nseed=5\n", encoding="utf-8")
         a = tmp_path / "a.vec"
@@ -421,6 +382,8 @@ class TestConfigFile:
         assert main(["train-embeddings", "--corpus", data("corpus.txt"),
                      "--out", str(b), "--config", str(cfg), "--dim", "4"]) == 0
         assert load_space(str(b)).dim == 4
+        # the walkthrough's train.conf spells its $FAST flags
+        assert filecmp.cmp(artifacts["words2"], artifacts["words"], shallow=False)
 
     @pytest.mark.parametrize("text, line, key", [
         ("dim=12\nepochs=1\ndim=4\n", 3, "dim"),

@@ -826,7 +826,10 @@ class TestSerialization:
         # an overflow matches the row pattern, so only its batch's parse finds it
         (b"3 2\na 1 2\nb 1 1e+999\n\xff 1 2\n", "non-finite value"),
         (b"4 2\na 1 2\nb 1 1e+999\nc 1 1_0\n\xff 1 2\n", "non-finite value"),
-    ], ids=["malformed", "overflow", "overflow-then-malformed"])
+        (b"3 2\na 1 2\nb 1_0 x\n\xff 1 2\n", "malformed number '1_0'"),
+        (b"3 2\na 1 2\nb x 1_0\n\xff 1 2\n", "could not convert string to float: 'x'"),
+    ], ids=["malformed", "overflow", "overflow-then-malformed", "malformed-then-non-numeric",
+            "non-numeric-then-malformed"])
     def test_fault_before_an_undecodable_line_is_named_first(self, tmp_path, monkeypatch,
                                                              rows, text, fault):
         # the undecodable line is read within the faulty row's batch or a later one
