@@ -17,9 +17,6 @@ class ParseError(ValueError):
 # -?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?, the one spelling "%.9g" and "%.17g"
 # give a finite float; re matches "(?:x|)" about a third faster than "(?:x)?"
 _DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+|)(?:e[-+][0-9]+|)")
-# a token, then written decimals, each after one space: a space row's spelling;
-# its fields are counted apart, as re refuses to compile a huge repeat count
-written_row = re.compile(rf"\S+(?: {_DECIMAL.pattern})+").fullmatch
 
 
 def written_float(text):

@@ -34,7 +34,6 @@ from .corpus import (
     iter_written_lines,
     split_fields,
     written_floats,
-    written_row,
 )
 
 LR_FLOOR_FRACTION = 1e-4
@@ -46,6 +45,13 @@ SPAN_TOKENS = 1 << 10
 ROW_RATE_CAP = 1.0
 # the rows load_space reads, checks and converts at once, bounding its memory
 LOAD_ROWS = 1 << 10
+# load_space's spelling check of a batch's values, joined by single spaces and
+# framed by one: each byte's class, "0" for every digit and 0 for a byte no
+# written value holds, then the class pairs of -?D+(\.D+|e[-+]D+)*, D a run of
+# digits, as little-endian uint16 codes. np.loadtxt takes only _DECIMAL of those
+_BYTE_CLASS = bytes(b if b in b"-.e+ " else 48 if 48 <= b <= 57 else 0 for b in range(256))
+_PAIR_OK = np.zeros(1 << 16, bool)
+_PAIR_OK[np.frombuffer(b"000.0e0  0 --0.0e-e++0", "<u2")] = True
 ARCHITECTURES = ("skipgram", "cbow")
 
 
@@ -303,36 +309,64 @@ def train_embeddings(corpus, config, name="original"):
     return space
 
 
+# a value as save_space writes it, after one space: 9 significant digits
+_VALUE = " %.9g"
+
+
 def format_vector(vec):
-    """A vector's values as a save_space row holds them: 9 significant digits."""
-    # Python floats format faster than numpy scalars, to the same text
-    return " ".join(f"{x:.9g}" for x in vec.tolist())
+    """A vector's values as a save_space row holds them, one space apart."""
+    # one % over Python floats, which format faster than numpy scalars
+    return (_VALUE * len(vec))[1:] % tuple(vec.tolist())
 
 
 def save_space(space, path):
     """Write the word2vec text format: "vocab dim" header, then one token row."""
     with atomic_text_writer(path) as fh:
         fh.write(f"{len(space)} {space.dim}\n")
+        row = "%s" + _VALUE * space.dim + "\n"
         for token, vec in space.items():
             if has_whitespace(token):
                 raise ValueError(
                     f"token {token!r} contains whitespace and cannot be serialized"
                 )
-            fh.write(token + " " + format_vector(vec) + "\n")
+            fh.write(row % (token, *vec.tolist()))
+
+
+def _batch_rows(tokens, lines, dim):
+    """The (len(lines), dim) values of lines, each its token then dim values
+    after one space each, if no token is empty or holds whitespace and every
+    value is spelled -?D+(\\.D+)?(e[-+]D+)? as _DECIMAL is; otherwise None."""
+    if not all(tokens) or has_whitespace("".join(tokens)):
+        return None
+    values = " ".join([line[len(token) + 1:] for token, line in zip(tokens, lines)])
+    codes = f" {values} ".encode().translate(_BYTE_CLASS)
+    # every adjacent pair, at even offsets and then at odd ones
+    if not (_PAIR_OK[np.frombuffer(codes, "<u2", len(codes) // 2)].all()
+            and _PAIR_OK[np.frombuffer(codes, "<u2", (len(codes) - 1) // 2, 1)].all()):
+        return None
+    try:
+        return np.loadtxt(lines, delimiter=" ", comments=None, usecols=range(1, dim + 1),
+                          ndmin=2)
+    except ValueError:  # such as 1.2.3, 1e-5e-5 or 1e-5.3, whose pairs all pass
+        return None
 
 
 def _flush_batch(space, batch, path):
-    """Add batch, {token: (lineno, line)} of lines written_row matched, to
-    space through one parse and empty it; ParseError names a non-finite row's line."""
+    """Add batch, {token: (lineno, line)} of lines with a new token and
+    space.dim spaces, to space through one check and one parse and empty it;
+    ParseError names the first faulty line."""
     if not batch:
         return
     tokens, read = list(batch), list(batch.values())
     batch.clear()
-    rows = np.loadtxt([line for _, line in read], delimiter=" ", comments=None,
-                      usecols=range(1, space.dim + 1), ndmin=2)
+    rows = _batch_rows(tokens, [line for _, line in read], space.dim)
+    if rows is None:
+        # a refused batch: the per-row checks find its first faulty line
+        for lineno, line in read:
+            written_floats(split_fields(line, lineno, path, space.dim + 1)[1:], lineno, path)
     try:
         space.add_rows(tokens, rows)
-    except ValueError:  # an overflow such as 1e+999, the one non-finite value written_row admits
+    except ValueError:  # an overflow such as 1e+999, the one non-finite value _DECIMAL admits
         lineno = read[np.isfinite(rows).all(axis=1).argmin()][0]
         raise ParseError(f"{path}: line {lineno}: non-finite value") from None
 
@@ -356,19 +390,16 @@ def load_space(path, name=""):
             # only the token is cut from a line: a string made and freed per line
             # between the held lines cost tag-stream up to 4.5 MB of peak RSS
             token = line[:line.find(" ")]
-            if (token in batch or token in space or line.count(" ") != dim
-                    or not written_row(line)):
-                # a refused line: every line the per-row checks accept is a good row
-                token, *values = split_fields(line, lineno, path, dim + 1)
-                if token in batch or token in space:
-                    raise ParseError(f"{path}: line {lineno}: duplicate token {token!r}")
-                written_floats(values, lineno, path)
+            if token in batch or token in space or line.count(" ") != dim:
+                # split_fields names a wrong field count, or else the token repeats
+                split_fields(line, lineno, path, dim + 1)
+                raise ParseError(f"{path}: line {lineno}: duplicate token {token!r}")
             batch[token] = lineno, line
             if len(batch) == LOAD_ROWS:
                 _flush_batch(space, batch, path)
     except ParseError:
         # a refused or undecodable line waits for the rows before it, so an
-        # earlier non-finite row is named first
+        # earlier faulty row is named first
         _flush_batch(space, batch, path)
         raise
     _flush_batch(space, batch, path)

@@ -188,8 +188,10 @@ def train_perceptron(pairs, epochs):
     """Classic perceptron over (lcs, edit, cos) features, zero-initialized.
 
     Prediction is 1 when w.x + b > 0; updates w += (y - yhat)*x and
-    b += (y - yhat), in the given pair order for a fixed epoch count. From
-    zero, a learning rate would only scale w and b, so there is none.
+    b += (y - yhat), in the given pair order for at most `epochs` epochs.
+    An epoch without an update leaves w and b as they are, so every later
+    one would repeat it, and training stops after it. From zero, a learning
+    rate would only scale w and b, so there is none.
     """
     if not pairs:
         raise ValueError("no training pairs")
@@ -200,12 +202,16 @@ def train_perceptron(pairs, epochs):
     w = np.zeros(3)
     b = 0.0
     for _ in range(epochs):
+        updated = False
         for x, pair in zip(feats, pairs):
             predicted = 1 if w @ x + b > 0 else 0
             err = pair.label - predicted
             if err:
                 w = w + err * x
                 b = b + err
+                updated = True
+        if not updated:
+            break
     return SimilarityModel(float(w[0]), float(w[1]), float(w[2]), float(b))
 
 

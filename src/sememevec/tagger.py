@@ -107,12 +107,13 @@ def assemble_features(sentence, i, word_space, hownet_fn, char_space, spec):
     Context slots outside the sentence and tokens without a vector contribute
     zero blocks. Enabled blocks require their source: the word space for
     context, a hownet callable, the character space for the last character.
+    The blocks' float64 bytes are joined into one writable row.
     """
     if not 0 <= i < len(sentence):
         raise IndexError(f"position {i} out of range for sentence of length {len(sentence)}")
     d = spec.dim
-    zero = np.zeros(d)
-    parts = []
+    zero = bytes(8 * d)
+    blocks = []
     if spec.use_context:
         if word_space is None:
             raise ValueError("context features enabled but no word space given")
@@ -123,14 +124,19 @@ def assemble_features(sentence, i, word_space, hownet_fn, char_space, spec):
         for off in range(-spec.window_radius, spec.window_radius + 1):
             j = i + off
             vec = word_space.get(sentence[j]) if 0 <= j < len(sentence) else None
-            parts.append(vec if vec is not None else zero)
+            blocks.append(zero if vec is None else vec)
     if spec.use_hownet:
         if hownet_fn is None:
             raise ValueError("hownet features enabled but no hownet source given")
         vec = hownet_fn(sentence[i])
-        if vec is not None and len(vec) != d:
-            raise ValueError(f"hownet vector length {len(vec)} != feature dim {d}")
-        parts.append(vec if vec is not None else zero)
+        if vec is not None:
+            if len(vec) != d:
+                raise ValueError(f"hownet vector length {len(vec)} != feature dim {d}")
+            # a float32 vector, a list or a strided view would join other bytes
+            vec = np.ascontiguousarray(vec, dtype=np.float64)
+            if vec.ndim != 1:
+                raise ValueError(f"hownet vector of {vec.ndim} axes, not 1")
+        blocks.append(zero if vec is None else vec)
     if spec.use_char:
         if char_space is None:
             raise ValueError("character features enabled but no character space given")
@@ -139,20 +145,17 @@ def assemble_features(sentence, i, word_space, hownet_fn, char_space, spec):
                 f"character space dimension {char_space.dim} != feature dim {d}"
             )
         vec = char_space.get(sentence[i][-1])
-        parts.append(vec if vec is not None else zero)
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate(parts)
+        blocks.append(zero if vec is None else vec)
+    return np.frombuffer(bytearray().join(blocks))
 
 
 def sentence_features(sentence, word_space, hownet_fn, char_space, spec):
     """The (n, spec.feature_length) rows of an n-token sentence, row i being
     assemble_features at position i: the rows training fits and tagging
     predicts on."""
-    x = np.zeros((len(sentence), spec.feature_length))
-    for i in range(len(sentence)):
-        x[i] = assemble_features(sentence, i, word_space, hownet_fn, char_space, spec)
-    return x
+    rows = [assemble_features(sentence, i, word_space, hownet_fn, char_space, spec)
+            for i in range(len(sentence))]
+    return np.frombuffer(bytearray().join(rows)).reshape(len(sentence), spec.feature_length)
 
 
 @dataclass
@@ -416,7 +419,7 @@ def tag_sentence(model, sentence, word_space, hownet_fn, char_space):
     """Independent per-token labels, predicted for all the sentence's feature
     rows at once, followed by BI repair."""
     x = sentence_features(sentence, word_space, hownet_fn, char_space, model.spec)
-    return repair_bi([model.scheme.labels[idx] for idx in predict(model, x)])
+    return repair_bi([model.scheme.labels[idx] for idx in predict(model, x).tolist()])
 
 
 def _flag(text):

@@ -32,6 +32,7 @@ from sememevec.corpus import (
     written_floats,
 )
 from sememevec.embedding import ROW_RATE_CAP, EmbeddingSpace
+from sememevec.morphsim import SimilarityModel, feature_rows, pad_words
 
 # A failing property makes hypothesis's pytest plugin import this module,
 # which imports libcst where it is installed, and libcst's imports raise a
@@ -228,6 +229,25 @@ def load_space_oracle(path, name=""):
     if len(space) != size:
         raise ParseError(f"{path}: header declares {size} rows but {len(space)} were read")
     return space
+
+
+# load_space's row pattern before it checked a batch's bytes at once: a
+# token, then decimals spelled -?D+(\.D+)?(e[-+]D+)?, each after one space
+written_row = re.compile(r"\S+(?: -?[0-9]+(?:\.[0-9]+|)(?:e[-+][0-9]+|))+").fullmatch
+
+
+def train_perceptron_oracle(pairs, epochs):
+    """train_perceptron before it stopped after an epoch without an update:
+    every epoch runs, over each pair's features from its own feature_rows call."""
+    w, b = np.zeros(3), 0.0
+    feats = [feature_rows(pad_words([p.word_a]), pad_words([p.word_b]))[0] for p in pairs]
+    for _ in range(epochs):
+        for x, pair in zip(feats, pairs):
+            err = pair.label - (1 if w @ x + b > 0 else 0)
+            if err:
+                w = w + err * x
+                b = b + err
+    return SimilarityModel(float(w[0]), float(w[1]), float(w[2]), float(b))
 
 
 def all_strings(alphabet, max_len):

@@ -18,6 +18,7 @@ from conftest import (
     round_trip,
     tokens,
     traced_peak,
+    written_row,
 )
 from sememevec import embedding
 from sememevec.corpus import Corpus, ParseError
@@ -27,6 +28,7 @@ from sememevec.embedding import (
     SPAN_TOKENS,
     EmbeddingSpace,
     TrainConfig,
+    _batch_rows,
     _descend,
     _distinct,
     _outputs,
@@ -1009,6 +1011,22 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.22507385850
                1.7976931348623157e308, -1.7976931348623157e308, 1e308]
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(finite_values, min_size=1, max_size=8))
+def test_rows_are_written_as_per_value_f_strings(values):
+    # one % over the row must spell each value as f"{x:.9g}" does
+    values += EDGE_VALUES
+    text = " ".join(f"{x:.9g}" for x in values)
+    assert format_vector(np.array(values)) == text
+    space = EmbeddingSpace(len(values))
+    space.add("w", values)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "v.vec")
+        save_space(space, path)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == f"1 {len(values)}\nw {text}\n"
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(values=st.lists(finite_values, max_size=40), digits=st.sampled_from([9, 17]))
 def test_batched_parse_is_float_exact(values, digits):
@@ -1031,6 +1049,36 @@ def test_batched_parse_is_float_exact(values, digits):
         space = load_space(path)
     for i, row in enumerate(rows):
         assert space.get(f"w{i}").tobytes() == np.array(list(map(float, row))).tobytes()
+
+
+# fields of written numbers' bytes, and of bytes float() or a per-byte check
+# might take for them, none a space; well-written numbers among them
+near_numbers = st.text("0123456789-.e+\tE_\u0661\r", max_size=6) | st.from_regex(
+    r"-?[0-9]{1,3}(\.[0-9]{1,3})?(e[-+][0-9]{1,3})?", fullmatch=True)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_batch_check_with_its_parse_accepts_what_written_row_matches(data):
+    # load_space hands a batch only lines with dim spaces, so each line here
+    # is a token and dim fields; the batch passes only if every line matches
+    dim = data.draw(st.integers(1, 3))
+    lines = [data.draw(near_numbers) + "".join(" " + data.draw(near_numbers) for _ in range(dim))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    tokens = [line[:line.find(" ")] for line in lines]
+    rows = _batch_rows(tokens, lines, dim)
+    assert (rows is not None) == all(map(written_row, lines))
+    if rows is not None:
+        want = [[float(v) for v in line.split(" ")[1:]] for line in lines]
+        assert rows.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("bad", "1e5 +1 .5 1. 1..2 - 1e+ --1 1-2 1_0 \u0661 1.2.3 1e-5e-5 "
+                                "1e-5.3".split())
+def test_batch_check_refuses_what_save_space_cannot_write(bad):
+    for line in (f"w {bad}", f"w 1 {bad}", f"w {bad} 1"):
+        assert not written_row(line)
+        assert _batch_rows(["w"], [line], line.count(" ")) is None
 
 
 def test_loading_holds_one_batch_at_a_time(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     all_strings,
@@ -14,6 +14,7 @@ from conftest import (
     finite_values,
     lcs_len_oracle,
     round_trip,
+    train_perceptron_oracle,
 )
 from sememevec.corpus import ParseError
 from sememevec.morphsim import (
@@ -232,6 +233,17 @@ class TestPerceptron:
     def test_negative_epochs_rejected(self):
         with pytest.raises(ValueError, match="epochs cannot be negative"):
             train_perceptron(separable_pairs(), -1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(pairs=st.lists(st.tuples(st.text("甲乙丙日山", min_size=1, max_size=3),
+                                    st.text("甲乙丙日山", min_size=1, max_size=3),
+                                    st.integers(0, 1)).filter(lambda t: t[0] != t[1]),
+                          min_size=1, max_size=12).map(lambda ts: [TrainingPair(*t) for t in ts]),
+           epochs=st.integers(0, 12))
+    @example(pairs=separable_pairs(), epochs=50)
+    def test_stopping_after_an_epoch_without_update_keeps_the_model(self, pairs, epochs):
+        # separable or not, as random labels mostly make them
+        assert train_perceptron(pairs, epochs) == train_perceptron_oracle(pairs, epochs)
 
 
 class TestScoring:

@@ -169,6 +169,7 @@ class TestFeatureAssembly:
     @pytest.mark.parametrize("source, message", [
         ("no-hownet", "hownet features enabled but no hownet source given"),
         ("hownet-dim", "hownet vector length 5 != feature dim 4"),
+        ("hownet-axes", "hownet vector of 2 axes, not 1"),
         ("no-char", "character features enabled but no character space given"),
         ("char-dim", "character space dimension 5 != feature dim 4"),
     ])
@@ -178,12 +179,27 @@ class TestFeatureAssembly:
             hownet_fn = None
         elif source == "hownet-dim":
             hownet_fn = {"甲日": np.ones(5)}.get
+        elif source == "hownet-axes":
+            hownet_fn = {"甲日": np.ones((4, 2))}.get
         elif source == "no-char":
             chars = None
         else:
             chars = toy_spaces(5)[1]
         with pytest.raises(ValueError, match=message):
             assemble_features(["甲日"], 0, words, hownet_fn, chars, FeatureSpec(dim=4))
+
+    @pytest.mark.parametrize("layout", ["float32", "list", "strided"])
+    def test_hownet_vector_of_any_layout_gives_its_float64_row(self, layout):
+        # the row joins the blocks' bytes, so each must be float64 and contiguous
+        words, chars, _ = toy_spaces()
+        vec = np.random.default_rng(3).normal(0, 1, 8)[::2]
+        given = {"float32": vec.astype(np.float32), "list": vec.tolist(), "strided": vec}[layout]
+        spec = FeatureSpec(dim=4, window_radius=1)
+        f = assemble_features(["甲日"], 0, words, {"甲日": given}.get, chars, spec)
+        want = np.concatenate([np.zeros(4), words.get("甲日"), np.zeros(4),
+                               np.asarray(given, dtype=np.float64), chars.get("日")])
+        assert f.tobytes() == want.tobytes()
+        f[0] = 1.0  # writable, as the concatenated row was
 
 
 def random_problem(seed=23, n=40, d=6, classes=3):
