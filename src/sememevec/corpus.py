@@ -14,9 +14,17 @@ class ParseError(ValueError):
     """An input file does not follow its expected line format."""
 
 
-# -?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?, the one spelling "%.9g" and "%.17g"
-# give a finite float; re matches "(?:x|)" about a third faster than "(?:x)?"
+# A written number is -?D+(\.D+)?(e[-+]D+)?, D a run of ASCII digits: the one
+# spelling "%.9g" and "%.17g" give a finite float. _DECIMAL matches one (re
+# matches "(?:x|)" about a third faster than "(?:x)?"). written_rows checks a
+# block of numbers one space apart, framed by one, at once: _BYTE_CLASS maps
+# each byte to its class, "0" for every digit and 0 for a byte no number holds,
+# and _PAIR_OK marks the class pairs of -?D+(\.D+|e[-+]D+)* as little-endian
+# uint16 codes; np.loadtxt takes only _DECIMAL's spellings of those
 _DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+|)(?:e[-+][0-9]+|)")
+_BYTE_CLASS = bytes(b if b in b"-.e+ " else 48 if 48 <= b <= 57 else 0 for b in range(256))
+_PAIR_OK = np.zeros(1 << 16, bool)
+_PAIR_OK[np.frombuffer(b"000.0e0  0 --0.0e-e++0", "<u2")] = True
 
 
 def written_float(text):
@@ -37,6 +45,30 @@ def written_floats(values, lineno, path):
         return list(map(written_float, values))
     except ValueError as exc:
         raise ParseError(f"{path}: line {lineno}: {exc}") from None
+
+
+def written_rows(read, width, path):
+    """The (len(read), width) float64 rows of read, (lineno, text) pairs whose
+    texts each hold width written numbers one space apart, by one byte check
+    and one parse; ParseError names the first faulty line."""
+    texts = [text for _, text in read]
+    codes = f" {' '.join(texts)} ".encode().translate(_BYTE_CLASS)
+    # every adjacent pair, at even offsets and then at odd ones
+    spelled = (_PAIR_OK[np.frombuffer(codes, "<u2", len(codes) // 2)].all()
+               and _PAIR_OK[np.frombuffer(codes, "<u2", (len(codes) - 1) // 2, 1)].all())
+    del codes
+    try:
+        rows = np.loadtxt(texts, delimiter=" ", comments=None, ndmin=2) if spelled else None
+    except ValueError:  # such as 1.2.3, 1e-5e-5 or 1e-5.3, whose pairs all pass
+        rows = None
+    if rows is None or rows.shape != (len(read), width):
+        # a refused block: the per-row checks find its first faulty line
+        rows = np.array([written_floats(split_fields(text, lineno, path, width), lineno, path)
+                         for lineno, text in read])
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():  # an overflow such as 1e+999, the one non-finite value _DECIMAL admits
+        raise ParseError(f"{path}: line {read[finite.argmin()][0]}: non-finite value")
+    return rows
 
 
 def next_line(lines, path, expected):

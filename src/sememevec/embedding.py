@@ -33,7 +33,7 @@ from .corpus import (
     has_whitespace,
     iter_written_lines,
     split_fields,
-    written_floats,
+    written_rows,
 )
 
 LR_FLOOR_FRACTION = 1e-4
@@ -45,13 +45,6 @@ SPAN_TOKENS = 1 << 10
 ROW_RATE_CAP = 1.0
 # the rows load_space reads, checks and converts at once, bounding its memory
 LOAD_ROWS = 1 << 10
-# load_space's spelling check of a batch's values, joined by single spaces and
-# framed by one: each byte's class, "0" for every digit and 0 for a byte no
-# written value holds, then the class pairs of -?D+(\.D+|e[-+]D+)*, D a run of
-# digits, as little-endian uint16 codes. np.loadtxt takes only _DECIMAL of those
-_BYTE_CLASS = bytes(b if b in b"-.e+ " else 48 if 48 <= b <= 57 else 0 for b in range(256))
-_PAIR_OK = np.zeros(1 << 16, bool)
-_PAIR_OK[np.frombuffer(b"000.0e0  0 --0.0e-e++0", "<u2")] = True
 ARCHITECTURES = ("skipgram", "cbow")
 
 
@@ -332,43 +325,16 @@ def save_space(space, path):
             fh.write(row % (token, *vec.tolist()))
 
 
-def _batch_rows(tokens, lines, dim):
-    """The (len(lines), dim) values of lines, each its token then dim values
-    after one space each, if no token is empty or holds whitespace and every
-    value is spelled -?D+(\\.D+)?(e[-+]D+)? as _DECIMAL is; otherwise None."""
-    if not all(tokens) or has_whitespace("".join(tokens)):
-        return None
-    values = " ".join([line[len(token) + 1:] for token, line in zip(tokens, lines)])
-    codes = f" {values} ".encode().translate(_BYTE_CLASS)
-    # every adjacent pair, at even offsets and then at odd ones
-    if not (_PAIR_OK[np.frombuffer(codes, "<u2", len(codes) // 2)].all()
-            and _PAIR_OK[np.frombuffer(codes, "<u2", (len(codes) - 1) // 2, 1)].all()):
-        return None
-    try:
-        return np.loadtxt(lines, delimiter=" ", comments=None, usecols=range(1, dim + 1),
-                          ndmin=2)
-    except ValueError:  # such as 1.2.3, 1e-5e-5 or 1e-5.3, whose pairs all pass
-        return None
-
-
 def _flush_batch(space, batch, path):
-    """Add batch, {token: (lineno, line)} of lines with a new token and
-    space.dim spaces, to space through one check and one parse and empty it;
-    ParseError names the first faulty line."""
+    """Add batch, {token: (lineno, line)} of lines read and checked with a new
+    token, to space through one written_rows call and empty it; ParseError
+    names the first faulty line."""
     if not batch:
         return
-    tokens, read = list(batch), list(batch.values())
+    tokens = list(batch)
+    read = [(lineno, line[len(token) + 1:]) for token, (lineno, line) in batch.items()]
     batch.clear()
-    rows = _batch_rows(tokens, [line for _, line in read], space.dim)
-    if rows is None:
-        # a refused batch: the per-row checks find its first faulty line
-        for lineno, line in read:
-            written_floats(split_fields(line, lineno, path, space.dim + 1)[1:], lineno, path)
-    try:
-        space.add_rows(tokens, rows)
-    except ValueError:  # an overflow such as 1e+999, the one non-finite value _DECIMAL admits
-        lineno = read[np.isfinite(rows).all(axis=1).argmin()][0]
-        raise ParseError(f"{path}: line {lineno}: non-finite value") from None
+    space.add_rows(tokens, written_rows(read, space.dim, path))
 
 
 def load_space(path, name=""):
@@ -390,8 +356,10 @@ def load_space(path, name=""):
             # only the token is cut from a line: a string made and freed per line
             # between the held lines cost tag-stream up to 4.5 MB of peak RSS
             token = line[:line.find(" ")]
-            if token in batch or token in space or line.count(" ") != dim:
-                # split_fields names a wrong field count, or else the token repeats
+            if (token in batch or token in space or line.count(" ") != dim or not token
+                    or has_whitespace(token) or line.endswith(" ")):
+                # split_fields names an empty token or field, whitespace but the
+                # space, or a wrong field count; or else the token repeats
                 split_fields(line, lineno, path, dim + 1)
                 raise ParseError(f"{path}: line {lineno}: duplicate token {token!r}")
             batch[token] = lineno, line

@@ -22,9 +22,8 @@ from .corpus import (
     header_value,
     iter_written_lines,
     next_line,
-    split_fields,
     written_float,
-    written_floats,
+    written_rows,
 )
 
 
@@ -487,11 +486,9 @@ def load_tagger(path):
         lineno, line = next_line(lines, path, f"'{name}'")
         if line != name:
             raise ParseError(f"{path}: line {lineno}: expected '{name}', got {line!r}")
-        rows = []
-        for _ in range(n_rows):
-            lineno, line = next_line(lines, path, what)
-            rows.append(written_floats(split_fields(line, lineno, path, width), lineno, path))
-        return np.array(rows, dtype=np.float64)
+        # one row at a time, so a fault is named in file order
+        return np.concatenate([written_rows([next_line(lines, path, what)], width, path)
+                               for _ in range(n_rows)])
 
     scheme, radius, use_context, use_hownet, use_char, dim, lam, n_features = (
         header_value(lines, path, key, parse) for key, _, parse in _HEADER)

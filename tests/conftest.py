@@ -208,6 +208,39 @@ def dense_softmax_loss_and_grads_oracle(weights, bias, features, labels, lam):
     return loss, grad_w, grad_b
 
 
+def per_type_logits_oracle(sentence, word_space, hownet_fn, char_space, model):
+    """The (n, K) logits of a sentence without its feature rows: each enabled
+    block's table of the sentence's types, with a zero row last for a type
+    without a vector and for a context slot outside the sentence, times that
+    block's slice of W, gathered per position and summed, plus the bias."""
+    spec, n, d = model.spec, len(sentence), model.spec.dim
+    index = {tok: k for k, tok in enumerate(dict.fromkeys(sentence))}
+    ids = np.array([index[tok] for tok in sentence])
+
+    def table(vector_of):
+        rows = np.zeros((len(index) + 1, d))
+        for tok, k in index.items():
+            vec = vector_of(tok)
+            if vec is not None:
+                rows[k] = vec
+        return rows
+
+    blocks = []  # (table, each position's row in it), in feature order
+    if spec.use_context:
+        words, at = table(word_space.get), np.arange(n)
+        for off in range(-spec.window_radius, spec.window_radius + 1):
+            inside = (at + off >= 0) & (at + off < n)
+            blocks.append((words, np.where(inside, ids[np.clip(at + off, 0, n - 1)], len(index))))
+    if spec.use_hownet:
+        blocks.append((table(hownet_fn), ids))
+    if spec.use_char:
+        blocks.append((table(lambda tok: char_space.get(tok[-1])), ids))
+    logits = np.tile(model.bias, (n, 1))
+    for b, (rows, gather) in enumerate(blocks):
+        logits += (rows @ model.weights[:, b * d:(b + 1) * d].T)[gather]
+    return logits
+
+
 def load_space_oracle(path, name=""):
     """load_space before it read rows in batches: each row split, checked
     for a duplicate token, parsed by float() and added on its own, so the

@@ -3,7 +3,8 @@
 c11/c12 drive the whole pipeline on a synthetic corpus where every token
 ending in the date character is a single-token Date entity and a fifth of
 the entity occurrences in the held-out part use token types absent from
-embedding training but morphologically similar to seen ones.
+embedding training but morphologically similar to seen ones. c15 scores
+word similarity from HowNet alone, trained sememe vectors against random ones.
 """
 
 import filecmp
@@ -21,6 +22,7 @@ from conftest import (
 )
 from sememevec.corpus import Corpus, TaggedSentence, build_vocabulary
 from sememevec.embedding import (
+    EmbeddingSpace,
     TrainConfig,
     corpus_to_characters,
     cosine,
@@ -28,7 +30,7 @@ from sememevec.embedding import (
     save_space,
     train_embeddings,
 )
-from sememevec.evaluate import span_prf, spans_of_corpus, spearman
+from sememevec.evaluate import eval_similarity, span_prf, spans_of_corpus, spearman
 from sememevec.morphsim import (
     TrainingPair,
     build_pairs,
@@ -485,3 +487,57 @@ def test_c11_fits_only_the_labels_its_training_data_hold(pipeline_runs, seed):
         assert model.scheme.labels == ["O", "B-Date"], name
         assert model.weights.shape == (2, model.spec.feature_length), name
     assert sum(model.evaluations for model in models.values()) <= 175
+
+
+# c15: the paper's third claim, lexical similarity from HowNet alone. Four
+# topics of six sememes each; a word holds two sememes of its topic, and a
+# sentence draws its words from one topic, so sememes co-occur by topic in the
+# replacement copies, as c05's clusters do. Judgement pairs share no sememe,
+# so a pair's cosine is not 1 by construction, and the gold score is 1 within
+# a topic and 0 across. Gates, fixed before any run: HowNet rho on the trained
+# sememe space is at least C15_RHO_FLOOR (a perfect ranking of 30 + 30 pairs
+# reads 0.866); it beats the same lexicon over an N(0, 1) sememe space with
+# the same tokens by at least C15_MARGIN; every pair is scored.
+C15_SEEDS = (1, 2, 3, 5, 7)
+C15_RHO_FLOOR = 0.6
+C15_MARGIN = 0.3
+
+
+def _topic_fixture(seed, topics=4, sememes=6, words=8, pairs=30):
+    """(corpus, lexicon, judgements) of the planted topics at seed."""
+    rng = np.random.default_rng(2000 + seed)
+    lexicon, topic_words = {}, []
+    for t in range(topics):
+        names = [f"义{t}_{k}" for k in range(sememes)]
+        two = [(a, b) for a in range(sememes) for b in range(a + 1, sememes)]
+        own = [f"词{t}_{w}" for w in range(words)]
+        for w, k in zip(own, rng.permutation(len(two))[:words]):
+            lexicon[w] = [names[i] for i in rng.permutation(two[k])]
+        topic_words.append(own)
+    corpus = Corpus([[topic_words[t][i] for i in rng.integers(words, size=6)]
+                     for t in rng.integers(topics, size=400)])
+
+    within = [(a, b) for own in topic_words for i, a in enumerate(own) for b in own[i + 1:]
+              if not set(lexicon[a]) & set(lexicon[b])]
+    across = [(a, b) for s, own in enumerate(topic_words) for other in topic_words[s + 1:]
+              for a in own for b in other]
+    judgements = [(*within[k], 1.0) for k in rng.choice(len(within), pairs, replace=False)]
+    judgements += [(*across[k], 0.0) for k in rng.choice(len(across), pairs, replace=False)]
+    return corpus, lexicon, judgements
+
+
+@pytest.mark.two_blas_threads
+@pytest.mark.parametrize("seed", C15_SEEDS)
+def test_c15_hownet_similarity_beats_a_random_sememe_space(seed):
+    corpus, lexicon, judgements = _topic_fixture(seed)
+    assert not any(set(lexicon[a]) & set(lexicon[b]) for a, b, _ in judgements)
+    cfg = TrainConfig(dim=16, window=3, negative=5, epochs=5, seed=seed)
+    trained = build_sememe_space(corpus, lexicon, cfg, max_rank=2)
+    random = EmbeddingSpace(cfg.dim)
+    random.add_rows(trained.tokens,
+                    np.random.default_rng(seed).standard_normal((len(trained), cfg.dim)))
+    rho, coverage = eval_similarity(hownet_space(lexicon, trained), judgements)
+    control, _ = eval_similarity(hownet_space(lexicon, random), judgements)
+    assert coverage == 1.0
+    assert rho >= C15_RHO_FLOOR
+    assert rho - control >= C15_MARGIN

@@ -20,15 +20,14 @@ from conftest import (
     traced_peak,
     written_row,
 )
-from sememevec import embedding
-from sememevec.corpus import Corpus, ParseError
+from sememevec import corpus, embedding
+from sememevec.corpus import Corpus, ParseError, written_rows
 from sememevec.embedding import (
     ARCHITECTURES,
     BATCH_VALUES,
     SPAN_TOKENS,
     EmbeddingSpace,
     TrainConfig,
-    _batch_rows,
     _descend,
     _distinct,
     _outputs,
@@ -841,6 +840,20 @@ class TestSerialization:
         with pytest.raises(ParseError, match=f"line 3: {fault}"):
             load_space(str(p))
 
+    # lines with the header's space count whose fault is outside their numbers
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("line", [" 1 2", "a\u3000b 1 2", "a\tb 1 2", "c 1 "],
+                             ids=["empty token", "U+3000 in token", "tab in token",
+                                  "trailing space"])
+    def test_line_fault_outside_the_numbers_named_with_its_line(self, tmp_path, monkeypatch,
+                                                                rows, line):
+        monkeypatch.setattr(embedding, "LOAD_ROWS", rows)
+        p = tmp_path / "v.vec"
+        p.write_text(f"3 2\nx 1 2\n{line}\ny 1 2\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_space(str(p))
+        assert str(exc.value) == f"{p}: line 3: fields must be separated by single spaces"
+
     def test_huge_dimension_header_refused_at_the_first_row(self, tmp_path):
         # a row pattern repeating its decimal dim times would not compile
         p = tmp_path / "v.vec"
@@ -1041,7 +1054,7 @@ def test_batched_parse_is_float_exact(values, digits):
 
     with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
         mp.setattr(embedding, "LOAD_ROWS", 3)
-        mp.setattr(embedding, "written_floats", per_row_path)
+        mp.setattr(corpus, "written_floats", per_row_path)
         path = os.path.join(d, "v.vec")
         with open(path, "wb") as fh:
             fh.write(f"{len(rows)} 4\n".encode() + b"".join(
@@ -1057,16 +1070,42 @@ near_numbers = st.text("0123456789-.e+\tE_\u0661\r", max_size=6) | st.from_regex
     r"-?[0-9]{1,3}(\.[0-9]{1,3})?(e[-+][0-9]{1,3})?", fullmatch=True)
 
 
+class _PerRowPath(Exception):
+    pass
+
+
+def _batched(texts, width):
+    """written_rows of texts, one line each, or None where it leaves its one
+    check and parse for the per-row path."""
+    def per_row_path(*args):
+        raise _PerRowPath
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("split_fields", "written_floats"):
+            mp.setattr(corpus, name, per_row_path)
+        try:
+            return written_rows(list(enumerate(texts, start=1)), width, "v.vec")
+        except _PerRowPath:
+            return None
+
+
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_batch_check_with_its_parse_accepts_what_written_row_matches(data):
-    # load_space hands a batch only lines with dim spaces, so each line here
-    # is a token and dim fields; the batch passes only if every line matches
+    # load_space hands written_rows the text after the token of lines with dim
+    # spaces, so each text here is dim fields; the block passes only if every
+    # text, after a token, matches
     dim = data.draw(st.integers(1, 3))
-    lines = [data.draw(near_numbers) + "".join(" " + data.draw(near_numbers) for _ in range(dim))
+    texts = [" ".join(data.draw(near_numbers) for _ in range(dim))
              for _ in range(data.draw(st.integers(1, 3)))]
-    tokens = [line[:line.find(" ")] for line in lines]
-    rows = _batch_rows(tokens, lines, dim)
+    lines = ["w " + text for text in texts]
+    try:
+        rows = _batched(texts, dim)
+    except ParseError as exc:
+        # a parsed block whose row overflows, such as 1e+999, is named at once
+        assert str(exc).endswith(": non-finite value") and all(map(written_row, lines))
+        assert not np.isfinite([[float(v) for v in text.split(" ")] for text in texts]).all()
+        return
     assert (rows is not None) == all(map(written_row, lines))
     if rows is not None:
         want = [[float(v) for v in line.split(" ")[1:]] for line in lines]
@@ -1078,7 +1117,7 @@ def test_batch_check_with_its_parse_accepts_what_written_row_matches(data):
 def test_batch_check_refuses_what_save_space_cannot_write(bad):
     for line in (f"w {bad}", f"w 1 {bad}", f"w {bad} 1"):
         assert not written_row(line)
-        assert _batch_rows(["w"], [line], line.count(" ")) is None
+        assert _batched([line[2:]], line.count(" ")) is None
 
 
 def test_loading_holds_one_batch_at_a_time(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from conftest import (
     dense_softmax_loss_and_grads_oracle,
     entity_types,
     finite_values,
+    per_type_logits_oracle,
     round_trip,
     traced_peak,
 )
@@ -775,6 +776,50 @@ class TestTagSentence:
         assert calls == {"assemble_features": 3, "predict": 1}
 
 
+# in the word space: the first four; in the lexicon: every other one; last
+# characters with a row: 日 and 山; the last two are in no source
+LOGIT_VOCAB = ["甲日", "乙山", "丙日", "丁水", "戊山", "不在", "外"]
+
+
+@pytest.mark.two_blas_threads
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), radius=st.integers(0, 2),
+       blocks=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       n_types=st.integers(1, 3),
+       sentence=st.lists(st.sampled_from(LOGIT_VOCAB), min_size=1, max_size=6))
+def test_feature_row_logits_match_the_per_type_reference(seed, dim, radius, blocks, n_types,
+                                                         sentence):
+    # N(0, 1) values are not dyadic, so two summation orders can round apart
+    rng = np.random.default_rng(seed)
+    words, chars = EmbeddingSpace(dim), EmbeddingSpace(dim)
+    words.add_rows(LOGIT_VOCAB[:4], rng.standard_normal((4, dim)))
+    chars.add_rows(["日", "山"], rng.standard_normal((2, dim)))
+    hownet_fn = dict(zip(LOGIT_VOCAB[:5:2], rng.standard_normal((3, dim)))).get
+    spec = FeatureSpec(dim, radius, *blocks)
+    scheme = LabelScheme(["Date", "Time", "Place"][:n_types])
+    W = rng.standard_normal((len(scheme), spec.feature_length))
+    b = rng.standard_normal(len(scheme))
+    x = sentence_features(sentence, words, hownet_fn, chars, spec)
+    i, j = sorted(rng.choice(len(scheme), 2, replace=False))
+    for case in ("drawn", "near tie", "exact tie"):
+        if case != "drawn":
+            # rows i and j above every other logit: apart by 1e-9 of an N(0, 1)
+            # row, which float32 would round away, or zero rows and an exact tie
+            W[j] = W[i] + 1e-9 * rng.standard_normal(spec.feature_length)
+            if case == "exact tie":
+                W[[i, j]] = 0.0
+            b[[i, j]] = 2 * np.abs(x @ W.T).max() + np.abs(b).max() + 1.0
+        model = TaggerModel(W, b, 1.0, spec=spec, scheme=scheme)
+        want = per_type_logits_oracle(sentence, words, hownet_fn, chars, model)
+        # the standard bound on a dot product's rounding, over F products and the bias
+        bound = (spec.feature_length + 1) * 2.0 ** -53 * (np.abs(x) @ np.abs(W).T + np.abs(b))
+        assert np.all(np.abs(x @ W.T + b - want) <= bound)
+        top2 = np.sort(want, axis=1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > 2 * bound.max(axis=1)
+        assert np.array_equal(predict(model, x)[clear], want.argmax(axis=1)[clear])
+    # predict's documented rule: a tie goes to the smallest index
+    assert predict(model, x).tolist() == [i] * len(sentence)
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         X, y, scheme, spec = random_problem()
@@ -962,6 +1007,29 @@ class TestSerialization:
         message = f"line {at + 1}: malformed number '{re.escape(bad)}'"
         with pytest.raises(ParseError, match=message):
             load_tagger(str(p))
+
+    # each message as the loader gave it when it parsed a row a value at a time
+    @pytest.mark.parametrize("where, line", [("weight", 13), ("bias", 15)])
+    @pytest.mark.parametrize("bad, message", [
+        *((bad, f"malformed number {bad!r}") for bad in "1e5 +1 .5 1. 1_0 ١".split()),
+        *((bad, f"could not convert string to float: {bad!r}")
+          for bad in "1..2 - 1e+ --1 1-2 1.2.3 1e-5e-5 1e-5.3".split()),
+        ("1e+999", "non-finite value"),
+    ])
+    def test_row_value_refused_with_its_line_and_message(self, tmp_path, where, line, bad,
+                                                         message):
+        p = tmp_path / "t.model"
+        save_tagger(fixed_model(["Date"], FeatureSpec(dim=2, window_radius=1)), str(p))
+        lines = p.read_text(encoding="utf-8").splitlines()
+        # line 13 is the last of three weight rows, line 15 the bias row
+        assert (lines[9], lines[13], len(lines)) == ("weights", "bias", 15)
+        fields = lines[line - 1].split(" ")
+        fields[1] = bad
+        lines[line - 1] = " ".join(fields)
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_tagger(str(p))
+        assert str(exc.value) == f"{p}: line {line}: {message}"
 
     @pytest.mark.parametrize("where", ["lambda", "weight", "bias"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
