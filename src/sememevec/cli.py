@@ -130,9 +130,7 @@ def _cmd_build_sememe_space(args):
 
 
 def _cmd_hownet_vector(args):
-    # the space of the queried word's entry alone: one sum, not one per word
-    entry = {args.word: parse_lexicon(args.lexicon).get(args.word, ())}
-    vec = hownet_space(entry, load_space(args.sememe_space, name="sememe")).get(args.word)
+    vec = _load_hownet(args).get(args.word)
     if vec is None:
         raise ValueError(f"no sememe vector obtainable for {args.word!r}")
     print(format_vector(vec))

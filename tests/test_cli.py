@@ -36,15 +36,12 @@ def artifacts(walkthrough):
 
 
 class TestUsageErrors:
-    def test_unknown_subcommand(self, capsys):
-        assert main(["frobnicate"]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate"], [], ["train-embeddings", "--corpus", "x.txt"],
+    ], ids=["unknown-subcommand", "no-subcommand", "missing-required-flag"])
+    def test_usage_error_exits_2(self, capsys, argv):
+        assert main(argv) == 2
         assert "usage" in capsys.readouterr().err
-
-    def test_no_subcommand(self):
-        assert main([]) == 2
-
-    def test_missing_required_flag(self):
-        assert main(["train-embeddings", "--corpus", "x.txt"]) == 2
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
@@ -342,8 +339,7 @@ class TestArtifacts:
         out = capsys.readouterr().out.strip().split()
         assert len(out) == 12
         [float(x) for x in out]
-        # the one-entry shortcut prints each word's row of the full
-        # sememe-sum space, the one tag and eval-sim load
+        # each word's row of the sememe-sum space that tag and eval-sim load
         lexicon = parse_lexicon(data("lexicon.tsv"))
         full = hownet_space(lexicon, load_space(artifacts["sememe"]))
         for word in lexicon:

@@ -42,40 +42,26 @@ def write(path, text):
 
 
 class TestCorpus:
-    def test_load_basic(self, tmp_path):
-        p = write(tmp_path / "c.txt", "我 爱 北京\n他 去 上海\n")
-        c = load_corpus(p)
-        assert list(c) == [["我", "爱", "北京"], ["他", "去", "上海"]]
-        assert len(c) == 2
-        assert c.total_tokens() == 6
-
-    def test_blank_lines_skipped(self, tmp_path):
-        p = write(tmp_path / "c.txt", "a b\n\n   \nc\n")
-        assert list(load_corpus(p)) == [["a", "b"], ["c"]]
-
-    def test_separators_collapse(self, tmp_path):
-        p = write(tmp_path / "c.txt", "a\t\tb   c\t d\n")
-        assert list(load_corpus(p)) == [["a", "b", "c", "d"]]
-
-    def test_unicode_whitespace_separates(self, tmp_path):
-        # the str.isspace() set, as load_space splits on
-        p = write(tmp_path / "c.txt", "房\u3000租 a\u00a0b\u2003c\n")
-        assert list(load_corpus(p)) == [["房", "租", "a", "b", "c"]]
-
-    def test_crlf(self, tmp_path):
-        p = write(tmp_path / "c.txt", "a b\r\nc d\r\n")
-        assert list(load_corpus(p)) == [["a", "b"], ["c", "d"]]
+    # blank lines are skipped, every run of str.isspace() characters separates
+    # tokens, as load_space splits on, and CRLF and a byte order mark are dropped
+    @pytest.mark.parametrize("text, sentences", [
+        ("我 爱 北京\n他 去 上海\n", [["我", "爱", "北京"], ["他", "去", "上海"]]),
+        ("a b\n\n   \nc\n", [["a", "b"], ["c"]]),
+        ("a\t\tb   c\t d\n", [["a", "b", "c", "d"]]),
+        ("房\u3000租 a\u00a0b\u2003c\n", [["房", "租", "a", "b", "c"]]),
+        ("a b\r\nc d\r\n", [["a", "b"], ["c", "d"]]),
+        ("\ufeff房租 上涨\n房租 下降\n", [["房租", "上涨"], ["房租", "下降"]]),
+    ])
+    def test_load(self, tmp_path, text, sentences):
+        c = load_corpus(write(tmp_path / "c.txt", text))
+        assert list(c) == sentences
+        assert len(c) == len(sentences) and c.total_tokens() == sum(map(len, sentences))
 
     def test_bad_utf8_names_line(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_bytes(b"ok line\n\xff\xfe broken\n")
         with pytest.raises(ParseError, match="line 2"):
             load_corpus(str(p))
-
-    def test_byte_order_mark_stripped(self, tmp_path):
-        p = tmp_path / "c.txt"
-        p.write_bytes("\ufeff房租 上涨\n房租 下降\n".encode("utf-8"))
-        assert list(load_corpus(str(p))) == [["房租", "上涨"], ["房租", "下降"]]
 
     def test_empty_token_rejected(self):
         with pytest.raises(ValueError, match="corpus contains an empty token"):
@@ -187,45 +173,29 @@ class TestHandWrittenReaders:
 
 
 class TestTaggedCorpus:
-    def test_load_basic(self, tmp_path):
-        p = write(tmp_path / "t.txt", "今天/B-Date 开会/O\n")
-        sents = load_tagged_corpus(p)
-        assert len(sents) == 1
-        assert sents[0].tokens == ["今天", "开会"]
-        assert sents[0].labels == ["B-Date", "O"]
+    # a token may itself hold "/": the last one separates the label
+    @pytest.mark.parametrize("text, tokens, labels", [
+        ("今天/B-Date 开会/O\n", ["今天", "开会"], ["B-Date", "O"]),
+        ("3/4/O\n", ["3/4"], ["O"]),
+        ("今天/B-Date\u3000开会/O\n", ["今天", "开会"], ["B-Date", "O"]),
+    ])
+    def test_load(self, tmp_path, text, tokens, labels):
+        assert load_tagged_corpus(write(tmp_path / "t.txt", text)) == [
+            TaggedSentence(tokens, labels)]
 
-    def test_last_slash_separates(self, tmp_path):
-        # token may itself contain a slash
-        p = write(tmp_path / "t.txt", "3/4/O\n")
-        sents = load_tagged_corpus(p)
-        assert sents[0].tokens == ["3/4"]
-        assert sents[0].labels == ["O"]
-
-    def test_unicode_whitespace_separates(self, tmp_path):
-        p = write(tmp_path / "t.txt", "今天/B-Date\u3000开会/O\n")
-        sents = load_tagged_corpus(p)
-        assert sents[0].tokens == ["今天", "开会"]
-        assert sents[0].labels == ["B-Date", "O"]
-
-    def test_column_counts_unicode_whitespace(self, tmp_path):
-        p = write(tmp_path / "t.txt", "今天/B-Date\u3000开会\n")
-        with pytest.raises(ParseError, match="column 11"):
-            load_tagged_corpus(p)
-
-    def test_missing_label_rejected(self, tmp_path):
-        p = write(tmp_path / "t.txt", "今天/B-Date 开会\n")
-        with pytest.raises(ParseError, match="line 1"):
-            load_tagged_corpus(p)
-
-    def test_empty_label_rejected(self, tmp_path):
-        p = write(tmp_path / "t.txt", "今天/\n")
-        with pytest.raises(ParseError):
-            load_tagged_corpus(p)
-
-    def test_empty_token_rejected(self, tmp_path):
-        p = write(tmp_path / "t.txt", "/O\n")
-        with pytest.raises(ParseError):
-            load_tagged_corpus(p)
+    # the column counts a U+3000 separator as one character
+    @pytest.mark.parametrize("text, column, item", [
+        ("今天/B-Date\u3000开会\n", 11, "开会"),
+        ("今天/B-Date 开会\n", 11, "开会"),
+        ("今天/\n", 1, "今天/"),
+        ("/O\n", 1, "/O"),
+    ])
+    def test_item_without_token_or_label_rejected(self, tmp_path, text, column, item):
+        path = write(tmp_path / "t.txt", text)
+        with pytest.raises(ParseError) as exc:
+            load_tagged_corpus(path)
+        assert str(exc.value) == (
+            f"{path}: line 1, column {column}: expected token/LABEL, got {item!r}")
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

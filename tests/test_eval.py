@@ -21,14 +21,13 @@ from sememevec.tagger import repair_bi
 
 
 class TestRanks:
-    def test_no_ties(self):
-        assert average_ranks([30.0, 10.0, 20.0]) == [3.0, 1.0, 2.0]
-
-    def test_tie_averaging(self):
-        assert average_ranks([1.0, 2.0, 2.0, 4.0]) == [1.0, 2.5, 2.5, 4.0]
-
-    def test_all_equal(self):
-        assert average_ranks([5.0, 5.0, 5.0]) == [2.0, 2.0, 2.0]
+    @pytest.mark.parametrize("values, ranks", [
+        ([30.0, 10.0, 20.0], [3.0, 1.0, 2.0]),
+        ([1.0, 2.0, 2.0, 4.0], [1.0, 2.5, 2.5, 4.0]),
+        ([5.0, 5.0, 5.0], [2.0, 2.0, 2.0]),
+    ], ids=["no-ties", "a-tie", "all-equal"])
+    def test_hand_cases(self, values, ranks):
+        assert average_ranks(values) == ranks
 
     def test_equals_counting_oracle(self):
         rng = np.random.default_rng(53)
@@ -134,33 +133,29 @@ class TestEvalSimilarity:
         rho, cov = eval_similarity(self.space(), judgements)
         assert cov == 0.5
 
-    def test_too_few_scored_pairs(self):
-        judgements = [("a", "zzz", 5.0), ("zzz", "b", 5.0), ("a", "b", 5.0)]
-        with pytest.raises(EvaluationError):
+    @pytest.mark.parametrize("judgements, message", [
+        ([("a", "zzz", 5.0), ("zzz", "b", 5.0), ("a", "b", 5.0)],
+         "only 1 of 3 pairs could be scored"),
+        ([], "no judgement pairs"),
+    ])
+    def test_too_few_scored_pairs(self, judgements, message):
+        with pytest.raises(EvaluationError, match=message):
             eval_similarity(self.space(), judgements)
-
-    def test_empty_judgements(self):
-        with pytest.raises(EvaluationError):
-            eval_similarity(self.space(), [])
 
 
 class TestSpanDecoding:
-    def test_b_then_i(self):
-        assert decode_spans(["B-Date", "I-Date", "O"]) == [Span(0, 0, 1, "Date")]
-
-    def test_adjacent_b(self):
-        assert decode_spans(["B-Date", "B-Date"]) == [
-            Span(0, 0, 0, "Date"), Span(0, 1, 1, "Date")]
-
-    def test_bare_i_opens(self):
-        assert decode_spans(["O", "I-Date"]) == [Span(0, 1, 1, "Date")]
-
-    def test_type_switch_closes(self):
-        assert decode_spans(["B-Date", "I-Time"]) == [
-            Span(0, 0, 0, "Date"), Span(0, 1, 1, "Time")]
-
-    def test_span_runs_to_end(self):
-        assert decode_spans(["O", "B-Date", "I-Date"]) == [Span(0, 1, 2, "Date")]
+    # a B- opens a span, and so does a bare I-; an I- of another type closes
+    # it, and a span may run to the end
+    @pytest.mark.parametrize("labels, spans", [
+        (["B-Date", "I-Date", "O"], [(0, 1, "Date")]),
+        (["B-Date", "B-Date"], [(0, 0, "Date"), (1, 1, "Date")]),
+        (["O", "I-Date"], [(1, 1, "Date")]),
+        (["B-Date", "I-Time"], [(0, 0, "Date"), (1, 1, "Time")]),
+        (["O", "B-Date", "I-Date"], [(1, 2, "Date")]),
+        (["O", "B-Date", "I-Date", "O", "B-Time", "O"], [(1, 2, "Date"), (4, 4, "Time")]),
+    ])
+    def test_hand_cases(self, labels, spans):
+        assert decode_spans(labels) == [Span(0, *span) for span in spans]
 
     def test_bad_label(self):
         with pytest.raises(EvaluationError):
@@ -200,15 +195,6 @@ class TestSpanDecoding:
                 got = "error"
             assert got == oracle(seq)
 
-    def test_round_trip_spans_to_labels(self):
-        spans = [Span(0, 1, 2, "Date"), Span(0, 4, 4, "Time")]
-        labels = ["O"] * 6
-        for s in spans:
-            labels[s.start] = f"B-{s.entity_type}"
-            for i in range(s.start + 1, s.end + 1):
-                labels[i] = f"I-{s.entity_type}"
-        assert decode_spans(labels) == spans
-
     def test_corpus_level_sentence_indices(self):
         spans = spans_of_corpus([["B-Date"], ["O", "B-Date"]])
         assert spans == {Span(0, 0, 0, "Date"), Span(1, 1, 1, "Date")}
@@ -230,17 +216,13 @@ class TestSpanPRF:
         p, r, f = span_prf(gold, pred)
         assert format_prf(p, r, f) == "60.0 75.0 66.7"
 
-    def test_empty_pred(self):
-        gold = {Span(0, 0, 0, "Date")}
-        assert span_prf(gold, set()) == (0.0, 0.0, 0.0)
-
-    def test_empty_gold(self):
-        pred = {Span(0, 0, 0, "Date")}
-        assert span_prf(set(), pred) == (0.0, 0.0, 0.0)
-
-    def test_type_must_match(self):
-        gold = {Span(0, 0, 0, "Date")}
-        pred = {Span(0, 0, 0, "Time")}
+    # no prediction, no gold span, and a span of another type score 0
+    @pytest.mark.parametrize("gold, pred", [
+        ({Span(0, 0, 0, "Date")}, set()),
+        (set(), {Span(0, 0, 0, "Date")}),
+        ({Span(0, 0, 0, "Date")}, {Span(0, 0, 0, "Time")}),
+    ])
+    def test_nothing_matched_scores_zero(self, gold, pred):
         assert span_prf(gold, pred) == (0.0, 0.0, 0.0)
 
     def test_per_type(self):

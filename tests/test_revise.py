@@ -68,26 +68,17 @@ def fixture_space_vocab():
 
 
 class TestSimilarWordVector:
-    def test_weighted_average(self):
+    # buckets 4 and 2 weigh (4*[1,0] + 2*[0,1]) / 6; a lone neighbour gives
+    # its row; all-zero buckets give the plain mean; absent neighbours are skipped
+    @pytest.mark.parametrize("neighbors, want", [
+        ([("常见", 0.9), ("偶见", 0.8)], [4.0 / 6.0, 2.0 / 6.0]),
+        ([("常见", 0.9)], [1.0, 0.0]),
+        ([("罕见", 0.9), ("不在", 0.8)], [4.0, 4.0]),
+        ([("不在", 0.9), ("常见", 0.8)], [1.0, 0.0]),
+    ], ids=["weighted-average", "single-neighbour", "zero-buckets-mean", "absent-skipped"])
+    def test_hand_cases(self, neighbors, want):
         space, vocab = fixture_space_vocab()
-        got = similar_word_vector([("常见", 0.9), ("偶见", 0.8)], space, vocab)
-        # buckets 4 and 2: (4*[1,0] + 2*[0,1]) / 6
-        assert np.allclose(got, [4.0 / 6.0, 2.0 / 6.0], atol=1e-12)
-
-    def test_single_neighbor_is_exact(self):
-        space, vocab = fixture_space_vocab()
-        got = similar_word_vector([("常见", 0.9)], space, vocab)
-        assert np.array_equal(got, [1.0, 0.0])
-
-    def test_all_zero_buckets_mean(self):
-        space, vocab = fixture_space_vocab()
-        got = similar_word_vector([("罕见", 0.9), ("不在", 0.8)], space, vocab)
-        assert np.array_equal(got, [4.0, 4.0])
-
-    def test_absent_neighbors_skipped(self):
-        space, vocab = fixture_space_vocab()
-        got = similar_word_vector([("不在", 0.9), ("常见", 0.8)], space, vocab)
-        assert np.array_equal(got, [1.0, 0.0])
+        assert np.array_equal(similar_word_vector(neighbors, space, vocab), want)
 
     def test_no_neighbor_has_vector(self):
         space, vocab = fixture_space_vocab()

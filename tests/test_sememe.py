@@ -31,47 +31,6 @@ def write_lexicon(tmp_path, text):
 
 
 class TestParsing:
-    def test_markers_stripped(self, tmp_path):
-        p = write_lexicon(tmp_path, "房租\tN\t费用,*借入,#房屋\n")
-        lex = parse_lexicon(p)
-        assert lex["房租"] == ["费用", "借入", "房屋"]
-
-    def test_all_marker_characters(self, tmp_path):
-        p = write_lexicon(tmp_path, "词\tN\t*甲,#乙,$丙,%丁,@戊,?己,!庚,~辛\n")
-        lex = parse_lexicon(p)
-        assert lex["词"] == ["甲", "乙", "丙", "丁", "戊", "己", "庚", "辛"]
-
-    def test_latin_gloss_stripped(self, tmp_path):
-        p = write_lexicon(tmp_path, "薪水\tN\tfee 费用,salary money 报酬\n")
-        lex = parse_lexicon(p)
-        assert lex["薪水"] == ["费用", "报酬"]
-
-    def test_marker_then_gloss(self, tmp_path):
-        p = write_lexicon(tmp_path, "词\tN\t*fee 费用\n")
-        assert parse_lexicon(p)["词"] == ["费用"]
-
-    def test_pure_latin_descriptor_kept(self, tmp_path):
-        # a descriptor that is only Latin text must not vanish
-        p = write_lexicon(tmp_path, "词\tN\ttime\n")
-        assert parse_lexicon(p)["词"] == ["time"]
-
-    def test_gloss_before_latin_refused(self, tmp_path):
-        # only a non-Latin identifier ends a gloss, so this is one identifier
-        p = write_lexicon(tmp_path, "房租\tN\t费用\n房子\tN\tbig house\n")
-        with pytest.raises(ParseError, match="line 2: sememe identifier 'big house' "
-                                             "contains whitespace"):
-            parse_lexicon(p)
-
-    def test_multiple_entries_per_word(self, tmp_path):
-        p = write_lexicon(tmp_path, "打\tV\t击打\n打\tN\t量词\n")
-        lex = parse_lexicon(p)
-        assert lex["打"] == ["击打"]
-
-    def test_later_sense_still_checked(self, tmp_path):
-        p = write_lexicon(tmp_path, "打\tV\t击打\n打\tN\t*\n")
-        with pytest.raises(ParseError, match="line 2"):
-            parse_lexicon(p)
-
     def test_too_few_fields(self, tmp_path):
         p = write_lexicon(tmp_path, "词\tN\n")
         with pytest.raises(ParseError, match="line 1"):
@@ -82,34 +41,50 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_lexicon(p)
 
-    def test_empty_sememe_list(self, tmp_path):
-        p = write_lexicon(tmp_path, "词\tN\t,\n")
-        with pytest.raises(ParseError):
-            parse_lexicon(p)
-
     def test_marker_only_descriptor(self, tmp_path):
         p = write_lexicon(tmp_path, "词\tN\t*\n")
         with pytest.raises(ParseError):
-            parse_lexicon(p)
-
-    # no space file could hold such a sememe's row, so building would fail late
-    @pytest.mark.parametrize("sememe", ["房 屋", "时间\u3000点", "fee 房\xa0屋"])
-    def test_sememe_with_whitespace_rejected(self, tmp_path, sememe):
-        p = write_lexicon(tmp_path, f"房租\tN\t费用\n打\tV\t击打,{sememe}\n")
-        with pytest.raises(ParseError, match="line 2: sememe identifier .* contains whitespace"):
-            parse_lexicon(p)
-
-    # load_corpus splits on it, so no corpus token could ever be such a word
-    @pytest.mark.parametrize("word", ["房 租", "房\u3000租", "房\xa0租"])
-    def test_word_with_whitespace_rejected(self, tmp_path, word):
-        p = write_lexicon(tmp_path, f"打\tV\t击打\n{word}\tN\t费用\n")
-        with pytest.raises(ParseError, match="line 2: word .* contains whitespace"):
             parse_lexicon(p)
 
     def test_unknown_word_absent(self, tmp_path):
         p = write_lexicon(tmp_path, "词\tN\t甲\n")
         lex = parse_lexicon(p)
         assert "别的" not in lex
+
+    @pytest.mark.parametrize("text, lexicon", [
+        ("房租\tN\t费用,*借入,#房屋\n", {"房租": ["费用", "借入", "房屋"]}),
+        ("词\tN\t*甲,#乙,$丙,%丁,@戊,?己,!庚,~辛\n", {"词": list("甲乙丙丁戊己庚辛")}),
+        ("薪水\tN\tfee 费用,salary money 报酬\n", {"薪水": ["费用", "报酬"]}),
+        ("词\tN\t*fee 费用\n", {"词": ["费用"]}),
+        # a descriptor that is only Latin text must not vanish
+        ("词\tN\ttime\n", {"词": ["time"]}),
+        # only a word's first line counts
+        ("打\tV\t击打\n打\tN\t量词\n", {"打": ["击打"]}),
+    ])
+    def test_parsed(self, tmp_path, text, lexicon):
+        assert parse_lexicon(write_lexicon(tmp_path, text)) == lexicon
+
+    # each lexicon's text and the message after its path. No space file could
+    # hold the row of a sememe holding whitespace, so building would fail late,
+    # and load_corpus splits on it, so no corpus token could be such a word
+    @pytest.mark.parametrize("text, message", [
+        # only a non-Latin identifier ends a gloss, so this is one identifier
+        ("房租\tN\t费用\n房子\tN\tbig house\n",
+         "line 2: sememe identifier 'big house' contains whitespace"),
+        # a later sense is checked like the first
+        ("打\tV\t击打\n打\tN\t*\n", "line 2: descriptor '*' has no sememe identifier"),
+        ("词\tN\t,\n", "line 1: empty sememe list for '词'"),
+        *((f"房租\tN\t费用\n打\tV\t击打,{sememe}\n",
+           f"line 2: sememe identifier {ident!r} contains whitespace")
+          for sememe, ident in (("房 屋", "房 屋"), ("时间\u3000点", "时间\u3000点"),
+                                ("fee 房\xa0屋", "房\xa0屋"))),
+        ("打\tV\t击打\n房 租\tN\t费用\n", "line 2: word '房 租' contains whitespace"),
+    ])
+    def test_refused(self, tmp_path, text, message):
+        path = write_lexicon(tmp_path, text)
+        with pytest.raises(ParseError) as exc:
+            parse_lexicon(path)
+        assert str(exc.value) == f"{path}: {message}"
 
 
 descriptors = st.text(st.one_of(

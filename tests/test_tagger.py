@@ -65,22 +65,16 @@ class TestLabelScheme:
         assert only_b.labels == full.labels[:2] == ["O", "B-Date"]
         assert only_b != full
 
-    def test_from_labels_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            LabelScheme.from_labels([["B-Date", "WAT"]])
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
-            LabelScheme(["Date"]).index("B-Time")
-
-    def test_duplicate_types_rejected(self):
-        with pytest.raises(ValueError):
-            LabelScheme(["Date", "Date"])
-
-    def test_slash_in_type_rejected(self):
+    @pytest.mark.parametrize("make, message", [
+        (lambda: LabelScheme.from_labels([["B-Date", "WAT"]]), "unrecognised label 'WAT'"),
+        (lambda: LabelScheme(["Date"]).index("B-Time"), "label 'B-Time' not in scheme"),
+        (lambda: LabelScheme(["Date", "Date"]), "duplicate entity types"),
         # a saved item "x/B-A/B" would load back as token "x/B-A", label "B"
-        with pytest.raises(ValueError, match="invalid entity type 'A/B'"):
-            LabelScheme(["A/B"])
+        (lambda: LabelScheme(["A/B"]), "invalid entity type 'A/B'"),
+    ], ids=["garbage-label", "unknown-label", "duplicate-types", "slash-in-type"])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def toy_spaces(d=4):
@@ -156,27 +150,22 @@ class TestFeatureAssembly:
         with pytest.raises(IndexError):
             assemble_features(["甲日"], 1, words, hownet_fn, chars, spec)
 
-    def test_dim_mismatch_rejected(self):
-        words, chars, hownet_fn = toy_spaces()
-        spec = FeatureSpec(dim=5)
-        with pytest.raises(ValueError):
-            assemble_features(["甲日"], 0, words, hownet_fn, chars, spec)
-
-    def test_missing_source_rejected(self):
-        spec = FeatureSpec(dim=4)
-        with pytest.raises(ValueError):
-            assemble_features(["甲日"], 0, None, None, None, spec)
-
     @pytest.mark.parametrize("source, message", [
+        ("no-words", "context features enabled but no word space given"),
+        ("words-dim", "word space dimension 5 != feature dim 4"),
         ("no-hownet", "hownet features enabled but no hownet source given"),
         ("hownet-dim", "hownet vector length 5 != feature dim 4"),
         ("hownet-axes", "hownet vector of 2 axes, not 1"),
         ("no-char", "character features enabled but no character space given"),
         ("char-dim", "character space dimension 5 != feature dim 4"),
     ])
-    def test_hownet_and_char_sources_checked(self, source, message):
+    def test_sources_checked(self, source, message):
         words, chars, hownet_fn = toy_spaces()
-        if source == "no-hownet":
+        if source == "no-words":
+            words = None
+        elif source == "words-dim":
+            words = toy_spaces(5)[0]
+        elif source == "no-hownet":
             hownet_fn = None
         elif source == "hownet-dim":
             hownet_fn = {"甲日": np.ones(5)}.get
@@ -343,16 +332,9 @@ class TestLogreg:
         with pytest.raises(ValueError, match="feature width 4 != spec length 10"):
             train_logreg(X, y, lam=0.1, scheme=scheme, spec=spec)
 
-    def test_bad_lam_tol_rejected(self):
-        X, y, scheme, spec = random_problem()
-        with pytest.raises(ValueError):
-            train_logreg(X, y, lam=0.0, scheme=scheme, spec=spec)
-        with pytest.raises(ValueError):
-            train_logreg(X, y, lam=0.1, tol=0.0, scheme=scheme, spec=spec)
-
-    @pytest.mark.parametrize("bad", [{"lam": float("nan")}, {"lam": float("inf")},
-                                     {"tol": float("nan")}, {"tol": float("inf")}])
-    def test_non_finite_lam_tol_rejected_before_fitting(self, bad, monkeypatch):
+    @pytest.mark.parametrize("bad", [{"lam": 0.0}, {"lam": float("nan")}, {"lam": float("inf")},
+                                     {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")}])
+    def test_lam_tol_out_of_range_rejected_before_fitting(self, bad, monkeypatch):
         # tol=inf returned the all-zero model as converged, tol=nan always
         # ran to max_iter, and lam=nan failed only once the fit was done
         import sememevec.tagger as tagger_module
@@ -668,32 +650,28 @@ class TestPredict:
         x = np.random.default_rng(41).normal(0, 1, (100, 6))
         assert np.array_equal(predict(m, x), predict(m2, x))
 
-    def test_dimension_mismatch(self):
+    # rows one value too wide, and a single vector
+    @pytest.mark.parametrize("x", [np.zeros((1, 7)), np.zeros(6)])
+    def test_rows_of_another_shape_rejected(self, x):
         X, y, scheme, spec = random_problem()
         m = train_logreg(X, y, lam=0.1, max_iter=5, scheme=scheme, spec=spec)
         with pytest.raises(ValueError):
-            predict(m, np.zeros((1, 7)))
-
-    def test_single_vector_rejected(self):
-        X, y, scheme, spec = random_problem()
-        m = train_logreg(X, y, lam=0.1, max_iter=5, scheme=scheme, spec=spec)
-        with pytest.raises(ValueError):
-            predict(m, X[0])
+            predict(m, x)
 
 
 class TestRepair:
-    def test_bare_i_becomes_b(self):
-        assert repair_bi(["I-Date", "I-Date"]) == ["B-Date", "I-Date"]
-
-    def test_type_switch_becomes_b(self):
-        assert repair_bi(["B-Date", "I-Time"]) == ["B-Date", "B-Time"]
-
-    def test_i_after_o_becomes_b(self):
-        assert repair_bi(["O", "I-Date", "O"]) == ["O", "B-Date", "O"]
-
-    def test_valid_sequences_unchanged(self):
-        for seq in (["O", "O"], ["B-Date", "I-Date", "I-Date"], ["B-Date", "B-Date"]):
-            assert repair_bi(seq) == seq
+    # a bare I-, an I- of another type and an I- after O become B-; valid
+    # sequences stay
+    @pytest.mark.parametrize("labels, repaired", [
+        (["I-Date", "I-Date"], ["B-Date", "I-Date"]),
+        (["B-Date", "I-Time"], ["B-Date", "B-Time"]),
+        (["O", "I-Date", "O"], ["O", "B-Date", "O"]),
+        (["O", "O"], ["O", "O"]),
+        (["B-Date", "I-Date", "I-Date"], ["B-Date", "I-Date", "I-Date"]),
+        (["B-Date", "B-Date"], ["B-Date", "B-Date"]),
+    ])
+    def test_hand_cases(self, labels, repaired):
+        assert repair_bi(labels) == repaired
 
     def test_no_orphan_i_property(self):
         rng = np.random.default_rng(43)
@@ -884,6 +862,7 @@ class TestSerialization:
         (2, "labels O B-Date I-Date O", "line 2: a label repeats"),
         (3, "window-radius -1", "window_radius cannot be negative"),
         (7, "dim 0", "dim must be positive"),
+        *((8, f"lambda {bad}", "line 8: non-finite value") for bad in ("nan", "inf", "-inf")),
         (10, "weight", "line 10: expected 'weights', got 'weight'"),
         (11, "1 2 3", "line 11: expected 6 fields, got 3"),
     ])
@@ -1014,7 +993,7 @@ class TestSerialization:
         *((bad, f"malformed number {bad!r}") for bad in "1e5 +1 .5 1. 1_0 ١".split()),
         *((bad, f"could not convert string to float: {bad!r}")
           for bad in "1..2 - 1e+ --1 1-2 1.2.3 1e-5e-5 1e-5.3".split()),
-        ("1e+999", "non-finite value"),
+        *((bad, "non-finite value") for bad in ("1e+999", "nan", "inf", "-inf")),
     ])
     def test_row_value_refused_with_its_line_and_message(self, tmp_path, where, line, bad,
                                                          message):
@@ -1030,22 +1009,6 @@ class TestSerialization:
         with pytest.raises(ParseError) as exc:
             load_tagger(str(p))
         assert str(exc.value) == f"{p}: line {line}: {message}"
-
-    @pytest.mark.parametrize("where", ["lambda", "weight", "bias"])
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_non_finite_value_rejected(self, tmp_path, where, bad):
-        X, y, scheme, spec = random_problem()
-        m = train_logreg(X, y, lam=0.2, max_iter=5, scheme=scheme, spec=spec)
-        p = tmp_path / "t.model"
-        save_tagger(m, str(p))
-        lines = p.read_text(encoding="utf-8").splitlines()
-        at = {"lambda": 7, "weight": 12, "bias": len(lines) - 1}[where]
-        fields = lines[at].split()
-        fields[-1] = bad
-        lines[at] = " ".join(fields)
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=f"line {at + 1}:"):
-            load_tagger(str(p))
 
 
 @pytest.mark.two_blas_threads
