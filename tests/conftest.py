@@ -1,7 +1,8 @@
 """Shared brute-force oracles, written independently of the library code
 or kept from the simpler code a faster path replaced, the strategies and file
 helper of the round-trip property tests, the tracemalloc helper of the
-memory guards, and the run of the README's CLI walkthrough."""
+memory guards, the run of the README's CLI walkthrough, and the Hypothesis
+profile every property runs under."""
 
 import functools
 import io
@@ -20,7 +21,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from sememevec.cli import main
 from sememevec.corpus import (
@@ -45,6 +46,13 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:
         pass
+
+# Every property draws the same examples on every run and every runner: they
+# derive from the test itself, none is replayed from an example database, and
+# no deadline fails a slow runner. Each @settings sets only max_examples; it
+# inherits this profile, loaded here before any test module is imported.
+settings.register_profile("deterministic", deadline=None, derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 pytest_plugins = ["pytester"]
 ROOT = pathlib.Path(__file__).resolve().parent.parent

@@ -181,7 +181,6 @@ def test_c04_gradient_checks():
             assert abs(num - gb[i]) <= 1e-5 * max(1.0, abs(num))
 
 
-@pytest.mark.two_blas_threads
 def test_c05_two_cluster_embedding_sanity():
     a_words = [f"侧{i}" for i in range(15)]
     b_words = [f"另{i}" for i in range(15)]
@@ -438,14 +437,12 @@ def c11_holds(metrics):
             and metrics["f_final"] >= metrics["f_char"] >= metrics["f_w2v"])
 
 
-@pytest.mark.two_blas_threads
 @pytest.mark.parametrize("seed", C11_SEEDS)
 def test_c11_end_to_end_tagging_and_ablation_order(pipeline_runs, seed):
     _, metrics, _, _ = pipeline_runs(seed)
     assert c11_holds(metrics), metrics
 
 
-@pytest.mark.two_blas_threads
 def test_c12_pipeline_rerun_byte_identical(pipeline_runs, tmp_path_factory):
     dir_a, metrics_a, _, _ = pipeline_runs(PIPELINE_SEED)
     dir_b = str(tmp_path_factory.mktemp("pipeline-b"))
@@ -458,7 +455,6 @@ def test_c12_pipeline_rerun_byte_identical(pipeline_runs, tmp_path_factory):
                            shallow=False), f"{name} differs between runs"
 
 
-@pytest.mark.two_blas_threads
 @pytest.mark.parametrize("seed", C11_SEEDS)
 def test_c11_tagger_fits_converge(pipeline_runs, seed):
     _, _, models, _ = pipeline_runs(seed)
@@ -468,7 +464,6 @@ def test_c11_tagger_fits_converge(pipeline_runs, seed):
         assert model.final_gnorm <= 1e-6, name
 
 
-@pytest.mark.two_blas_threads
 @pytest.mark.parametrize("seed", C11_SEEDS)
 def test_c11_fit_rows_tabulate_to_their_distinct_rows(pipeline_runs, seed):
     # the fit orders each feature block's rows by their first two values,
@@ -480,7 +475,6 @@ def test_c11_fit_rows_tabulate_to_their_distinct_rows(pipeline_runs, seed):
             assert len(block.table) == len(distinct), name
 
 
-@pytest.mark.two_blas_threads
 @pytest.mark.parametrize("seed", C11_SEEDS)
 def test_c11_fits_only_the_labels_its_training_data_hold(pipeline_runs, seed):
     # c11 plants single-token B-Date spans only. A scheme that also holds
@@ -553,7 +547,6 @@ def c15_holds(rho, control, coverage):
     return coverage == 1.0 and rho >= C15_RHO_FLOOR and rho - control >= C15_MARGIN
 
 
-@pytest.mark.two_blas_threads
 @pytest.mark.parametrize("seed", C15_SEEDS)
 def test_c15_hownet_similarity_beats_a_random_sememe_space(seed):
     scores = c15_scores(seed)

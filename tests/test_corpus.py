@@ -74,7 +74,7 @@ class TestCorpus:
         assert c.starts.tolist() == [0, 3, 3, 5]
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(sents=corpora(), min_count=st.integers(1, 3))
 def test_corpus_and_vocabulary_match_oracles(sents, min_count):
     c = Corpus(sents)
@@ -258,7 +258,7 @@ class TestTaggedCorpus:
 slashed_tokens = st.lists(st.just("/") | tokens, min_size=1, max_size=4).map("".join)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_tagged_corpus_round_trips(data):
     scheme = LabelScheme(data.draw(st.lists(entity_types, unique=True, max_size=3)))

@@ -17,8 +17,6 @@ from sememevec import embedding, morphsim, revise, sememe, tagger
 from sememevec.embedding import EmbeddingSpace
 from sememevec.morphsim import SimilarityModel
 
-pytestmark = pytest.mark.two_blas_threads
-
 
 def _wrap(monkeypatch, module, name, wrapper):
     """Replace module.name by wrapper(the original), there and in test_acceptance."""

@@ -230,7 +230,7 @@ class TestPerceptron:
         with pytest.raises(ValueError, match="epochs cannot be negative"):
             train_perceptron(separable_pairs(), -1)
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(pairs=st.lists(st.tuples(st.text("甲乙丙日山", min_size=1, max_size=3),
                                     st.text("甲乙丙日山", min_size=1, max_size=3),
                                     st.integers(0, 1)).filter(lambda t: t[0] != t[1]),
@@ -298,6 +298,7 @@ class TestScoring:
 
 class TestCandidateIndex:
     def test_iterates_words_in_sorted_order(self):
+        # the benchmark's traced top-k hook iterates the index revision passes
         words = ["乙日", "ab", "甲日", "a", "戊山"]
         assert list(CandidateIndex(words)) == sorted(words)
 
@@ -351,7 +352,7 @@ short_words = st.text(alphabet=ALPHABET, min_size=1, max_size=4)
 weight = st.floats(min_value=-3.0, max_value=3.0)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(data=st.data())
 def test_top_k_equals_brute_force(data):
     candidates = data.draw(st.lists(short_words, min_size=1, max_size=12, unique=True))
@@ -414,8 +415,7 @@ words_to_6 = st.text(alphabet=ALPHABET, min_size=1, max_size=6)
 models = st.builds(SimilarityModel, *[st.floats(min_value=-40.0, max_value=40.0)] * 4)
 
 
-@pytest.mark.two_blas_threads
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(query=words_to_6, candidates=st.lists(words_to_6, max_size=8), model=models)
 def test_feature_rows_equal_oracles_and_scores_equal_scalar_arithmetic(
         query, candidates, model):
@@ -439,7 +439,7 @@ def test_feature_rows_equal_oracles_and_scores_equal_scalar_arithmetic(
         assert exact(score_rows(model, alone)) == exact([oracle_score(model, x)])
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(st.builds(SimilarityModel, finite_values, finite_values, finite_values, finite_values))
 def test_similarity_model_round_trips_exactly(model):
     back = round_trip(save_similarity_model, load_similarity_model, model)
@@ -447,7 +447,7 @@ def test_similarity_model_round_trips_exactly(model):
     assert [np.float64(v).tobytes() for v in dataclasses.astuple(back)] == exact
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(st.builds(SimilarityModel, finite_values, finite_values, finite_values, finite_values))
 def test_cut_short_similarity_model_file_is_refused(model):
     assert_prefixes_refused_or_whole(save_similarity_model, load_similarity_model, model)

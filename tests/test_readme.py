@@ -6,7 +6,6 @@ import pathlib
 import re
 
 import numpy as np
-import pytest
 
 from conftest import ROOT, readme_blocks
 
@@ -25,7 +24,6 @@ def test_library_use_block_runs(monkeypatch):
     assert all(np.isfinite(vec).all() for _, vec in combined.items())
 
 
-@pytest.mark.two_blas_threads
 def test_walkthrough_matches_its_golden_record(walkthrough, tmp_path):
     # a change that moves the record on purpose copies the new one over GOLDEN
     out, record = walkthrough

@@ -100,7 +100,7 @@ def write_text(text, path):
         fh.write(text)
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500)
 @given(descriptor=descriptors)
 def test_descriptor_identifier_matches_oracle(descriptor):
     want = descriptor_oracle(descriptor)
@@ -154,7 +154,7 @@ class TestReplacementCorpora:
         assert list(reps)[2:] == [["动物", "追", "动物"], ["动物"]]
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_replacement_corpora_match_oracle(data):
     sents = data.draw(corpora())
@@ -290,7 +290,6 @@ HOWNET_DIGEST = (
 )
 
 
-@pytest.mark.two_blas_threads
 class TestSememeDigest:
     """Pins the sememe layer bit for bit: space training and sememe sums."""
 

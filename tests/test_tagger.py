@@ -446,7 +446,6 @@ class TestConvergence:
         assert m.stop_reason == "tol"
         assert m.history[-1] <= gradient_descent_loss
 
-    @pytest.mark.two_blas_threads
     def test_near_separable_stops_on_tol_within_100_iterations(self):
         # like the pipeline's context-only fit: lam=1e-4 leaves the problem
         # (40 rows, 39 parameters) nearly separable, and too few curvature
@@ -457,7 +456,6 @@ class TestConvergence:
         assert len(m.history) <= 101
 
 
-@pytest.mark.two_blas_threads
 class TestLogregDigest:
     """Pins the optimizer's output bit for bit.
 
@@ -533,8 +531,7 @@ def runs_of_equal_rows(rows):
     return 1 + int(np.any(bits[1:] != bits[:-1], axis=1).sum())
 
 
-@pytest.mark.two_blas_threads
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(data=st.data())
 def test_blocked_evaluation_matches_dense_oracle(data):
     # 1-4 blocks of width 1-4, each of one kind of block_rows. Each block's
@@ -655,7 +652,8 @@ class TestPredict:
     def test_rows_of_another_shape_rejected(self, x):
         X, y, scheme, spec = random_problem()
         m = train_logreg(X, y, lam=0.1, max_iter=5, scheme=scheme, spec=spec)
-        with pytest.raises(ValueError):
+        # predict's own message: numpy's matmul and axis errors are ValueErrors too
+        with pytest.raises(ValueError, match="do not match model"):
             predict(m, x)
 
 
@@ -759,8 +757,7 @@ class TestTagSentence:
 LOGIT_VOCAB = ["甲日", "乙山", "丙日", "丁水", "戊山", "不在", "外"]
 
 
-@pytest.mark.two_blas_threads
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), radius=st.integers(0, 2),
        blocks=st.tuples(st.booleans(), st.booleans(), st.booleans()),
        n_types=st.integers(1, 3),
@@ -1011,7 +1008,6 @@ class TestSerialization:
         assert str(exc.value) == f"{p}: line {line}: {message}"
 
 
-@pytest.mark.two_blas_threads
 class TestTaggerFileDigest:
     """Pins the bytes save_tagger writes for fixed models.
 
@@ -1061,7 +1057,7 @@ def drawn_tagger_model(data, max_types=3, max_dim=3, max_radius=2):
     return TaggerModel(weights, bias, data.draw(finite_values), spec=spec, scheme=scheme)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_tagger_file_round_trips_exactly(data):
     model = drawn_tagger_model(data)
@@ -1073,7 +1069,7 @@ def test_tagger_file_round_trips_exactly(data):
     assert back.spec == model.spec and back.scheme == model.scheme
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_cut_short_tagger_file_is_refused(data):
     # a cut inside the last bias value loaded a different model before
